@@ -60,7 +60,6 @@ from .geometry import (
     point_line_distance,
     slope_to_normal,
 )
-from .oracle import GridSpec, grid_min_d, grid_min_x, grid_min_y
 from .stats import PairedSample, Sample, SummaryStats, covariance, mean, summarize, variance
 from .transforms import (
     InvarianceReport,
@@ -74,3 +73,12 @@ from .transforms import (
 )
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name: str):
+    # PEP 562: the grid oracle needs numpy, so load it on first use, not here
+    if name in ("GridSpec", "grid_min_d", "grid_min_x", "grid_min_y"):
+        from . import oracle
+
+        return getattr(oracle, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -20,11 +20,12 @@ import json
 import math
 import random
 import sys
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
+from itertools import repeat
 from pathlib import Path
 from typing import Union
 
-from . import diagnostics, oracle
+from . import diagnostics
 from .errors import (
     CsvParseError,
     GenerationError,
@@ -55,7 +56,7 @@ from .geometry import (
     normal_to_slope,
     slope_to_normal,
 )
-from .stats import PairedSample, Sample, summarize
+from .stats import PairedSample, Sample, SummaryStats, summarize
 from .svg import render_svg
 from .transforms import Rotation, Translation, apply_motion_points
 
@@ -96,6 +97,34 @@ def parse_csv(data: bytes) -> PairedSample:
     Blank lines are ignored; both LF and CRLF line endings work.  Errors name
     the offending 1-based line number.
     """
+    values = _bulk_values(data)
+    if values is None:
+        return _parse_csv_by_line(data)
+    return PairedSample.from_xy(values[0::2], values[1::2])
+
+
+def _bulk_values(data: bytes) -> list[float] | None:
+    """Flat [x0, y0, x1, ...] of regular input, else None for the line parser.
+
+    Regular: UTF-8, an optional exact `x,y` first line, then at least two lines
+    of one comma each, all fields finite floats.
+    """
+    try:
+        lines = data.decode("utf-8").splitlines()
+    except UnicodeDecodeError:
+        return None
+    body = lines[1:] if lines[:1] == ["x,y"] else lines
+    if len(body) < 2 or set(map(str.count, body, repeat(","))) != {1}:
+        return None
+    try:
+        values = list(map(float, ",".join(body).split(",")))
+    except ValueError:
+        return None
+    return values if all(map(math.isfinite, values)) else None
+
+
+def _parse_csv_by_line(data: bytes) -> PairedSample:
+    """:func:`parse_csv` one line at a time: the judge of irregular input."""
     try:
         text = data.decode("utf-8")
     except UnicodeDecodeError as exc:
@@ -133,68 +162,32 @@ def parse_csv(data: bytes) -> PairedSample:
     return PairedSample.from_points(points)
 
 
-def _format_float(v: float) -> str:
-    # 17 significant digits round-trip any double exactly
-    return format(v, ".17g")
-
-
 def render_csv(p: PairedSample) -> str:
-    lines = ["x,y"]
-    for x, y in p.points():
-        lines.append(f"{_format_float(x)},{_format_float(y)}")
-    return "\n".join(lines) + "\n"
+    # 17 significant digits round-trip any double exactly
+    return "x,y\n" + "".join(["%.17g,%.17g\n" % xy for xy in p.points()])
 
 
 # ---------------------------------------------------------------------------
-# JSON (hand-rolled so floats get 17 significant digits)
-
-def _json_encode(value, indent: int = 0) -> str:
-    pad = "  " * indent
-    if value is None:
-        return "null"
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, int):
-        return str(value)
-    if isinstance(value, float):
-        if not math.isfinite(value):
-            raise ValueError(f"cannot serialize non-finite float {value!r}")
-        return _format_float(value)
-    if isinstance(value, str):
-        return json.dumps(value)
-    if isinstance(value, (list, tuple)):
-        if not value:
-            return "[]"
-        inner = ", ".join(_json_encode(v, indent) for v in value)
-        return f"[{inner}]"
-    if isinstance(value, dict):
-        if not value:
-            return "{}"
-        rows = [
-            f'{pad}  {_json_encode(str(k))}: {_json_encode(v, indent + 1)}'
-            for k, v in value.items()
-        ]
-        return "{\n" + ",\n".join(rows) + f"\n{pad}}}"
-    raise TypeError(f"cannot serialize {type(value)!r}")
-
+# JSON
 
 def render_json(report: dict) -> str:
-    return _json_encode(report) + "\n"
+    """One compact line; float repr round-trips exactly, non-finite is an error."""
+    return json.dumps(report, allow_nan=False, separators=(",", ":")) + "\n"
 
 
 # ---------------------------------------------------------------------------
 # fitting orchestration
 
-def _fit_all(p: PairedSample, methods, iso_tol: float | None):
+def _fit_all(s: SummaryStats, methods, iso_tol: float | None):
     results: dict[str, dict] = {}
     for m in methods:
         try:
             if m == "Y":
-                report = fit_y(p)
+                report = fit_y(s)
             elif m == "X":
-                report = fit_x(p)
+                report = fit_x(s)
             else:
-                report = fit_d_report(p, iso_tol)
+                report = fit_d_report(s, iso_tol)
             results[m] = {"status": "ok", "report": report}
         except LineFitError as exc:
             results[m] = {"status": "precondition-failed", "error": str(exc)}
@@ -243,21 +236,14 @@ def _fit_json(method: str, outcome: dict) -> dict:
 
 
 def _comparison_json(cmp: diagnostics.ComparisonReport) -> dict:
-    return {
-        "m": cmp.m,
-        "m_x": cmp.m_x,
-        "tan_theta": cmp.tan_theta,
-        "ratio_bound": cmp.ratio_bound,
-        "ordering_e": cmp.ordering_e,
-        "ordering_f": cmp.ordering_f,
-        "ordering_f_observed": cmp.ordering_f_observed,
-        "cs_gap": cmp.cs_gap,
-        "collinear": cmp.collinear,
-        "case": cmp.case_tag,
-    }
+    body = asdict(cmp)
+    body["case"] = body.pop("case_tag")
+    return body
 
 
 def _oracle_deltas(p: PairedSample, results: dict) -> dict:
+    from . import oracle  # numpy; loaded only when --oracle asks for it
+
     deltas: dict[str, dict] = {}
     for method, outcome in results.items():
         if outcome["status"] != "ok":
@@ -379,34 +365,24 @@ def run(config: RunConfig, out=None) -> int:
     out = out if out is not None else sys.stdout
     try:
         points = _load_points(config)
+        s = summarize(points)
     except (LineFitError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
 
     iso_tol = config.tolerance_overrides.get("isotropic")
     col_tol = config.tolerance_overrides.get("collinearity")
-    results = _fit_all(points, config.methods, iso_tol)
-    cmp = diagnostics.compare(points, col_tol)
+    results = _fit_all(s, config.methods, iso_tol)
+    cmp = diagnostics.compare(s, col_tol)
     deltas = _oracle_deltas(points, results) if config.oracle_check else None
 
     for line in _table_lines(results, cmp, deltas):
         print(line, file=out)
 
     if config.output_json is not None:
-        s = summarize(points)
         report = {
-            "points": [[x, y] for x, y in points.points()],
-            "stats": {
-                "n": s.n,
-                "mean_x": s.mean_x,
-                "mean_y": s.mean_y,
-                "var_x": s.var_x,
-                "var_y": s.var_y,
-                "cov_xy": s.cov_xy,
-                "mean_xx": s.mean_xx,
-                "mean_yy": s.mean_yy,
-                "mean_xy": s.mean_xy,
-            },
+            "points": points.points(),
+            "stats": asdict(s),
             "fits": {m.lower(): _fit_json(m, results[m]) for m in config.methods},
             "comparison": _comparison_json(cmp),
         }

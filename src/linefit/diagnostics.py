@@ -23,8 +23,9 @@ from .fitters import (
     resolve_case,
     trig_from_case,
     _has_x_spread,
+    _stats,
 )
-from .stats import PairedSample, SummaryStats, summarize
+from .stats import PairedSample, SummaryStats
 
 __all__ = [
     "ORDERING_HOLDS",
@@ -72,8 +73,10 @@ class ComparisonReport:
     case_tag: str
 
 
-def compare(p: PairedSample, collinear_tol: float | None = None) -> ComparisonReport:
-    s = summarize(p)
+def compare(
+    data: PairedSample | SummaryStats, collinear_tol: float | None = None
+) -> ComparisonReport:
+    s = _stats(data)
     tol_iso = iso_tolerance(s)
     tol_col = collinearity_tolerance(s) if collinear_tol is None else collinear_tol
 

@@ -6,7 +6,8 @@
   but when var(x) = var(y) and cov(x, y) = 0 every line through the centroid
   attains the same objective and a line family is returned instead of a line.
 
-All minimizers are closed forms in the summary statistics.  The angle of the
+All minimizers are closed forms in the summary statistics, so each fit also
+takes a ``SummaryStats`` in place of the sample.  The angle of the
 perpendicular fit satisfies tan(2*theta) = 2*cov / (var_x - var_y); resolving
 theta itself splits into six sign cases plus the isotropic family.
 """
@@ -92,6 +93,10 @@ class FitReport:
     stats: SummaryStats
 
 
+def _stats(data: PairedSample | SummaryStats) -> SummaryStats:
+    return data if isinstance(data, SummaryStats) else summarize(data)
+
+
 def iso_tolerance(s: SummaryStats) -> float:
     """Scale-aware threshold for treating var_x = var_y and cov = 0 as exact."""
     return 1e-12 * (s.var_x + s.var_y + 1.0)
@@ -111,9 +116,9 @@ def _has_y_spread(s: SummaryStats) -> bool:
     return s.var_y > _SPREAD_TOL * s.mean_yy
 
 
-def fit_y(p: PairedSample) -> FitReport:
+def fit_y(data: PairedSample | SummaryStats) -> FitReport:
     """Vertical-offset fit y = m*x + b with m = cov/var_x, b = mean_y - m*mean_x."""
-    s = summarize(p)
+    s = _stats(data)
     if not _has_x_spread(s):
         raise VerticalDataError(
             "vertical-offset fit requires var(x) > 0; all x coordinates "
@@ -125,9 +130,9 @@ def fit_y(p: PairedSample) -> FitReport:
     return FitReport("Y", SlopeInterceptLine(m, b), objective, s)
 
 
-def fit_x(p: PairedSample) -> FitReport:
+def fit_x(data: PairedSample | SummaryStats) -> FitReport:
     """Horizontal-offset fit x = mu*y + beta; the Y fit with axes swapped."""
-    s = summarize(p)
+    s = _stats(data)
     if not _has_y_spread(s):
         raise HorizontalDataError(
             "horizontal-offset fit requires var(y) > 0; all y coordinates "
@@ -193,17 +198,13 @@ def trig_from_case(case: OrthogonalCase) -> tuple[float, float, float]:
     raise ValueError(f"unknown case tag {tag!r}")
 
 
-def fit_d(p: PairedSample, iso_tol: float | None = None) -> OrthogonalFit:
+def fit_d(data: PairedSample | SummaryStats, iso_tol: float | None = None) -> OrthogonalFit:
     """Perpendicular-distance fit in normal form.
 
     Returns a :class:`UniqueLine` through the centroid, or
     :class:`AllLinesThroughCentroid` when the statistics are isotropic.
     """
-    s = summarize(p)
-    return _fit_d_from_stats(s, iso_tol)
-
-
-def _fit_d_from_stats(s: SummaryStats, iso_tol: float | None = None) -> OrthogonalFit:
+    s = _stats(data)
     case = resolve_case(s, iso_tol)
     if case.tag == ISOTROPIC:
         return AllLinesThroughCentroid(
@@ -226,10 +227,10 @@ def _min_objective_d(s: SummaryStats) -> float:
     return 2.0 * gap / (total + spread)
 
 
-def fit_d_report(p: PairedSample, iso_tol: float | None = None) -> FitReport:
+def fit_d_report(data: PairedSample | SummaryStats, iso_tol: float | None = None) -> FitReport:
     """Perpendicular fit packaged with its minimum objective and statistics."""
-    s = summarize(p)
-    fit = _fit_d_from_stats(s, iso_tol)
+    s = _stats(data)
+    fit = fit_d(s, iso_tol)
     if isinstance(fit, AllLinesThroughCentroid):
         return FitReport("D", fit, fit.objective, s)
     return FitReport("D", fit, _min_objective_d(s), s)

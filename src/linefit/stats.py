@@ -34,16 +34,16 @@ class Sample:
     values: tuple[float, ...]
 
     def __post_init__(self):
-        vals = tuple(float(v) for v in self.values)
+        vals = tuple(map(float, self.values))
         if len(vals) < 2:
             raise InvalidSampleError(
                 f"a sample needs at least 2 values, got {len(vals)}"
             )
-        for i, v in enumerate(vals):
-            if not math.isfinite(v):
-                raise InvalidSampleError(
-                    f"sample value at index {i} is not finite: {v!r}"
-                )
+        if not all(map(math.isfinite, vals)):
+            i, v = next((i, v) for i, v in enumerate(vals) if not math.isfinite(v))
+            raise InvalidSampleError(
+                f"sample value at index {i} is not finite: {v!r}"
+            )
         object.__setattr__(self, "values", vals)
 
     @property
@@ -164,6 +164,7 @@ def summarize(p: PairedSample) -> SummaryStats:
 
     Field values agree exactly with :func:`mean`, :func:`variance` and
     :func:`covariance` applied separately (identical accumulation order).
+    Raises :class:`InvalidSampleError` when the second moments overflow.
     """
     xs, ys = p.xs.values, p.ys.values
     n = len(xs)
@@ -184,6 +185,14 @@ def summarize(p: PairedSample) -> SummaryStats:
     var_x = 0.0 if x_const else _clamped_second_moment(mean_xx, mean_x, mean_xx)
     var_y = 0.0 if y_const else _clamped_second_moment(mean_yy, mean_y, mean_yy)
     cov_xy = 0.0 if (x_const or y_const) else mean_xy - mean_x * mean_y
+    # SummaryStats squares mean_xy and cov_xy, and the fit objectives
+    # multiply var_x by var_y, so those have to stay finite too
+    products = (mean_xy * mean_xy, cov_xy * cov_xy, var_x * var_y)
+    if not all(map(math.isfinite, (sx, sy, sxx, syy, sxy) + products)):
+        raise InvalidSampleError(
+            "coordinates too large in magnitude: their sums of squares and "
+            "products overflow a double"
+        )
     return SummaryStats(
         n=n,
         mean_x=mean_x,

@@ -137,11 +137,10 @@ def render_svg(
             f"{method}: {label}</text>"
         )
         legend_row += 1
-    for x, y in points:
-        px, py = frame.to_pixel(x, y)
-        parts.append(
-            f'<circle class="data-point" cx="{_fmt(px)}" cy="{_fmt(py)}" '
-            f'r="3" fill="#444444"/>'
-        )
+    parts += [
+        '<circle class="data-point" cx="%.2f" cy="%.2f" r="3" fill="#444444"/>'
+        % frame.to_pixel(x, y)
+        for x, y in points
+    ]
     parts.append("</svg>")
     return "\n".join(parts)

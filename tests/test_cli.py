@@ -7,12 +7,24 @@ import xml.etree.ElementTree as ET
 from pathlib import Path
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from linefit.cli import RunConfig, parse_csv, render_csv, render_json, run
+import linefit
+from linefit.cli import (
+    RunConfig,
+    _bulk_values,
+    _parse_csv_by_line,
+    parse_csv,
+    render_csv,
+    render_json,
+    run,
+)
 from linefit.errors import CsvParseError, InsufficientDataError
 from linefit.fitters import fit_d, fit_x, fit_y
 from linefit.generators import CircleSpec, gen_circle
 from linefit.stats import PairedSample
+from linefit.svg import _Frame, render_svg
 
 REPO = Path(__file__).resolve().parents[1]
 SRC = REPO / "src"
@@ -66,6 +78,53 @@ def test_parse_csv_rejects_non_finite():
 def test_parse_csv_rejects_single_point():
     with pytest.raises(InsufficientDataError):
         parse_csv(b"1,2\n")
+
+
+def test_parse_csv_bulk_path_takes_regular_input():
+    assert _bulk_values(b"x,y\r\n 1.5 ,-2\r\n3,4e-3\r\n") == [1.5, -2.0, 3.0, 4e-3]
+    # a blank line inside the body leaves the decision to the line parser
+    assert _bulk_values(b"1,2\n\n3,4\n") is None
+
+
+_pad = st.sampled_from(["", " ", "\t", "\xa0"])
+_number = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.integers(-10**6, 10**6).map(str),
+)
+_row = st.tuples(_pad, _number, _pad, _pad, _number, _pad).map(
+    lambda t: f"{t[0]}{t[1]}{t[2]},{t[3]}{t[4]}{t[5]}"
+)
+_irregular = st.sampled_from([
+    "", "   ", "x,y", " x , y ", "X,Y", "1", "1,2,3", ",", "1,", "a,b",
+    "nan,1", "1,inf", "-Infinity,0", "1e400,0", "1_0,2", "0x10,1",
+])
+
+
+@st.composite
+def csv_inputs(draw):
+    rows = draw(st.lists(_row, max_size=8))
+    for _ in range(draw(st.integers(0, 2))):
+        rows.insert(draw(st.integers(0, len(rows))), draw(_irregular))
+    if draw(st.booleans()):
+        rows.insert(0, "x,y")
+    eol = draw(st.sampled_from(["\n", "\r\n"]))
+    data = (eol.join(rows) + (eol if draw(st.booleans()) else "")).encode()
+    if draw(st.integers(0, 9)) == 0:
+        i = draw(st.integers(0, len(data)))
+        data = data[:i] + b"\xff" + data[i:]
+    return data
+
+
+def _parse_outcome(parse, data):
+    try:
+        return parse(data).points()
+    except (CsvParseError, InsufficientDataError) as exc:
+        return type(exc), getattr(exc, "line", None), str(exc)
+
+
+@given(csv_inputs())
+def test_parse_csv_agrees_with_the_line_parser(data):
+    assert _parse_outcome(parse_csv, data) == _parse_outcome(_parse_csv_by_line, data)
 
 
 def test_csv_round_trip():
@@ -162,6 +221,62 @@ def test_run_missing_file_is_an_input_error(tmp_path):
     assert run(RunConfig(input=tmp_path / "nope.csv")) == 2
 
 
+@pytest.mark.parametrize("rows", [
+    "1e200,1\n2e200,2\n3e200,4\n",
+    "1e155,1e155\n1e156,2e156\n1e160,3e155\n",
+])
+def test_run_overflowing_statistics_is_an_input_error(tmp_path, capsys, rows):
+    csv = tmp_path / "huge.csv"
+    csv.write_text(rows)
+    out_json = tmp_path / "huge.json"
+    assert run(RunConfig(input=csv, output_json=out_json)) == 2
+    assert "magnitude" in capsys.readouterr().err
+    assert not out_json.exists()
+
+
+def test_run_far_x_constant_y_still_fits(tmp_path):
+    csv = tmp_path / "far.csv"
+    csv.write_text("1e150,1e5\n-1e150,1e5\n0,1e5\n")
+    out_json = tmp_path / "far.json"
+    assert run(RunConfig(input=csv, output_json=out_json)) == 0
+    y_fit = json.loads(out_json.read_text())["fits"]["y"]
+    assert (y_fit["m"], y_fit["b"], y_fit["objective_min"]) == (0.0, 1e5, 0.0)
+
+
+def test_run_summarizes_once(tmp_path, monkeypatch):
+    from linefit import stats
+
+    original, calls = stats.summarize, []
+
+    def counting(p):
+        calls.append(p)
+        return original(p)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("linefit") and vars(module).get("summarize") is original:
+            monkeypatch.setattr(module, "summarize", counting)
+    csv = tmp_path / "pts.csv"
+    csv.write_text(THREE_CSV)
+    config = RunConfig(input=csv, methods=("Y", "X", "D"), output_json=tmp_path / "r.json")
+    assert run(config) == 0
+    assert len(calls) == 1
+
+
+@given(st.lists(
+    st.tuples(st.floats(-1e6, 1e6), st.floats(-1e6, 1e6)), min_size=1, max_size=30
+))
+def test_render_svg_data_points_match_per_point_reference(points):
+    frame = _Frame(points)
+    expected = []
+    for x, y in points:
+        px, py = frame.to_pixel(x, y)
+        expected.append(
+            f'<circle class="data-point" cx="{px:.2f}" cy="{py:.2f}" r="3" fill="#444444"/>'
+        )
+    rendered = render_svg(points, []).splitlines()
+    assert [line for line in rendered if 'class="data-point"' in line] == expected
+
+
 def test_run_identical_points_still_succeeds_via_d(tmp_path, capsys):
     # Y and X both lose their preconditions, but the perpendicular fit
     # degrades to the zero-objective family at the point itself
@@ -236,10 +351,33 @@ def test_cli_transform_round_trip(tmp_path):
 def test_cli_oracle_flag_reports_small_deltas(tmp_path):
     csv = tmp_path / "pts.csv"
     csv.write_text(THREE_CSV)
-    r = run_cli(["fit", "--input", str(csv), "--oracle"])
+    out_json = tmp_path / "report.json"
+    r = run_cli(["fit", "--input", str(csv), "--oracle", "--json", str(out_json)])
     assert r.returncode == 0
     assert "oracle[y]" in r.stdout
     assert "oracle[d]" in r.stdout
+    deltas = json.loads(out_json.read_text())["oracle"]
+    assert sorted(deltas) == ["d", "x", "y"]
+    assert all(0.0 <= v < 1e-4 for d in deltas.values() for v in d.values())
+
+
+def test_importing_the_cli_loads_no_numpy():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(SRC) + os.pathsep + env.get("PYTHONPATH", "")
+    code = "import sys, linefit, linefit.cli; print('numpy' in sys.modules)"
+    r = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                       env=env, cwd=REPO)
+    assert r.returncode == 0, r.stderr
+    assert r.stdout.strip() == "False"
+
+
+def test_package_exposes_the_oracle_lazily():
+    import linefit.oracle
+
+    for name in ("GridSpec", "grid_min_d", "grid_min_x", "grid_min_y"):
+        assert getattr(linefit, name) is getattr(linefit.oracle, name)
+    with pytest.raises(AttributeError):
+        linefit.no_such_name
 
 
 def test_run_config_validation():

@@ -63,7 +63,7 @@ def test_sample_rejects_short_input():
 
 @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
 def test_sample_rejects_non_finite(bad):
-    with pytest.raises(InvalidSampleError):
+    with pytest.raises(InvalidSampleError, match="index 1"):
         Sample((1.0, bad))
 
 
@@ -156,6 +156,28 @@ def test_summarize_of_repeated_point_is_all_zero():
     assert s.var_x == 0.0
     assert s.var_y == 0.0
     assert s.cov_xy == 0.0
+
+
+@pytest.mark.parametrize("points", [
+    [(1e200, 1.0), (2e200, 2.0), (3e200, 4.0)],  # x*x overflows
+    [(1e155, 1e155), (1e156, 2e156), (1e160, 3e155)],  # the sums overflow
+    [(1e150, 1e150), (2e150, 3e150), (3e150, 2e150)],  # var_x * var_y would
+])
+def test_summarize_rejects_overflowing_magnitudes(points):
+    with pytest.raises(InvalidSampleError, match="magnitude"):
+        summarize(PairedSample.from_points(points))
+
+
+@pytest.mark.parametrize("points", [
+    [(1e150, 1e5), (-1e150, 1e5), (0.0, 1e5)],  # far x, constant y
+    [(1e5, 1e150), (1e5, -1e150), (1e5, 0.0)],  # constant x, far y
+])
+def test_summarize_accepts_large_magnitudes_with_finite_products(points):
+    s = summarize(PairedSample.from_points(points))
+    assert s.mean_xy == 0.0
+    assert s.cov_xy == 0.0
+    assert s.var_x * s.var_y == 0.0
+    assert math.isfinite(s.mean_xx) and math.isfinite(s.mean_yy)
 
 
 @given(paired_samples())
