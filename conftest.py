@@ -1,6 +1,26 @@
 import sys
 from pathlib import Path
 
+import pytest
+
 SRC = Path(__file__).resolve().parent / "src"
 if str(SRC) not in sys.path:
     sys.path.insert(0, str(SRC))
+
+
+@pytest.fixture
+def summarize_calls(monkeypatch):
+    """The samples passed to ``linefit.stats.summarize`` during the test, in
+    call order: it is rebound in every linefit module that holds it."""
+    from linefit import stats
+
+    original, calls = stats.summarize, []
+
+    def counting(p):
+        calls.append(p)
+        return original(p)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("linefit") and vars(module).get("summarize") is original:
+            monkeypatch.setattr(module, "summarize", counting)
+    return calls

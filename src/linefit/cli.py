@@ -19,6 +19,7 @@ import argparse
 import json
 import math
 import random
+import re
 import sys
 from dataclasses import asdict, dataclass, field
 from itertools import repeat
@@ -56,7 +57,7 @@ from .geometry import (
     normal_to_slope,
     slope_to_normal,
 )
-from .stats import PairedSample, Sample, SummaryStats, summarize
+from .stats import PairedSample, Sample, SummaryStats
 from .svg import render_svg
 from .transforms import Rotation, Translation, apply_motion_points
 
@@ -365,7 +366,7 @@ def run(config: RunConfig, out=None) -> int:
     out = out if out is not None else sys.stdout
     try:
         points = _load_points(config)
-        s = summarize(points)
+        s = points.summary
     except (LineFitError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
@@ -424,8 +425,17 @@ def _parse_pair(text: str, flag: str) -> tuple[float, float]:
         raise argparse.ArgumentTypeError(f"{flag}: {exc}") from exc
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reads ``-1e-3`` or ``-0.0,0`` (a minus, then a digit) as a value where
+    argparse reads an option; add_subparsers gives every subcommand this class."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"^-\.?\d")
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="linefit",
         description="Fit lines to 2D points by vertical, horizontal or "
         "perpendicular least squares.",

@@ -7,9 +7,10 @@
   attains the same objective and a line family is returned instead of a line.
 
 All minimizers are closed forms in the summary statistics, so each fit also
-takes a ``SummaryStats`` in place of the sample.  The angle of the
-perpendicular fit satisfies tan(2*theta) = 2*cov / (var_x - var_y); resolving
-theta itself splits into six sign cases plus the isotropic family.
+takes a ``SummaryStats`` in place of the sample; given a sample, it reads the
+sample's cached ``summary``.  The angle of the perpendicular fit satisfies
+tan(2*theta) = 2*cov / (var_x - var_y); resolving theta itself splits into
+six sign cases plus the isotropic family.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from typing import Union
 
 from .errors import DegenerateCaseError, HorizontalDataError, VerticalDataError
 from .geometry import InverseSlopeLine, NormalLine, Point, SlopeInterceptLine
-from .stats import PairedSample, SummaryStats, summarize
+from .stats import PairedSample, SummaryStats
 
 __all__ = [
     "CASE_TAGS",
@@ -94,7 +95,7 @@ class FitReport:
 
 
 def _stats(data: PairedSample | SummaryStats) -> SummaryStats:
-    return data if isinstance(data, SummaryStats) else summarize(data)
+    return data if isinstance(data, SummaryStats) else data.summary
 
 
 def iso_tolerance(s: SummaryStats) -> float:

@@ -1,17 +1,21 @@
 """Means, variances and covariances of paired coordinate samples.
 
 Every fitting routine in this package consumes the ``SummaryStats`` produced
-here; once a sample is summarized the raw coordinates are never needed again.
-Accumulation is a plain left-to-right pass over the raw sums (sum x, sum y,
-sum x^2, sum y^2, sum xy).  The quadratic pairwise-difference forms of the
-variance and covariance are deliberately kept out of the library: they serve
-as independent oracles in the test suite.
+here; once a sample is summarized the raw coordinates are never needed again,
+and a ``PairedSample`` caches its summary, so it is computed at most once.
+Accumulation is one left-to-right pass over the offsets from the first point
+(the "shifted data" algorithm of Chan, Golub & LeVeque, 1983): far from the
+origin the offsets are exact and small, so the centered quantities do not
+cancel away.  The quadratic pairwise-difference forms of the variance and
+covariance are deliberately kept out of the library: they serve as
+independent oracles in the test suite.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Sequence
 
 from .errors import InvalidSampleError, SampleMismatchError
@@ -80,6 +84,12 @@ class PairedSample:
     def points(self) -> tuple[tuple[float, float], ...]:
         return tuple(zip(self.xs.values, self.ys.values))
 
+    @cached_property
+    def summary(self) -> "SummaryStats":
+        """``summarize(self)``, computed on first use and kept: the values
+        are immutable, so every fit of this sample shares one summary."""
+        return summarize(self)
+
 
 @dataclass(frozen=True)
 class SummaryStats:
@@ -118,77 +128,55 @@ class SummaryStats:
 
 
 def mean(s: Sample) -> float:
-    """Arithmetic mean, (1/n) * sum of the values."""
-    return sum(s.values) / s.n
-
-
-def _clamped_second_moment(mean_sq: float, mu: float, scale: float) -> float:
-    # Cancellation can leave a tiny negative residue; (-eps, 0) snaps to 0 so
-    # that downstream case dispatch can rely on nonnegative variances.
-    v = mean_sq - mu * mu
-    if -1e-12 * (scale + 1.0) < v < 0.0:
-        return 0.0
-    return v
+    """The ``mean_x`` of :func:`summarize`, with zeros (no overflow) as the y."""
+    return summarize(PairedSample(s, Sample((0.0,) * s.n))).mean_x
 
 
 def variance(s: Sample) -> float:
-    """Mean of squares minus squared mean.
-
-    Exactly 0.0 for a constant sample: the non-centered accumulation cannot
-    guarantee that on its own, so constant input is detected directly.
-    """
-    vals = s.values
-    if max(vals) == min(vals):
-        return 0.0
-    n = len(vals)
-    mean_sq = sum(v * v for v in vals) / n
-    mu = sum(vals) / n
-    return _clamped_second_moment(mean_sq, mu, mean_sq)
+    """The ``var_x`` of :func:`summarize`, with zeros as the y; 0.0 if constant."""
+    return summarize(PairedSample(s, Sample((0.0,) * s.n))).var_x
 
 
 def covariance(p: PairedSample) -> float:
-    """Mean of products minus product of means.
-
-    Exactly 0.0 whenever either coordinate is constant.
-    """
-    xs, ys = p.xs.values, p.ys.values
-    if max(xs) == min(xs) or max(ys) == min(ys):
-        return 0.0
-    n = len(xs)
-    mean_xy = sum(x * y for x, y in zip(xs, ys)) / n
-    return mean_xy - (sum(xs) / n) * (sum(ys) / n)
+    """The ``cov_xy`` of :func:`summarize`; exactly 0.0 if a coordinate is constant."""
+    return summarize(p).cov_xy
 
 
 def summarize(p: PairedSample) -> SummaryStats:
-    """Single pass over the five raw sums, then the centered quantities.
+    """One pass over dx = x - x0 and dy = y - y0, offsets from the first point.
 
-    Field values agree exactly with :func:`mean`, :func:`variance` and
-    :func:`covariance` applied separately (identical accumulation order).
-    Raises :class:`InvalidSampleError` when the second moments overflow.
+    var_x = mean(dx^2) - mean(dx)^2 and cov_xy = mean(dx*dy) - mean(dx)*mean(dy),
+    so a constant coordinate gives exact zeros; the raw moments are derived
+    from these.  Computes on every call (``p.summary`` keeps one).  Raises
+    :class:`InvalidSampleError` when the statistics overflow.
     """
     xs, ys = p.xs.values, p.ys.values
     n = len(xs)
+    x0, y0 = xs[0], ys[0]
     sx = sy = sxx = syy = sxy = 0.0
     for x, y in zip(xs, ys):
-        sx += x
-        sy += y
-        sxx += x * x
-        syy += y * y
-        sxy += x * y
-    mean_x = sx / n
-    mean_y = sy / n
-    mean_xx = sxx / n
-    mean_yy = syy / n
-    mean_xy = sxy / n
-    x_const = max(xs) == min(xs)
-    y_const = max(ys) == min(ys)
-    var_x = 0.0 if x_const else _clamped_second_moment(mean_xx, mean_x, mean_xx)
-    var_y = 0.0 if y_const else _clamped_second_moment(mean_yy, mean_y, mean_yy)
-    cov_xy = 0.0 if (x_const or y_const) else mean_xy - mean_x * mean_y
+        dx = x - x0
+        dy = y - y0
+        sx += dx
+        sy += dy
+        sxx += dx * dx
+        syy += dy * dy
+        sxy += dx * dy
+    mean_dx = sx / n
+    mean_dy = sy / n
+    var_x = max(0.0, sxx / n - mean_dx * mean_dx)
+    var_y = max(0.0, syy / n - mean_dy * mean_dy)
+    cov_xy = sxy / n - mean_dx * mean_dy
+    mean_x = x0 + mean_dx
+    mean_y = y0 + mean_dy
+    mean_xx = var_x + mean_x * mean_x
+    mean_yy = var_y + mean_y * mean_y
+    mean_xy = cov_xy + mean_x * mean_y
     # SummaryStats squares mean_xy and cov_xy, and the fit objectives
     # multiply var_x by var_y, so those have to stay finite too
-    products = (mean_xy * mean_xy, cov_xy * cov_xy, var_x * var_y)
-    if not all(map(math.isfinite, (sx, sy, sxx, syy, sxy) + products)):
+    checked = (sxx, syy, sxy, mean_xx, mean_yy, mean_xy * mean_xy,
+               cov_xy * cov_xy, var_x * var_y)
+    if not all(map(math.isfinite, checked)):
         raise InvalidSampleError(
             "coordinates too large in magnitude: their sums of squares and "
             "products overflow a double"

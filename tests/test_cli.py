@@ -15,6 +15,7 @@ from linefit.cli import (
     RunConfig,
     _bulk_values,
     _parse_csv_by_line,
+    main,
     parse_csv,
     render_csv,
     render_json,
@@ -243,23 +244,12 @@ def test_run_far_x_constant_y_still_fits(tmp_path):
     assert (y_fit["m"], y_fit["b"], y_fit["objective_min"]) == (0.0, 1e5, 0.0)
 
 
-def test_run_summarizes_once(tmp_path, monkeypatch):
-    from linefit import stats
-
-    original, calls = stats.summarize, []
-
-    def counting(p):
-        calls.append(p)
-        return original(p)
-
-    for name, module in list(sys.modules.items()):
-        if name.startswith("linefit") and vars(module).get("summarize") is original:
-            monkeypatch.setattr(module, "summarize", counting)
+def test_run_summarizes_once(tmp_path, summarize_calls):
     csv = tmp_path / "pts.csv"
     csv.write_text(THREE_CSV)
     config = RunConfig(input=csv, methods=("Y", "X", "D"), output_json=tmp_path / "r.json")
     assert run(config) == 0
-    assert len(calls) == 1
+    assert len(summarize_calls) == 1
 
 
 @given(st.lists(
@@ -311,6 +301,25 @@ def test_cli_fit_exit_codes(tmp_path):
     assert "line 2" in r.stderr
     assert run_cli(["fit", "--input", str(vertical), "--method", "y"]).returncode == 3
     assert run_cli(["fit", "--input", str(vertical)]).returncode == 0
+
+
+@pytest.mark.parametrize("command, flag, value", [
+    (["generate", "circle", "--n", "7"], "--center", "-0.0,0"),
+    (["generate", "noisy-line"], "--slope", "-2e-1"),
+    (["transform"], "--translate", "-1,2"),
+    (["transform"], "--rotate", "-1e-3"),
+    (["transform", "--rotate", "0.5"], "--center", "-1,-2"),
+])
+def test_negative_value_may_follow_its_flag(tmp_path, capsys, command, flag, value):
+    if command[0] == "transform":
+        csv = tmp_path / "pts.csv"
+        csv.write_text(THREE_CSV)
+        command = [*command, "--input", str(csv)]
+    outputs = []
+    for form in ([flag, value], [f"{flag}={value}"]):
+        assert main([*command, *form]) == 0
+        outputs.append(capsys.readouterr().out.encode())
+    assert outputs[0] == outputs[1]
 
 
 def test_cli_generate_pipes_into_fit():

@@ -1,12 +1,25 @@
+import dataclasses
 import math
+import pickle
 import random
+import sys
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from linefit.diagnostics import compare
 from linefit.errors import InvalidSampleError, SampleMismatchError
+from linefit.fitters import UniqueLine, fit_d_report, fit_x, fit_y
+from linefit.geometry import inverse_slope_to_normal, slope_to_normal
 from linefit.stats import PairedSample, Sample, covariance, mean, summarize, variance
+from linefit.transforms import (
+    Rotation,
+    Translation,
+    invariance_report,
+    line_discrepancy,
+    transform_line,
+)
 
 
 # --- independent oracles: quadratic pairwise-difference forms -------------
@@ -32,6 +45,26 @@ def centered_covariance(xs, ys):
     mx = sum(xs) / n
     my = sum(ys) / n
     return sum((x - mx) * (y - my) for x, y in zip(xs, ys)) / n
+
+
+def two_pass_moments(xs, ys):
+    """(var_x, var_y, cov_xy) about the fsum mean, with the corrected
+    two-pass term removing the rounding of that mean."""
+    n = len(xs)
+
+    def deviations(values):
+        if min(values) == max(values):
+            return [0.0] * n  # a constant coordinate has no spread at all
+        m = math.fsum(values) / n
+        return [v - m for v in values]
+
+    dx, dy = deviations(xs), deviations(ys)
+    rx, ry = math.fsum(dx) / n, math.fsum(dy) / n
+    return (
+        math.fsum(d * d for d in dx) / n - rx * rx,
+        math.fsum(d * d for d in dy) / n - ry * ry,
+        math.fsum(a * b for a, b in zip(dx, dy)) / n - rx * ry,
+    )
 
 
 def sequential_mean(values):
@@ -180,6 +213,12 @@ def test_summarize_accepts_large_magnitudes_with_finite_products(points):
     assert math.isfinite(s.mean_xx) and math.isfinite(s.mean_yy)
 
 
+def test_lone_sample_views_accept_a_variance_whose_square_overflows():
+    s = Sample((1e100, -1e100))
+    assert mean(s) == 0.0
+    assert variance(s) == pytest.approx(1e200, rel=1e-15)
+
+
 @given(paired_samples())
 def test_summarize_agrees_with_individual_functions(p):
     s = summarize(p)
@@ -188,6 +227,99 @@ def test_summarize_agrees_with_individual_functions(p):
     assert s.var_x == variance(p.xs)
     assert s.var_y == variance(p.ys)
     assert s.cov_xy == covariance(p)
+
+
+def ten_points(off):
+    # var_x = 8.25, var_y = 33.5625 and cov = 16.625 exactly, at every offset
+    return PairedSample.from_points(
+        [(off + i, off + 2 * i + (0.25 if i % 2 else -0.25)) for i in range(10)]
+    )
+
+
+@pytest.mark.parametrize("off", [0.0, 1e8, 3e8, 1e9, 1e10, 1e12])
+def test_far_offset_gives_the_statistics_and_lines_of_the_origin(off):
+    near, far = ten_points(0.0), ten_points(off)
+    s = summarize(far)
+    assert abs(s.var_x - 8.25) <= 1e-12 * 8.25
+    assert abs(s.cov_xy - 16.625) <= 1e-12 * 8.25
+    assert abs(s.var_y - summarize(near).var_y) <= 1e-12 * 8.25
+    # each line must be the origin's line moved by (off, off); its offset c
+    # is a position, so it is known to a few ulps of off
+    move = Translation(off, off)
+    c_tol = 1e-12 + 8 * sys.float_info.epsilon * off
+    for fit, to_normal in ((fit_y, slope_to_normal), (fit_x, inverse_slope_to_normal)):
+        got, want = fit(far), fit(near)
+        expected = transform_line(to_normal(want.line), move)
+        assert line_discrepancy(to_normal(got.line), expected) <= c_tol
+        assert abs(got.objective_min - want.objective_min) <= 1e-12 * 8.25
+    d_far, d_near = fit_d_report(far), fit_d_report(near)
+    assert isinstance(d_far.line, UniqueLine)
+    assert d_far.line.case.tag == d_near.line.case.tag
+    expected = transform_line(d_near.line.line, move)
+    assert line_discrepancy(d_far.line.line, expected) <= c_tol
+    assert abs(d_far.objective_min - d_near.objective_min) <= 1e-12 * 8.25
+
+
+@st.composite
+def far_paired_samples(draw):
+    """Points in [-1, 1]^2 moved by up to 1e12 times their spread per axis."""
+    n = draw(st.integers(min_value=2, max_value=30))
+    unit = st.floats(min_value=-1.0, max_value=1.0, allow_nan=False)
+    coords = []
+    for _ in range(2):
+        values = draw(st.lists(unit, min_size=n, max_size=n))
+        spread = max(values) - min(values)
+        k = draw(st.one_of(
+            st.floats(min_value=-1e12, max_value=1e12, allow_nan=False),
+            st.integers(min_value=-12, max_value=12).map(
+                lambda e: math.copysign(10.0 ** abs(e), e)
+            ),
+        ))
+        coords.append([v + k * spread for v in values])
+    return PairedSample.from_xy(*coords)
+
+
+@given(far_paired_samples())
+@settings(max_examples=300)
+def test_summarize_matches_a_two_pass_oracle_far_from_the_origin(p):
+    s = summarize(p)
+    var_x, var_y, cov_xy = two_pass_moments(p.xs.values, p.ys.values)
+    tol = 1e-12 * (var_x + var_y)
+    assert abs(s.var_x - var_x) <= tol
+    assert abs(s.var_y - var_y) <= tol
+    assert abs(s.cov_xy - cov_xy) <= tol
+
+
+# --- the cached summary ------------------------------------------------------------
+
+def test_cached_summary_is_summarize():
+    p = PairedSample.from_points([(0, 0), (1, 0), (2, 1)])
+    assert p.summary == summarize(p)
+    assert p.summary is p.summary
+
+
+def test_cached_summary_leaves_equality_hash_and_copies_alone():
+    pts = [(0.5, 1.0), (1.5, -2.0), (4.0, 3.25)]
+    p, q = PairedSample.from_points(pts), PairedSample.from_points(pts)
+    fields = dataclasses.asdict(q)
+    assert p.summary == summarize(q)
+    assert p == q and hash(p) == hash(q)
+    assert dataclasses.asdict(p) == fields
+    assert dataclasses.replace(p) == q
+    moved = dataclasses.replace(p, ys=Sample((0.0, 1.0, 2.0)))
+    assert moved.summary == summarize(moved) != p.summary
+    back = pickle.loads(pickle.dumps(p))
+    assert back == p and hash(back) == hash(p)
+    assert back.summary == p.summary
+
+
+def test_one_sample_is_summarized_once_across_fits(summarize_calls):
+    p = PairedSample.from_points([(0, 0), (1, 0), (2, 1), (3, 3)])
+    fit_y(p), fit_x(p), fit_d_report(p), compare(p)
+    for method in "YXD":
+        invariance_report(p, Rotation(0.3), method)
+    assert sum(c is p for c in summarize_calls) == 1
+    assert len(summarize_calls) == 4  # plus one per moved sample, fitted once each
 
 
 # --- invariants ------------------------------------------------------------------
