@@ -23,8 +23,6 @@ from linefit import (  # noqa: E402
     fit_x,
     fit_y,
     gen_parallel,
-    inverse_slope_to_normal,
-    slope_to_normal,
 )
 from linefit.svg import render_svg  # noqa: E402
 
@@ -44,14 +42,7 @@ print(f"  X slope: {1.0 / rx.line.mu:.6f}   (too steep)")
 print(f"  D slope: {math.tan(rd.line.line.theta):.6f}   (the mid-line)")
 
 out.write_text(
-    render_svg(
-        points.points(),
-        [
-            ("Y", slope_to_normal(ry.line)),
-            ("X", inverse_slope_to_normal(rx.line)),
-            ("D", rd.line.line),
-        ],
-    ),
+    render_svg(points.points(), [("Y", ry), ("X", rx), ("D", rd)]),
     encoding="utf-8",
 )
 print(f"wrote {out}")

@@ -10,7 +10,6 @@ whole family of lines through the centroid instead of picking one.
 from .diagnostics import ComparisonReport, compare
 from .errors import (
     CsvParseError,
-    DegenerateCaseError,
     GenerationError,
     HorizontalDataError,
     InsufficientDataError,
@@ -36,7 +35,6 @@ from .fitters import (
     objective_x,
     objective_y,
     resolve_case,
-    trig_from_case,
 )
 from .generators import (
     CircleSpec,

@@ -33,14 +33,7 @@ from .errors import (
     InsufficientDataError,
     LineFitError,
 )
-from .fitters import (
-    AllLinesThroughCentroid,
-    FitReport,
-    UniqueLine,
-    fit_d_report,
-    fit_x,
-    fit_y,
-)
+from .fitters import FitReport, fit_d_report, fit_x, fit_y
 from .generators import (
     CircleSpec,
     NoisyLineSpec,
@@ -50,13 +43,7 @@ from .generators import (
     gen_noisy_line,
     gen_parallel,
 )
-from .geometry import (
-    NormalLine,
-    Point,
-    inverse_slope_to_normal,
-    normal_to_slope,
-    slope_to_normal,
-)
+from .geometry import Point, normal_to_slope
 from .stats import PairedSample, Sample, SummaryStats
 from .svg import render_svg
 from .transforms import Rotation, Translation, apply_motion_points
@@ -179,60 +166,50 @@ def render_json(report: dict) -> str:
 # ---------------------------------------------------------------------------
 # fitting orchestration
 
+# the slope and intercept attributes of the Y and X lines, and the oracle
+# grid search that checks them; the D row derives its slope from the normal form
+_NATURAL = {"Y": ("m", "b", "grid_min_y"), "X": ("mu", "beta", "grid_min_x")}
+
+
 def _fit_all(s: SummaryStats, methods, iso_tol: float | None):
-    results: dict[str, dict] = {}
+    """Each method's FitReport, or the LineFitError its precondition raised."""
+    results: dict[str, FitReport | LineFitError] = {}
     for m in methods:
         try:
             if m == "Y":
-                report = fit_y(s)
+                results[m] = fit_y(s)
             elif m == "X":
-                report = fit_x(s)
+                results[m] = fit_x(s)
             else:
-                report = fit_d_report(s, iso_tol)
-            results[m] = {"status": "ok", "report": report}
+                results[m] = fit_d_report(s, iso_tol)
         except LineFitError as exc:
-            results[m] = {"status": "precondition-failed", "error": str(exc)}
+            results[m] = exc
     return results
 
 
-def _normal_form(report: FitReport) -> NormalLine | None:
-    line = report.line
-    if isinstance(line, UniqueLine):
-        return line.line
-    if isinstance(line, AllLinesThroughCentroid):
-        return None
-    if report.method == "Y":
-        return slope_to_normal(line)
-    return inverse_slope_to_normal(line)
-
-
-def _fit_json(method: str, outcome: dict) -> dict:
-    if outcome["status"] != "ok":
-        return {"status": "precondition-failed", "error": outcome["error"]}
-    report: FitReport = outcome["report"]
-    line = report.line
-    if isinstance(line, AllLinesThroughCentroid):
+def _fit_json(outcome: FitReport | LineFitError) -> dict:
+    if not isinstance(outcome, FitReport):
+        return {"status": "precondition-failed", "error": str(outcome)}
+    line, nf = outcome.line, outcome.normal_form
+    if nf is None:
         return {
             "status": "all_lines_through_centroid",
             "centroid": [line.centroid.x, line.centroid.y],
             "objective": line.objective,
         }
     body: dict = {"status": "ok"}
-    if method == "Y":
-        body["m"] = line.m
-        body["b"] = line.b
-    elif method == "X":
-        body["mu"] = line.mu
-        body["beta"] = line.beta
+    if outcome.method in _NATURAL:
+        slope_attr, intercept_attr, _ = _NATURAL[outcome.method]
+        body[slope_attr] = getattr(line, slope_attr)
+        body[intercept_attr] = getattr(line, intercept_attr)
     else:
-        body["theta"] = line.line.theta
-        body["c"] = line.line.c
+        body["theta"] = nf.theta
+        body["c"] = nf.c
         body["case"] = line.case.tag
         if line.case.e_ratio is not None:
             body["e_ratio"] = line.case.e_ratio
-    nf = _normal_form(report)
     body["normal_form"] = {"theta": nf.theta, "c": nf.c}
-    body["objective_min"] = report.objective_min
+    body["objective_min"] = outcome.objective_min
     return body
 
 
@@ -246,31 +223,24 @@ def _oracle_deltas(p: PairedSample, results: dict) -> dict:
     from . import oracle  # numpy; loaded only when --oracle asks for it
 
     deltas: dict[str, dict] = {}
-    for method, outcome in results.items():
-        if outcome["status"] != "ok":
+    for method, report in results.items():
+        if not isinstance(report, FitReport) or report.normal_form is None:
             continue
-        report: FitReport = outcome["report"]
-        line = report.line
-        if method == "Y":
-            m, b, obj = oracle.grid_min_y(p)
-            deltas["y"] = {
-                "slope_delta": abs(line.m - m),
-                "intercept_delta": abs(line.b - b),
+        if method in _NATURAL:
+            slope_attr, intercept_attr, grid_min = _NATURAL[method]
+            slope, intercept, obj = getattr(oracle, grid_min)(p)
+            deltas[method.lower()] = {
+                "slope_delta": abs(getattr(report.line, slope_attr) - slope),
+                "intercept_delta": abs(getattr(report.line, intercept_attr) - intercept),
                 "objective_delta": abs(report.objective_min - obj),
             }
-        elif method == "X":
-            mu, beta, obj = oracle.grid_min_x(p)
-            deltas["x"] = {
-                "slope_delta": abs(line.mu - mu),
-                "intercept_delta": abs(line.beta - beta),
-                "objective_delta": abs(report.objective_min - obj),
-            }
-        elif isinstance(line, UniqueLine):
+        else:
             theta, c, obj = oracle.grid_min_d(p)
-            aligned_c = c if math.cos(line.line.theta - theta) >= 0.0 else -c
+            nf = report.normal_form
+            aligned_c = c if math.cos(nf.theta - theta) >= 0.0 else -c
             deltas["d"] = {
-                "theta_delta": abs(math.remainder(line.line.theta - theta, math.pi)),
-                "c_delta": abs(line.line.c - aligned_c),
+                "theta_delta": abs(math.remainder(nf.theta - theta, math.pi)),
+                "c_delta": abs(nf.c - aligned_c),
                 "objective_delta": abs(report.objective_min - obj),
             }
     return deltas
@@ -280,9 +250,8 @@ def _g6(v: float | None) -> str:
     return "-" if v is None else format(v, ".6g")
 
 
-def _table_lines(results: dict, cmp: diagnostics.ComparisonReport,
+def _table_lines(s: SummaryStats, results: dict, cmp: diagnostics.ComparisonReport,
                  oracle_deltas: dict | None) -> list[str]:
-    stats = None
     lines: list[str] = []
     header = f"{'method':<8}{'slope':>14}{'intercept':>14}{'theta':>14}{'c':>14}{'objective':>14}"
     lines.append(header)
@@ -290,25 +259,21 @@ def _table_lines(results: dict, cmp: diagnostics.ComparisonReport,
     for method in ("Y", "X", "D"):
         if method not in results:
             continue
-        outcome = results[method]
-        if outcome["status"] != "ok":
-            lines.append(f"{method:<8}({outcome['error']})")
+        report = results[method]
+        if not isinstance(report, FitReport):
+            lines.append(f"{method:<8}({report})")
             continue
-        report: FitReport = outcome["report"]
-        stats = report.stats
-        line = report.line
-        if isinstance(line, AllLinesThroughCentroid):
+        line, nf = report.line, report.normal_form
+        if nf is None:
             lines.append(
                 f"{method:<8}degenerate: every line through centroid "
                 f"({_g6(line.centroid.x)}, {_g6(line.centroid.y)}), "
                 f"objective {_g6(line.objective)}"
             )
             continue
-        nf = _normal_form(report)
-        if method == "Y":
-            slope, intercept = line.m, line.b
-        elif method == "X":
-            slope, intercept = line.mu, line.beta
+        if method in _NATURAL:
+            slope_attr, intercept_attr, _ = _NATURAL[method]
+            slope, intercept = getattr(line, slope_attr), getattr(line, intercept_attr)
         else:
             try:
                 si_line = normal_to_slope(nf)
@@ -319,12 +284,12 @@ def _table_lines(results: dict, cmp: diagnostics.ComparisonReport,
             f"{method:<8}{_g6(slope):>14}{_g6(intercept):>14}"
             f"{_g6(nf.theta):>14}{_g6(nf.c):>14}{_g6(report.objective_min):>14}"
         )
-    if stats is not None:
+    if any(isinstance(r, FitReport) for r in results.values()):
         lines.append("")
         lines.append(
-            f"n={stats.n}  centroid=({_g6(stats.mean_x)}, {_g6(stats.mean_y)})  "
-            f"var(x)={_g6(stats.var_x)}  var(y)={_g6(stats.var_y)}  "
-            f"cov(x,y)={_g6(stats.cov_xy)}"
+            f"n={s.n}  centroid=({_g6(s.mean_x)}, {_g6(s.mean_y)})  "
+            f"var(x)={_g6(s.var_x)}  var(y)={_g6(s.var_y)}  "
+            f"cov(x,y)={_g6(s.cov_xy)}"
         )
     tan = cmp.tan_theta if isinstance(cmp.tan_theta, str) else _g6(cmp.tan_theta)
     lines.append(
@@ -341,7 +306,7 @@ def _table_lines(results: dict, cmp: diagnostics.ComparisonReport,
         for method, d in oracle_deltas.items():
             pairs = "  ".join(f"{k}={_g6(v)}" for k, v in d.items())
             lines.append(f"oracle[{method}]: {pairs}")
-    if "X" in results and results["X"]["status"] == "ok":
+    if isinstance(results.get("X"), FitReport):
         lines.append("note: X slope/intercept are mu and beta in x = mu*y + beta")
     return lines
 
@@ -377,14 +342,14 @@ def run(config: RunConfig, out=None) -> int:
     cmp = diagnostics.compare(s, col_tol)
     deltas = _oracle_deltas(points, results) if config.oracle_check else None
 
-    for line in _table_lines(results, cmp, deltas):
+    for line in _table_lines(s, results, cmp, deltas):
         print(line, file=out)
 
     if config.output_json is not None:
         report = {
             "points": points.points(),
             "stats": asdict(s),
-            "fits": {m.lower(): _fit_json(m, results[m]) for m in config.methods},
+            "fits": {m.lower(): _fit_json(results[m]) for m in config.methods},
             "comparison": _comparison_json(cmp),
         }
         if deltas is not None:
@@ -392,22 +357,12 @@ def run(config: RunConfig, out=None) -> int:
         Path(config.output_json).write_text(render_json(report), encoding="utf-8")
 
     if config.output_svg is not None:
-        fit_rows = []
-        for m in config.methods:
-            outcome = results[m]
-            if outcome["status"] != "ok":
-                fit_rows.append((m, None))
-                continue
-            report = outcome["report"]
-            if isinstance(report.line, AllLinesThroughCentroid):
-                fit_rows.append((m, report.line))
-            else:
-                fit_rows.append((m, _normal_form(report)))
+        fit_rows = [(m, r if isinstance(r, FitReport) else None) for m, r in results.items()]
         Path(config.output_svg).write_text(
             render_svg(points.points(), fit_rows), encoding="utf-8"
         )
 
-    if any(r["status"] == "ok" for r in results.values()):
+    if any(isinstance(r, FitReport) for r in results.values()):
         return EXIT_OK
     return EXIT_NO_METHOD_SUCCEEDED
 

@@ -17,14 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .fitters import (
-    ISOTROPIC,
-    iso_tolerance,
-    resolve_case,
-    trig_from_case,
-    _has_x_spread,
-    _stats,
-)
+from .fitters import ISOTROPIC, _major_axis, _stats, iso_tolerance, resolve_case
 from .stats import PairedSample, SummaryStats
 
 __all__ = [
@@ -80,7 +73,7 @@ def compare(
     tol_iso = iso_tolerance(s)
     tol_col = collinearity_tolerance(s) if collinear_tol is None else collinear_tol
 
-    m = s.cov_xy / s.var_x if _has_x_spread(s) else None
+    m = s.cov_xy / s.var_x if s.var_x > 0.0 else None
     m_x = s.var_y / s.cov_xy if abs(s.cov_xy) > tol_iso else None
     ratio_bound = math.sqrt(s.var_y / s.var_x) if s.var_x > 0.0 else None
 
@@ -88,8 +81,8 @@ def compare(
     if case.tag == ISOTROPIC:
         tan_theta: float | str | None = TAN_THETA_ALL
     else:
-        co, si, _ = trig_from_case(case)
-        tan_theta = si / co if co != 0.0 else None
+        u, v = _major_axis(s)
+        tan_theta = v / u if u != 0.0 else None
 
     cs_gap = s.var_x * s.var_y - s.cov_xy**2
     collinear = cs_gap <= tol_col

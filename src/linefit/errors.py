@@ -29,10 +29,6 @@ class HorizontalDataError(LineFitError, ValueError):
     """All y coordinates coincide, so the horizontal-offset fit is undefined."""
 
 
-class DegenerateCaseError(LineFitError, ValueError):
-    """Every angle is equally good; callers must branch on the isotropic case first."""
-
-
 class GenerationError(LineFitError, ValueError):
     """A dataset specification is invalid."""
 

@@ -8,19 +8,29 @@
 
 All minimizers are closed forms in the summary statistics, so each fit also
 takes a ``SummaryStats`` in place of the sample; given a sample, it reads the
-sample's cached ``summary``.  The angle of the perpendicular fit satisfies
-tan(2*theta) = 2*cov / (var_x - var_y); resolving theta itself splits into
-six sign cases plus the isotropic family.
+sample's cached ``summary``.  ``fit_y``, ``fit_x`` and ``fit_d_report``
+return a ``FitReport``, which also carries the line in normal form.  The
+perpendicular line runs along the major axis of the 2x2 covariance matrix, so
+its angle satisfies tan(2*theta) = 2*cov / (var_x - var_y); the sign pattern
+of the two sides only labels the case (I..VI) or flags the isotropic family.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Union
 
-from .errors import DegenerateCaseError, HorizontalDataError, VerticalDataError
-from .geometry import InverseSlopeLine, NormalLine, Point, SlopeInterceptLine
+from .errors import HorizontalDataError, VerticalDataError
+from .geometry import (
+    InverseSlopeLine,
+    NormalLine,
+    Point,
+    SlopeInterceptLine,
+    inverse_slope_to_normal,
+    slope_to_normal,
+)
 from .stats import PairedSample, SummaryStats
 
 __all__ = [
@@ -33,7 +43,6 @@ __all__ = [
     "FitReport",
     "iso_tolerance",
     "resolve_case",
-    "trig_from_case",
     "fit_y",
     "fit_x",
     "fit_d",
@@ -45,10 +54,6 @@ __all__ = [
 
 ISOTROPIC = "Isotropic"
 CASE_TAGS = ("I", "II", "III", "IV", "V", "VI", ISOTROPIC)
-
-_QUARTER_PI = math.pi / 4.0
-_HALF_PI = math.pi / 2.0
-_INV_SQRT2 = math.sqrt(0.5)
 
 
 @dataclass(frozen=True)
@@ -86,12 +91,27 @@ OrthogonalFit = Union[UniqueLine, AllLinesThroughCentroid]
 
 @dataclass(frozen=True)
 class FitReport:
-    """A fitted line bundled with its optimal objective and the input stats."""
+    """A fitted line bundled with its optimal objective and the input stats.
+
+    ``line`` is in the method's own form; ``normal_form`` is the same line in
+    normal form, derived on first read, and None only for the isotropic family.
+    """
 
     method: str  # "Y", "X" or "D"
     line: Union[SlopeInterceptLine, InverseSlopeLine, UniqueLine, AllLinesThroughCentroid]
     objective_min: float
     stats: SummaryStats
+
+    @cached_property
+    def normal_form(self) -> NormalLine | None:
+        line = self.line
+        if isinstance(line, UniqueLine):
+            return line.line
+        if isinstance(line, AllLinesThroughCentroid):
+            return None
+        if isinstance(line, SlopeInterceptLine):
+            return slope_to_normal(line)
+        return inverse_slope_to_normal(line)
 
 
 def _stats(data: PairedSample | SummaryStats) -> SummaryStats:
@@ -103,24 +123,11 @@ def iso_tolerance(s: SummaryStats) -> float:
     return 1e-12 * (s.var_x + s.var_y + 1.0)
 
 
-# The x-spread precondition must reject exact vertical data yet accept merely
-# near-vertical data, so the threshold is tiny: the stats layer guarantees
-# var = 0.0 exactly for constant coordinates.
-_SPREAD_TOL = 1e-300
-
-
-def _has_x_spread(s: SummaryStats) -> bool:
-    return s.var_x > _SPREAD_TOL * s.mean_xx
-
-
-def _has_y_spread(s: SummaryStats) -> bool:
-    return s.var_y > _SPREAD_TOL * s.mean_yy
-
-
 def fit_y(data: PairedSample | SummaryStats) -> FitReport:
     """Vertical-offset fit y = m*x + b with m = cov/var_x, b = mean_y - m*mean_x."""
     s = _stats(data)
-    if not _has_x_spread(s):
+    # summarize gives var = 0.0 exactly for a constant coordinate
+    if s.var_x == 0.0:
         raise VerticalDataError(
             "vertical-offset fit requires var(x) > 0; all x coordinates "
             f"coincide (var_x={s.var_x!r}), the points lie on a vertical line"
@@ -134,7 +141,7 @@ def fit_y(data: PairedSample | SummaryStats) -> FitReport:
 def fit_x(data: PairedSample | SummaryStats) -> FitReport:
     """Horizontal-offset fit x = mu*y + beta; the Y fit with axes swapped."""
     s = _stats(data)
-    if not _has_y_spread(s):
+    if s.var_y == 0.0:
         raise HorizontalDataError(
             "horizontal-offset fit requires var(y) > 0; all y coordinates "
             f"coincide (var_y={s.var_y!r}), the points lie on a horizontal line"
@@ -165,38 +172,21 @@ def resolve_case(s: SummaryStats, tolerance: float | None = None) -> OrthogonalC
     return OrthogonalCase("III" if cov >= 0.0 else "IV", e_ratio)
 
 
-def trig_from_case(case: OrthogonalCase) -> tuple[float, float, float]:
-    """Closed-form (cos(theta), sin(theta), theta) for a non-isotropic case.
+def _major_axis(s: SummaryStats) -> tuple[float, float]:
+    """Direction (u, v), u >= 0, of the covariance matrix's major axis.
 
-    With r = sqrt(1 + E^2), the two radicals reduce to sqrt((r+1)/(2r)) and
-    |E|/sqrt(2r(r+1)); the second form avoids the catastrophic cancellation
-    the textbook expression sqrt((1+E^2-r) / (2(1+E^2))) suffers for small |E|.
+    Unnormalized, so atan2(v, u) and v/u each round once.  The eigenvector is
+    taken in whichever of its two forms adds, rather than subtracts, the
+    eigen-gap h, so no digits cancel; symmetric data such as y = x comes out
+    exact.  (0, 0) when var_x = var_y and cov = 0 exactly.
     """
-    tag = case.tag
-    if tag == ISOTROPIC:
-        raise DegenerateCaseError(
-            "isotropic statistics admit every angle; no single theta exists"
-        )
-    if tag == "V":
-        return (_INV_SQRT2, _INV_SQRT2, _QUARTER_PI)
-    if tag == "VI":
-        return (_INV_SQRT2, -_INV_SQRT2, -_QUARTER_PI)
-    e = case.e_ratio
-    if e is None:
-        raise ValueError(f"case {tag} requires e_ratio")
-    r = math.hypot(1.0, e)
-    major = math.sqrt((r + 1.0) / (2.0 * r))
-    minor = abs(e) / math.sqrt(2.0 * r * (r + 1.0))
-    half = 0.5 * math.atan(e)
-    if tag == "I":
-        return (major, minor, half)
-    if tag == "II":
-        return (major, -minor, half)
-    if tag == "III":
-        return (minor, major, half + _HALF_PI)
-    if tag == "IV":
-        return (minor, -major, half - _HALF_PI)
-    raise ValueError(f"unknown case tag {tag!r}")
+    d = s.var_x - s.var_y
+    two_cov = 2.0 * s.cov_xy
+    h = math.hypot(d, two_cov)
+    u, v = (d + h, two_cov) if d >= 0.0 else (two_cov, h - d)
+    if u < 0.0:
+        return -u, -v
+    return u, v
 
 
 def fit_d(data: PairedSample | SummaryStats, iso_tol: float | None = None) -> OrthogonalFit:
@@ -211,9 +201,10 @@ def fit_d(data: PairedSample | SummaryStats, iso_tol: float | None = None) -> Or
         return AllLinesThroughCentroid(
             Point(s.mean_x, s.mean_y), 0.5 * (s.var_x + s.var_y)
         )
-    co, si, theta = trig_from_case(case)
-    c = s.mean_x * si - s.mean_y * co
-    return UniqueLine(NormalLine.canonical(theta, c), case)
+    u, v = _major_axis(s)
+    r = math.hypot(u, v)
+    c = s.mean_x * (v / r) - s.mean_y * (u / r)
+    return UniqueLine(NormalLine.canonical(math.atan2(v, u), c), case)
 
 
 def _min_objective_d(s: SummaryStats) -> float:

@@ -180,9 +180,13 @@ def normal_to_slope(line: NormalLine) -> SlopeInterceptLine:
 
 
 def slope_to_normal(line: SlopeInterceptLine) -> NormalLine:
-    """Inverse of :func:`normal_to_slope`; theta = arctan(m) is always in range."""
+    """Inverse of :func:`normal_to_slope`, with theta = arctan(m).
+
+    For m below about -5.8e15 the arctangent rounds to -pi/2, outside the
+    normal form's range; canonicalizing folds it onto the same line at pi/2.
+    """
     theta = math.atan(line.m)
-    return NormalLine(theta, -line.b * math.cos(theta))
+    return NormalLine.canonical(theta, -line.b * math.cos(theta))
 
 
 def inverse_slope_to_normal(line: InverseSlopeLine) -> NormalLine:

@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from typing import Sequence
 
-from .fitters import AllLinesThroughCentroid, UniqueLine
+from .fitters import FitReport
 from .geometry import NormalLine
 
 __all__ = ["render_svg"]
@@ -85,13 +85,12 @@ def _fmt(v: float) -> str:
 
 def render_svg(
     points: Sequence[tuple[float, float]],
-    fits: Sequence[tuple[str, object]],
+    fits: Sequence[tuple[str, FitReport | None]],
 ) -> str:
     """Build the SVG document.
 
-    ``fits`` holds (method, outcome) pairs where the outcome is a NormalLine,
-    a UniqueLine, an AllLinesThroughCentroid, or None for a method that could
-    not be fitted.
+    ``fits`` holds (method, report) pairs; the report is None for a method
+    that could not be fitted.
     """
     frame = _Frame(points)
     parts = [
@@ -102,14 +101,13 @@ def render_svg(
         f'<rect width="{WIDTH:.0f}" height="{HEIGHT:.0f}" fill="#ffffff"/>',
     ]
     legend_row = 0
-    for method, outcome in fits:
-        if outcome is None:
+    for method, report in fits:
+        if report is None:
             continue
         style, label = _STYLES[method]
-        if isinstance(outcome, UniqueLine):
-            outcome = outcome.line
-        if isinstance(outcome, AllLinesThroughCentroid):
-            cx, cy = frame.to_pixel(outcome.centroid.x, outcome.centroid.y)
+        if report.normal_form is None:
+            centroid = report.line.centroid
+            cx, cy = frame.to_pixel(centroid.x, centroid.y)
             parts.append(
                 f'<circle class="centroid-marker" cx="{_fmt(cx)}" cy="{_fmt(cy)}" '
                 f'r="7" fill="none" stroke="#000000" stroke-width="2"/>'
@@ -119,8 +117,8 @@ def render_svg(
                 "every line through the centroid fits equally well</text>"
             )
             label = "perpendicular fit: degenerate (marked centroid)"
-        elif isinstance(outcome, NormalLine):
-            seg = _clip_line(outcome, frame)
+        else:
+            seg = _clip_line(report.normal_form, frame)
             if seg is not None:
                 (x0, y0), (x1, y1) = seg
                 px0, py0 = frame.to_pixel(x0, y0)
@@ -130,8 +128,6 @@ def render_svg(
                     f'd="M {_fmt(px0)} {_fmt(py0)} L {_fmt(px1)} {_fmt(py1)}" '
                     f'fill="none" stroke-width="2" {style}/>'
                 )
-        else:
-            raise TypeError(f"cannot render fit outcome {outcome!r}")
         parts.append(
             f'<text x="12" y="{20 + 18 * legend_row}" font-size="13">'
             f"{method}: {label}</text>"

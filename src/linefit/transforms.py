@@ -14,21 +14,8 @@ from dataclasses import dataclass
 from typing import Union
 
 from .errors import LineFitError
-from .fitters import (
-    AllLinesThroughCentroid,
-    UniqueLine,
-    fit_d,
-    fit_x,
-    fit_y,
-)
-from .geometry import (
-    NormalLine,
-    Point,
-    inverse_slope_to_normal,
-    normal_to_inverse_slope,
-    normal_to_slope,
-    slope_to_normal,
-)
+from .fitters import AllLinesThroughCentroid, fit_d_report, fit_x, fit_y
+from .geometry import NormalLine, Point, normal_to_inverse_slope, normal_to_slope
 from .stats import PairedSample
 
 __all__ = [
@@ -162,14 +149,13 @@ class InvarianceReport:
     discrepancy: float | None = None
 
 
-def _fit_natural(p: PairedSample, method: str):
-    if method == "Y":
-        return fit_y(p).line
-    if method == "X":
-        return fit_x(p).line
-    if method == "D":
-        return fit_d(p)
-    raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")
+# each method's fitter, and the rewrite of a normal-form line into the
+# method's own form (D reports the normal form itself)
+_FITS = {
+    "Y": (fit_y, normal_to_slope),
+    "X": (fit_x, normal_to_inverse_slope),
+    "D": (fit_d_report, None),
+}
 
 
 def invariance_report(p: PairedSample, g: RigidMotion, method: str) -> InvarianceReport:
@@ -178,65 +164,50 @@ def invariance_report(p: PairedSample, g: RigidMotion, method: str) -> Invarianc
     Fit preconditions that fail (vertical data for Y, horizontal for X) are
     recorded in the report status, never raised.
     """
+    if method not in _FITS:
+        raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")
+    fit, from_normal = _FITS[method]
     g = _resolve_center(g, p)
     moved = apply_motion_points(p, g)
     try:
-        original = _fit_natural(p, method)
+        original = fit(p)
     except LineFitError:
         return InvarianceReport(method, g, STATUS_ORIGINAL_FIT_NONEXISTENT)
     try:
-        actual = _fit_natural(moved, method)
+        actual = fit(moved)
     except LineFitError:
         return InvarianceReport(method, g, STATUS_TRANSFORMED_FIT_NONEXISTENT)
 
-    if method == "D":
-        return _d_report(g, method, original, actual)
-
-    to_normal = slope_to_normal if method == "Y" else inverse_slope_to_normal
-    from_normal = normal_to_slope if method == "Y" else normal_to_inverse_slope
-    expected_normal = transform_line(to_normal(original), g)
-    try:
-        expected_natural = from_normal(expected_normal)
-    except LineFitError:
-        return InvarianceReport(
-            method,
-            g,
-            STATUS_EXPECTED_NOT_REPRESENTABLE,
-            line_from_transformed_data=actual,
+    if original.normal_form is None:  # isotropic D: two families compare centroids
+        expected: object = AllLinesThroughCentroid(
+            apply_motion_point(original.line.centroid, g), original.line.objective
         )
-    return InvarianceReport(
-        method,
-        g,
-        STATUS_OK,
-        line_from_transformed_data=actual,
-        expected_if_invariant=expected_natural,
-        discrepancy=line_discrepancy(to_normal(actual), expected_normal),
-    )
-
-
-def _d_report(g, method, original, actual) -> InvarianceReport:
-    if isinstance(original, UniqueLine):
-        expected: object = transform_line(original.line, g)
-    else:
-        expected = AllLinesThroughCentroid(
-            apply_motion_point(original.centroid, g), original.objective
-        )
-    if isinstance(actual, UniqueLine) and isinstance(expected, NormalLine):
-        disc = line_discrepancy(actual.line, expected)
-    elif isinstance(actual, AllLinesThroughCentroid) and isinstance(
-        expected, AllLinesThroughCentroid
-    ):
-        disc = math.hypot(
-            actual.centroid.x - expected.centroid.x,
-            actual.centroid.y - expected.centroid.y,
-        )
-    else:
         disc = math.inf
+        if actual.normal_form is None:
+            disc = math.hypot(
+                actual.line.centroid.x - expected.centroid.x,
+                actual.line.centroid.y - expected.centroid.y,
+            )
+    else:
+        expected = transform_line(original.normal_form, g)
+        disc = math.inf
+        if actual.normal_form is not None:
+            disc = line_discrepancy(actual.normal_form, expected)
+        if from_normal is not None:
+            try:
+                expected = from_normal(expected)
+            except LineFitError:
+                return InvarianceReport(
+                    method,
+                    g,
+                    STATUS_EXPECTED_NOT_REPRESENTABLE,
+                    line_from_transformed_data=actual.line,
+                )
     return InvarianceReport(
         method,
         g,
         STATUS_OK,
-        line_from_transformed_data=actual,
+        line_from_transformed_data=actual.line,
         expected_if_invariant=expected,
         discrepancy=disc,
     )

@@ -2,18 +2,17 @@ import math
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from linefit.errors import (
-    DegenerateCaseError,
-    HorizontalDataError,
-    VerticalDataError,
-)
+from linefit.diagnostics import compare
+from linefit.errors import HorizontalDataError, VerticalDataError
 from linefit.fitters import (
+    ISOTROPIC,
     AllLinesThroughCentroid,
     OrthogonalCase,
     UniqueLine,
+    _major_axis,
     fit_d,
     fit_d_report,
     fit_x,
@@ -22,10 +21,11 @@ from linefit.fitters import (
     objective_x,
     objective_y,
     resolve_case,
-    trig_from_case,
 )
 from linefit.generators import CircleSpec, gen_circle
+from linefit.geometry import inverse_slope_to_normal, slope_to_normal
 from linefit.stats import PairedSample, SummaryStats, summarize
+from linefit.transforms import Translation, invariance_report, line_discrepancy
 
 THREE_POINTS = PairedSample.from_points([(0, 0), (1, 0), (2, 1)])
 TAN_REFERENCE = (math.sqrt(13.0) - 2.0) / 3.0
@@ -146,23 +146,69 @@ def test_e_ratio_absent_for_equal_variances():
     assert resolve_case(make_stats(1.0, 1.0, 0.0)).e_ratio is None
 
 
-# --- closed-form trig ---------------------------------------------------------------
+# --- independent oracle: the paper's six-case radicals ---------------------------
+#
+# The library takes the perpendicular line's direction from the major axis of
+# the covariance matrix (fitters._major_axis).  The paper instead resolves
+# theta case by case from E = 2*cov / (var_x - var_y); that route is kept
+# here, out of the library, as an independent check on the angle.
+
+_QUARTER_PI = math.pi / 4.0
+_HALF_PI = math.pi / 2.0
+_INV_SQRT2 = math.sqrt(0.5)
+
+
+def trig_from_case(case):
+    """Closed-form (cos(theta), sin(theta), theta) for a non-isotropic case.
+
+    With r = sqrt(1 + E^2), the two radicals reduce to sqrt((r+1)/(2r)) and
+    |E|/sqrt(2r(r+1)); the second form avoids the catastrophic cancellation
+    the textbook expression sqrt((1+E^2-r) / (2(1+E^2))) suffers for small |E|.
+    Cases V and VI (equal variances) take theta = +-pi/4.
+    """
+    tag = case.tag
+    if tag == ISOTROPIC:
+        raise ValueError("isotropic statistics admit every angle; no single theta exists")
+    if tag == "V":
+        return (_INV_SQRT2, _INV_SQRT2, _QUARTER_PI)
+    if tag == "VI":
+        return (_INV_SQRT2, -_INV_SQRT2, -_QUARTER_PI)
+    e = case.e_ratio
+    r = math.hypot(1.0, e)
+    major = math.sqrt((r + 1.0) / (2.0 * r))
+    minor = abs(e) / math.sqrt(2.0 * r * (r + 1.0))
+    half = 0.5 * math.atan(e)
+    if tag == "I":
+        return (major, minor, half)
+    if tag == "II":
+        return (major, -minor, half)
+    if tag == "III":
+        return (minor, major, half + _HALF_PI)
+    return (minor, -major, half - _HALF_PI)
+
 
 def test_trig_case_one_reference_ratio():
     co, si, theta = trig_from_case(OrthogonalCase("I", 1.5))
     assert abs(si / co - TAN_REFERENCE) < 1e-14
     assert abs(si / co - 0.53518) < 1e-5
     assert abs(theta - 0.5 * math.atan(1.5)) < 1e-15
+    # the reference statistics have E = 1.5
+    u, v = _major_axis(make_stats(2 / 3, 2 / 9, 1 / 3))
+    assert abs(v / u - TAN_REFERENCE) < 1e-14
 
 
 def test_trig_case_one_zero_ratio():
     assert trig_from_case(OrthogonalCase("I", 0.0)) == (1.0, 0.0, 0.0)
+    assert fit_d(make_stats(2.0, 1.0, 0.0)).line.theta == 0.0
+    assert compare(make_stats(2.0, 1.0, 0.0)).tan_theta == 0.0
 
 
 def test_trig_case_three_zero_ratio_is_vertical():
     co, si, theta = trig_from_case(OrthogonalCase("III", 0.0))
     assert (co, si) == (0.0, 1.0)
     assert theta == pytest.approx(math.pi / 2, rel=1e-15)
+    assert fit_d(make_stats(1.0, 2.0, 0.0)).line.theta == math.pi / 2
+    assert compare(make_stats(1.0, 2.0, 0.0)).tan_theta is None
 
 
 def test_trig_equal_variance_cases():
@@ -171,11 +217,41 @@ def test_trig_equal_variance_cases():
     assert theta == pytest.approx(math.pi / 4, rel=1e-15)
     co, si, theta = trig_from_case(OrthogonalCase("VI"))
     assert -si == co == pytest.approx(1 / math.sqrt(2), rel=1e-15)
+    # exactly equal variances: the major axis is the diagonal itself
+    assert fit_d(make_stats(1.0, 1.0, 0.5)).line.theta == math.pi / 4
+    assert compare(make_stats(1.0, 1.0, 0.5)).tan_theta == 1.0
+    assert fit_d(make_stats(1.0, 1.0, -0.5)).line.theta == -math.pi / 4
+    assert compare(make_stats(1.0, 1.0, -0.5)).tan_theta == -1.0
 
 
 def test_trig_isotropic_raises():
-    with pytest.raises(DegenerateCaseError):
+    with pytest.raises(ValueError):
         trig_from_case(OrthogonalCase("Isotropic"))
+    # the library never asks for an isotropic angle: it reports the family
+    s = make_stats(0.5, 0.5, 0.0)
+    assert isinstance(fit_d(s), AllLinesThroughCentroid)
+    assert fit_d_report(s).normal_form is None
+    assert compare(s).tan_theta == "all"
+
+
+@st.composite
+def unequal_variance_stats(draw):
+    var_x = 10.0 ** draw(st.floats(min_value=-8.0, max_value=8.0))
+    var_y = 10.0 ** draw(st.floats(min_value=-8.0, max_value=8.0))
+    rho = draw(st.floats(min_value=-1.0, max_value=1.0))
+    return make_stats(var_x, var_y, rho * math.sqrt(var_x * var_y))
+
+
+@given(unequal_variance_stats())
+@settings(max_examples=500, deadline=None)
+def test_fit_d_angle_matches_six_case_oracle(s):
+    case = resolve_case(s)
+    assume(case.tag in ("I", "II", "III", "IV"))
+    fit = fit_d(s)
+    assert fit.case == case
+    _, _, theta = trig_from_case(case)
+    # modulo pi: at theta = -pi/2 the fit holds the canonical +pi/2
+    assert abs(math.remainder(fit.line.theta - theta, math.pi)) <= 4.5e-16
 
 
 def arctan_theta(tag, e):
@@ -204,17 +280,18 @@ def test_closed_form_tangent_expressions():
     # (-1 - sqrt(1+E^2))/E in the variance-deficient ones.  The first
     # expression cancels catastrophically as E -> 0, so the comparison is
     # restricted to moderate ratios where it is itself trustworthy.
+    # Statistics with var_x - var_y = +-1 and cov = +-E/2 have ratio E; the
+    # variances k + 1 and k (k a power of two) keep var_x*var_y >= cov^2.
     rng = random.Random(3)
     for _ in range(200):
         e = rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-2.0, 6.0)
-        tag_major = "I" if e > 0 else "II"
-        co, si, _ = trig_from_case(OrthogonalCase(tag_major, e))
+        k = 2.0 ** math.ceil(math.log2(abs(e)) + 1)
+        u, v = _major_axis(make_stats(k + 1.0, k, 0.5 * e))
         want = (-1.0 + math.hypot(1.0, e)) / e
-        assert abs(si / co - want) <= 1e-10 * abs(want)
-        tag_minor = "III" if e < 0 else "IV"
-        co, si, _ = trig_from_case(OrthogonalCase(tag_minor, e))
+        assert abs(v / u - want) <= 1e-10 * abs(want)
+        u, v = _major_axis(make_stats(k, k + 1.0, -0.5 * e))
         want = (-1.0 - math.hypot(1.0, e)) / e
-        assert abs(si / co - want) <= 1e-10 * abs(want)
+        assert abs(v / u - want) <= 1e-10 * abs(want)
 
 
 def test_fitted_angle_satisfies_double_angle_relation():
@@ -506,3 +583,114 @@ def test_perpendicular_fit_is_total(p):
         assert abs(fit.centroid.x - s.mean_x) <= 1e-12 * scale
         assert abs(fit.centroid.y - s.mean_y) <= 1e-12 * scale
         assert fit.objective >= 0.0
+
+
+# --- exact verdicts at the edges of floating point ------------------------------------
+
+@pytest.mark.parametrize(
+    "a",
+    [
+        pytest.param(
+            1e-300,
+            marks=pytest.mark.xfail(
+                strict=True,
+                raises=VerticalDataError,
+                reason="var_x = ulp(a)^2/4 underflows to 0: summarize does not rescale tiny data",
+            ),
+        ),
+        1.0,
+        1e9,
+        1e150,
+    ],
+)
+def test_one_ulp_of_spread_is_enough_to_fit(a):
+    b = math.nextafter(a, math.inf)
+    for ys in ((0.0, 1.0), (2.0, 0.0)):
+        p = PairedSample.from_xy((a, b), ys)
+        y_fit = fit_y(p)
+        assert (y_fit.line.m > 0.0) == (ys[1] > ys[0])
+        # at a = 1 the slope is about +-9e15 and arctan(m) rounds to +-pi/2;
+        # the normal form still exists, folded into (-pi/2, pi/2]
+        assert y_fit.normal_form == slope_to_normal(y_fit.line)
+        assert -math.pi / 2 < y_fit.normal_form.theta <= math.pi / 2
+        # and invariance_report records a status instead of raising
+        assert invariance_report(p, Translation(0.0, 1.0), "Y").status
+        assert compare(p).m is not None
+        x_fit = fit_x(PairedSample.from_xy(ys, (a, b)))
+        assert (x_fit.line.mu > 0.0) == (ys[1] > ys[0])
+        assert x_fit.normal_form is not None
+
+
+@pytest.mark.parametrize("a", [1e-300, 1.0, 1e9, 1e150])
+def test_constant_coordinates_are_rejected(a):
+    p = PairedSample.from_xy((a, a, a), (0.0, 1.0, 2.0))
+    with pytest.raises(VerticalDataError):
+        fit_y(p)
+    assert compare(p).m is None
+    with pytest.raises(HorizontalDataError):
+        fit_x(PairedSample.from_xy((0.0, 1.0, 2.0), (a, a, a)))
+
+
+@pytest.mark.parametrize(
+    "xs",
+    [
+        (0.0, 1.0, 2.5, 7.0, -3.0),
+        (-1e-3, 2e-3, 5e-3),
+        tuple(1.6e9 + i for i in range(10)),
+    ],
+)
+def test_y_equals_x_is_fitted_exactly(xs):
+    p = PairedSample.from_xy(xs, xs)
+    fit = fit_d(p)
+    assert fit.line.c == 0.0
+    assert fit.line.theta == math.pi / 4
+    rep = compare(p)
+    assert rep.tan_theta == 1.0
+    assert rep.ordering_f_observed is True
+
+
+@pytest.mark.parametrize("x", [0.0, 4.0, -1e9, 1.6e9])
+def test_vertical_data_has_no_tangent(x):
+    p = PairedSample.from_xy((x, x, x), (0.0, 1.0, 5.0))
+    fit = fit_d(p)
+    assert fit.line.theta == math.pi / 2
+    assert fit.line.c == x
+    assert compare(p).tan_theta is None
+
+
+def test_normal_form_is_the_reported_line():
+    rng = random.Random(12)
+    samples = [random_sample(rng) for _ in range(40)]
+    samples += [gen_circle(CircleSpec(n=n, phase=0.3)) for n in (3, 4, 9)]
+    samples += [
+        PairedSample.from_xy((2.0, 2.0, 2.0), (0.0, 1.0, 5.0)),
+        PairedSample.from_xy((0.0, 1.0, 5.0), (2.0, 2.0, 2.0)),
+        PairedSample.from_xy((0.0, 1.0, 2.0), (0.0, 1.0, 2.0)),
+    ]
+    families = 0
+    for p in samples:
+        for fit in (fit_y, fit_x, fit_d_report):
+            try:
+                report = fit(p)
+            except (VerticalDataError, HorizontalDataError):
+                continue
+            line, nf = report.line, report.normal_form
+            if isinstance(line, AllLinesThroughCentroid):
+                assert report.method == "D" and nf is None
+                families += 1
+                continue
+            if report.method == "Y":
+                want = slope_to_normal(line)
+                on_line = [(x, line.y_at(x)) for x in (-1.0, 1.0)]
+            elif report.method == "X":
+                want = inverse_slope_to_normal(line)
+                on_line = [(line.x_at(y), y) for y in (-1.0, 1.0)]
+            else:
+                want = line.line
+                on_line = [(q.x, q.y) for q in map(want.point_at, (-1.0, 1.0))]
+            scale = 1.0 + abs(want.c)
+            assert line_discrepancy(nf, want) <= 1e-15 * scale
+            for x, y in on_line:
+                residual = x * math.sin(nf.theta) - y * math.cos(nf.theta) - nf.c
+                assert abs(residual) <= 1e-12 * (scale + abs(x) + abs(y))
+    assert families == 3
