@@ -21,10 +21,9 @@ import math
 import random
 import re
 import sys
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 from itertools import repeat
 from pathlib import Path
-from typing import Union
 
 from . import diagnostics
 from .errors import (
@@ -50,8 +49,6 @@ from .transforms import Rotation, Translation, apply_motion_points
 
 __all__ = ["RunConfig", "parse_csv", "run", "main"]
 
-GeneratorSpec = Union[CircleSpec, VerticalLadder, SlantedLadder, NoisyLineSpec]
-
 EXIT_OK = 0
 EXIT_INPUT_ERROR = 2
 EXIT_NO_METHOD_SUCCEEDED = 3
@@ -59,14 +56,13 @@ EXIT_NO_METHOD_SUCCEEDED = 3
 
 @dataclass(frozen=True)
 class RunConfig:
-    """One fitting run: exactly one input source, at least one method."""
+    """One fitting run: a CSV path ('-' = stdin) and at least one method."""
 
-    input: Union[str, Path, GeneratorSpec]
+    input: str | Path
     methods: tuple[str, ...] = ("Y", "X", "D")
     output_json: Path | None = None
     output_svg: Path | None = None
     oracle_check: bool = False
-    tolerance_overrides: dict[str, float] = field(default_factory=dict)
 
     def __post_init__(self):
         if not self.methods:
@@ -171,17 +167,13 @@ def render_json(report: dict) -> str:
 _NATURAL = {"Y": ("m", "b", "grid_min_y"), "X": ("mu", "beta", "grid_min_x")}
 
 
-def _fit_all(s: SummaryStats, methods, iso_tol: float | None):
+def _fit_all(s: SummaryStats, methods):
     """Each method's FitReport, or the LineFitError its precondition raised."""
+    fitters = {"Y": fit_y, "X": fit_x, "D": fit_d_report}  # per call: sees rebound globals
     results: dict[str, FitReport | LineFitError] = {}
     for m in methods:
         try:
-            if m == "Y":
-                results[m] = fit_y(s)
-            elif m == "X":
-                results[m] = fit_x(s)
-            else:
-                results[m] = fit_d_report(s, iso_tol)
+            results[m] = fitters[m](s)
         except LineFitError as exc:
             results[m] = exc
     return results
@@ -311,35 +303,24 @@ def _table_lines(s: SummaryStats, results: dict, cmp: diagnostics.ComparisonRepo
     return lines
 
 
-def _load_points(config: RunConfig) -> PairedSample:
-    src = config.input
-    if isinstance(src, CircleSpec):
-        return gen_circle(src)
-    if isinstance(src, (VerticalLadder, SlantedLadder)):
-        return gen_parallel(src)
-    if isinstance(src, NoisyLineSpec):
-        return gen_noisy_line(src)
-    if isinstance(src, (str, Path)):
-        if str(src) == "-":
-            return parse_csv(sys.stdin.buffer.read())
-        return parse_csv(Path(src).read_bytes())
-    raise TypeError(f"unsupported input source {src!r}")
+def _read_points(path: str | Path) -> PairedSample:
+    if str(path) == "-":
+        return parse_csv(sys.stdin.buffer.read())
+    return parse_csv(Path(path).read_bytes())
 
 
 def run(config: RunConfig, out=None) -> int:
     """Execute one fitting run; returns the process exit status."""
     out = out if out is not None else sys.stdout
     try:
-        points = _load_points(config)
+        points = _read_points(config.input)
         s = points.summary
     except (LineFitError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
 
-    iso_tol = config.tolerance_overrides.get("isotropic")
-    col_tol = config.tolerance_overrides.get("collinearity")
-    results = _fit_all(s, config.methods, iso_tol)
-    cmp = diagnostics.compare(s, col_tol)
+    results = _fit_all(s, config.methods)
+    cmp = diagnostics.compare(s)
     deltas = _oracle_deltas(points, results) if config.oracle_check else None
 
     for line in _table_lines(s, results, cmp, deltas):
@@ -509,10 +490,7 @@ def _cmd_generate(args) -> int:
 
 def _cmd_transform(args) -> int:
     try:
-        if str(args.input) == "-":
-            points = parse_csv(sys.stdin.buffer.read())
-        else:
-            points = parse_csv(Path(args.input).read_bytes())
+        points = _read_points(args.input)
         if args.rotate is not None:
             center = None
             if args.center:

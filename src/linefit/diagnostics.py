@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .fitters import ISOTROPIC, _major_axis, _stats, iso_tolerance, resolve_case
+from .fitters import ISOTROPIC, _major_axis, _stats, resolve_case
 from .stats import PairedSample, SummaryStats
 
 __all__ = [
@@ -41,17 +41,22 @@ TAN_THETA_ALL = "all"
 
 
 def collinearity_tolerance(s: SummaryStats) -> float:
-    return 1e-12 * (s.var_x * s.var_y + 1.0)
+    """Threshold on the gap var_x*var_y - cov^2, relative to var_x*var_y."""
+    return 1e-12 * s.var_x * s.var_y
+
+
+def _finite(v: float) -> float | None:
+    return v if math.isfinite(v) else None
 
 
 @dataclass(frozen=True)
 class ComparisonReport:
     """Slopes, bounds and orderings; absent values are encoded as None.
 
-    ``m`` is missing on vertical data, ``m_x`` whenever the covariance is
-    zero within tolerance (its formula divides by the covariance), and
-    ``tan_theta`` is the string "all" in the isotropic case and None when the
-    perpendicular fit is exactly vertical.
+    ``m`` is missing on vertical data, ``m_x`` when the covariance it divides
+    by is zero relative to sqrt(var_x*var_y), and ``tan_theta`` is the string
+    "all" in the isotropic case and None when the perpendicular fit is exactly
+    vertical.  A slope or bound that overflows (subnormal variance) is None.
     """
 
     m: float | None
@@ -66,26 +71,22 @@ class ComparisonReport:
     case_tag: str
 
 
-def compare(
-    data: PairedSample | SummaryStats, collinear_tol: float | None = None
-) -> ComparisonReport:
+def compare(data: PairedSample | SummaryStats) -> ComparisonReport:
     s = _stats(data)
-    tol_iso = iso_tolerance(s)
-    tol_col = collinearity_tolerance(s) if collinear_tol is None else collinear_tol
-
-    m = s.cov_xy / s.var_x if s.var_x > 0.0 else None
-    m_x = s.var_y / s.cov_xy if abs(s.cov_xy) > tol_iso else None
-    ratio_bound = math.sqrt(s.var_y / s.var_x) if s.var_x > 0.0 else None
+    m = _finite(s.cov_xy / s.var_x) if s.var_x > 0.0 else None
+    zero_cov = 1e-12 * math.sqrt(s.var_x) * math.sqrt(s.var_y)
+    m_x = _finite(s.var_y / s.cov_xy) if abs(s.cov_xy) > zero_cov else None
+    ratio_bound = _finite(math.sqrt(s.var_y / s.var_x)) if s.var_x > 0.0 else None
 
     case = resolve_case(s)
     if case.tag == ISOTROPIC:
         tan_theta: float | str | None = TAN_THETA_ALL
     else:
         u, v = _major_axis(s)
-        tan_theta = v / u if u != 0.0 else None
+        tan_theta = _finite(v / u) if u != 0.0 else None
 
     cs_gap = s.var_x * s.var_y - s.cov_xy**2
-    collinear = cs_gap <= tol_col
+    collinear = cs_gap <= collinearity_tolerance(s)
 
     if m is None or m_x is None:
         ordering_e = ORDERING_NOT_APPLICABLE

@@ -119,8 +119,8 @@ def _stats(data: PairedSample | SummaryStats) -> SummaryStats:
 
 
 def iso_tolerance(s: SummaryStats) -> float:
-    """Scale-aware threshold for treating var_x = var_y and cov = 0 as exact."""
-    return 1e-12 * (s.var_x + s.var_y + 1.0)
+    """Threshold for var_x = var_y and cov = 0, relative to the total variance."""
+    return 1e-12 * (s.var_x + s.var_y)
 
 
 def fit_y(data: PairedSample | SummaryStats) -> FitReport:
@@ -152,14 +152,14 @@ def fit_x(data: PairedSample | SummaryStats) -> FitReport:
     return FitReport("X", InverseSlopeLine(mu, beta), objective, s)
 
 
-def resolve_case(s: SummaryStats, tolerance: float | None = None) -> OrthogonalCase:
+def resolve_case(s: SummaryStats) -> OrthogonalCase:
     """Classify the sign pattern of (var_x - var_y, cov_xy).
 
     Ties at cov = 0 resolve toward cases I and III (the competing case gives
     the same line there, but dispatch must be deterministic).  Equality of the
-    variances is judged against ``tolerance`` (default :func:`iso_tolerance`).
+    variances, and a zero covariance, are judged against :func:`iso_tolerance`.
     """
-    tol = iso_tolerance(s) if tolerance is None else tolerance
+    tol = iso_tolerance(s)
     diff = s.var_x - s.var_y
     cov = s.cov_xy
     if abs(diff) <= tol:
@@ -189,14 +189,14 @@ def _major_axis(s: SummaryStats) -> tuple[float, float]:
     return u, v
 
 
-def fit_d(data: PairedSample | SummaryStats, iso_tol: float | None = None) -> OrthogonalFit:
+def fit_d(data: PairedSample | SummaryStats) -> OrthogonalFit:
     """Perpendicular-distance fit in normal form.
 
     Returns a :class:`UniqueLine` through the centroid, or
     :class:`AllLinesThroughCentroid` when the statistics are isotropic.
     """
     s = _stats(data)
-    case = resolve_case(s, iso_tol)
+    case = resolve_case(s)
     if case.tag == ISOTROPIC:
         return AllLinesThroughCentroid(
             Point(s.mean_x, s.mean_y), 0.5 * (s.var_x + s.var_y)
@@ -219,10 +219,10 @@ def _min_objective_d(s: SummaryStats) -> float:
     return 2.0 * gap / (total + spread)
 
 
-def fit_d_report(data: PairedSample | SummaryStats, iso_tol: float | None = None) -> FitReport:
+def fit_d_report(data: PairedSample | SummaryStats) -> FitReport:
     """Perpendicular fit packaged with its minimum objective and statistics."""
     s = _stats(data)
-    fit = fit_d(s, iso_tol)
+    fit = fit_d(s)
     if isinstance(fit, AllLinesThroughCentroid):
         return FitReport("D", fit, fit.objective, s)
     return FitReport("D", fit, _min_objective_d(s), s)

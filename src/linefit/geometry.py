@@ -180,13 +180,13 @@ def normal_to_slope(line: NormalLine) -> SlopeInterceptLine:
 
 
 def slope_to_normal(line: SlopeInterceptLine) -> NormalLine:
-    """Inverse of :func:`normal_to_slope`, with theta = arctan(m).
+    """Inverse of :func:`normal_to_slope`: theta = arctan(m), c = -b/sqrt(1 + m^2).
 
-    For m below about -5.8e15 the arctangent rounds to -pi/2, outside the
-    normal form's range; canonicalizing folds it onto the same line at pi/2.
+    c is not -b*cos(theta), whose rounded angle misses steep lines.  For m
+    below about -5.8e15 the arctangent rounds to -pi/2, outside the normal
+    form's range; canonicalizing folds it onto the same line at pi/2.
     """
-    theta = math.atan(line.m)
-    return NormalLine.canonical(theta, -line.b * math.cos(theta))
+    return NormalLine.canonical(math.atan(line.m), -line.b / math.hypot(1.0, line.m))
 
 
 def inverse_slope_to_normal(line: InverseSlopeLine) -> NormalLine:

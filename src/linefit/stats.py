@@ -93,11 +93,11 @@ class PairedSample:
 
 @dataclass(frozen=True)
 class SummaryStats:
-    """Sufficient statistics of a paired sample.
+    """Sufficient statistics of a paired sample, all central moments.
 
-    ``var_x * var_y >= cov_xy**2`` holds for any genuine sample (equality
+    ``cov_xy**2 <= var_x * var_y`` holds for any genuine sample (equality
     exactly when the points are collinear), so construction rejects field
-    combinations that violate it beyond a rounding allowance.
+    combinations that violate it beyond a relative rounding allowance.
     """
 
     n: int
@@ -106,24 +106,16 @@ class SummaryStats:
     var_x: float
     var_y: float
     cov_xy: float
-    mean_xx: float
-    mean_yy: float
-    mean_xy: float
 
     def __post_init__(self):
         if self.var_x < 0.0 or self.var_y < 0.0:
             raise ValueError(
                 f"variances must be nonnegative: var_x={self.var_x}, var_y={self.var_y}"
             )
-        # rounding noise in the gap scales with the raw second moments, not
-        # with the (possibly tiny) variances, so far-from-origin samples need
-        # the second term
-        slack = 1e-12 * (self.var_x * self.var_y + 1.0) + 1e-13 * (
-            self.mean_xx * self.mean_yy + self.mean_xy**2
-        )
-        if self.var_x * self.var_y - self.cov_xy**2 < -slack:
+        # square roots first, so tiny variances cannot underflow the bound
+        if abs(self.cov_xy) > (1.0 + 1e-12) * math.sqrt(self.var_x) * math.sqrt(self.var_y):
             raise ValueError(
-                "inconsistent statistics: var_x*var_y < cov_xy^2 beyond tolerance"
+                "inconsistent statistics: cov_xy^2 > var_x*var_y beyond tolerance"
             )
 
 
@@ -146,9 +138,9 @@ def summarize(p: PairedSample) -> SummaryStats:
     """One pass over dx = x - x0 and dy = y - y0, offsets from the first point.
 
     var_x = mean(dx^2) - mean(dx)^2 and cov_xy = mean(dx*dy) - mean(dx)*mean(dy),
-    so a constant coordinate gives exact zeros; the raw moments are derived
-    from these.  Computes on every call (``p.summary`` keeps one).  Raises
-    :class:`InvalidSampleError` when the statistics overflow.
+    so a constant coordinate gives exact zeros.  Computes on every call
+    (``p.summary`` keeps one).  Raises :class:`InvalidSampleError` when the
+    statistics overflow.
     """
     xs, ys = p.xs.values, p.ys.values
     n = len(xs)
@@ -166,29 +158,24 @@ def summarize(p: PairedSample) -> SummaryStats:
     mean_dy = sy / n
     var_x = max(0.0, sxx / n - mean_dx * mean_dx)
     var_y = max(0.0, syy / n - mean_dy * mean_dy)
+    # on collinear data, rounding about a far first point can push |cov| past
+    # sqrt(var_x*var_y), which no genuine sample exceeds
     cov_xy = sxy / n - mean_dx * mean_dy
-    mean_x = x0 + mean_dx
-    mean_y = y0 + mean_dy
-    mean_xx = var_x + mean_x * mean_x
-    mean_yy = var_y + mean_y * mean_y
-    mean_xy = cov_xy + mean_x * mean_y
-    # SummaryStats squares mean_xy and cov_xy, and the fit objectives
-    # multiply var_x by var_y, so those have to stay finite too
-    checked = (sxx, syy, sxy, mean_xx, mean_yy, mean_xy * mean_xy,
-               cov_xy * cov_xy, var_x * var_y)
-    if not all(map(math.isfinite, checked)):
+    bound = math.sqrt(var_x) * math.sqrt(var_y)
+    if abs(cov_xy) > bound:
+        cov_xy = math.copysign(bound, cov_xy)
+    # the fit objectives and diagnostics square cov_xy and multiply var_x by
+    # var_y, so those have to stay finite too
+    if not all(map(math.isfinite, (sxx, syy, sxy, cov_xy * cov_xy, var_x * var_y))):
         raise InvalidSampleError(
             "coordinates too large in magnitude: their sums of squares and "
             "products overflow a double"
         )
     return SummaryStats(
         n=n,
-        mean_x=mean_x,
-        mean_y=mean_y,
+        mean_x=x0 + mean_dx,
+        mean_y=y0 + mean_dy,
         var_x=var_x,
         var_y=var_y,
         cov_xy=cov_xy,
-        mean_xx=mean_xx,
-        mean_yy=mean_yy,
-        mean_xy=mean_xy,
     )

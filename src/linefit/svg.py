@@ -41,8 +41,10 @@ class _Frame:
         span_y = max(ys) - min(ys)
         usable_w = WIDTH * (1.0 - 2.0 * MARGIN_FRACTION)
         usable_h = HEIGHT * (1.0 - 2.0 * MARGIN_FRACTION)
-        span_x = max(span_x, 1e-9)
-        span_y = max(span_y, 1e-9)
+        # a relative floor keeps the frame independent of the data's units
+        floor = 1e-9 * max(span_x, span_y) or 1.0
+        span_x = max(span_x, floor)
+        span_y = max(span_y, floor)
         self.scale = min(usable_w / span_x, usable_h / span_y)
         # data rectangle actually visible in the viewport
         self.x_lo = self.cx - 0.5 * WIDTH / self.scale

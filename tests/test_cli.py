@@ -1,6 +1,8 @@
+import io
 import json
 import math
 import os
+import random
 import subprocess
 import sys
 import xml.etree.ElementTree as ET
@@ -22,9 +24,9 @@ from linefit.cli import (
     run,
 )
 from linefit.errors import CsvParseError, InsufficientDataError
-from linefit.fitters import fit_d, fit_x, fit_y
+from linefit.fitters import fit_d, fit_d_report, fit_x, fit_y
 from linefit.generators import CircleSpec, gen_circle
-from linefit.stats import PairedSample
+from linefit.stats import PairedSample, summarize
 from linefit.svg import _Frame, render_svg
 
 REPO = Path(__file__).resolve().parents[1]
@@ -180,9 +182,16 @@ def test_run_svg_structure(tmp_path):
     assert len(points) == 3  # one marker per input point
 
 
+def write_circle(tmp_path, n):
+    csv = tmp_path / "circle.csv"
+    csv.write_text(render_csv(gen_circle(CircleSpec(n=n))))
+    return csv
+
+
 def test_run_degenerate_circle_reports_the_family(tmp_path, capsys):
     out_json = tmp_path / "circle.json"
-    code = run(RunConfig(input=CircleSpec(n=12), methods=("D",), output_json=out_json))
+    csv = write_circle(tmp_path, 12)
+    code = run(RunConfig(input=csv, methods=("D",), output_json=out_json))
     assert code == 0
     report = json.loads(out_json.read_text())
     d = report["fits"]["d"]
@@ -194,7 +203,7 @@ def test_run_degenerate_circle_reports_the_family(tmp_path, capsys):
 
 def test_run_degenerate_svg_marks_the_centroid(tmp_path):
     out_svg = tmp_path / "circle.svg"
-    assert run(RunConfig(input=CircleSpec(n=10), output_svg=out_svg)) == 0
+    assert run(RunConfig(input=write_circle(tmp_path, 10), output_svg=out_svg)) == 0
     root = ET.fromstring(out_svg.read_text())
     ns = "{http://www.w3.org/2000/svg}"
     classes = [c.get("class") for c in root.findall(f".//{ns}circle")]
@@ -242,6 +251,73 @@ def test_run_far_x_constant_y_still_fits(tmp_path):
     assert run(RunConfig(input=csv, output_json=out_json)) == 0
     y_fit = json.loads(out_json.read_text())["fits"]["y"]
     assert (y_fit["m"], y_fit["b"], y_fit["objective_min"]) == (0.0, 1e5, 0.0)
+
+
+def test_run_fits_a_one_ulp_step_at_1e155(tmp_path):
+    off = 1e155
+    u = math.ulp(off)
+    csv = tmp_path / "far.csv"
+    csv.write_text(render_csv(PairedSample.from_points(
+        [(off + i * u, 2 * i + (0.25 if i % 2 else -0.25)) for i in range(10)]
+    )))
+    out_json = tmp_path / "far.json"
+    assert run(RunConfig(input=csv, output_json=out_json)) == 0
+    report = json.loads(out_json.read_text())
+    assert all(fit["status"] == "ok" for fit in report["fits"].values())
+    assert report["fits"]["y"]["m"] == pytest.approx(16.625 / 8.25 / u, rel=1e-12)
+
+
+def test_collinear_points_with_a_far_first_point_fit(tmp_path):
+    # accumulating about a first point 100 spreads from the rest rounds
+    # |cov| past sqrt(var_x*var_y); summarize clamps it back onto the bound
+    rng = random.Random(1)
+    m, b = rng.uniform(-3.0, 3.0), rng.uniform(-5.0, 5.0)
+    xs = [100.0] + [rng.random() for _ in range(4999)]
+    p = PairedSample.from_xy(xs, [m * x + b for x in xs])
+    s = summarize(p)
+    assert abs(s.cov_xy) <= math.sqrt(s.var_x) * math.sqrt(s.var_y)
+    csv = tmp_path / "line.csv"
+    csv.write_text(render_csv(p))
+    out_json = tmp_path / "line.json"
+    assert run(RunConfig(input=csv, output_json=out_json), out=io.StringIO()) == 0
+    assert json.loads(out_json.read_text())["comparison"]["collinear"] is True
+
+
+@pytest.mark.parametrize("rows, nulls", [
+    # var_x is subnormal, so var_y/var_x overflows
+    ("0,0\n1e-160,1\n", {"ratio_bound"}),
+    # var_x underflows to 0; cov_xy = 1e-320 once made tan(theta) inf
+    ("0,0\n4e-320,1\n", {"m", "m_x", "ratio_bound", "tan_theta"}),
+])
+def test_overflowing_diagnostics_are_null_in_the_json(tmp_path, rows, nulls):
+    out_json = tmp_path / "r.json"
+    r = run_cli(["fit", "--json", str(out_json)], stdin_text=rows)
+    assert r.returncode == 0, r.stderr
+    comparison = json.loads(out_json.read_text())["comparison"]
+    missing = {k for k, v in comparison.items() if v is None}
+    assert missing - {"ordering_f_observed"} == nulls
+
+
+def test_steep_y_line_has_the_normal_form_of_x_and_d():
+    # the Y slope is -2^53; its normal form must sit on the same line as X and D
+    p = parse_csv(b"1,2\n1.0000000000000002,0\n")
+    cs = [fit(p).normal_form.c for fit in (fit_y, fit_x, fit_d_report)]
+    assert cs == [1.0, 1.0, 1.0]
+
+
+@pytest.mark.parametrize("scale", [1e-12, 1.0, 1e12])
+def test_svg_frame_does_not_depend_on_the_units(scale):
+    shape = [(0.0, 0.0), (3.0, 1.0), (1.0, 2.0), (2.0, 3.0)]
+    def markers(points):
+        return [line for line in render_svg(points, []).splitlines()
+                if 'class="data-point"' in line]
+    assert markers([(x * scale, y * scale) for x, y in shape]) == markers(shape)
+
+
+def test_svg_draws_identical_points_at_the_centre():
+    for line in render_svg([(2.5, -1.5)] * 3, []).splitlines():
+        if 'class="data-point"' in line:
+            assert 'cx="400.00" cy="300.00"' in line
 
 
 def test_run_summarizes_once(tmp_path, summarize_calls):
@@ -394,28 +470,3 @@ def test_run_config_validation():
         RunConfig(input="-", methods=())
     with pytest.raises(ValueError):
         RunConfig(input="-", methods=("Z",))
-
-
-def test_tolerance_override_widens_the_isotropic_branch(tmp_path):
-    # a circle with one nudged point: unique line by default, the whole
-    # family once the isotropic tolerance is loosened past the perturbation
-    csv = tmp_path / "near_circle.csv"
-    points = list(gen_circle(CircleSpec(n=8)).points())
-    points[0] = (points[0][0] + 1e-6, points[0][1])
-    csv.write_text("\n".join(f"{x},{y}" for x, y in points) + "\n")
-    strict = tmp_path / "strict.json"
-    loose = tmp_path / "loose.json"
-    assert run(RunConfig(input=csv, methods=("D",), output_json=strict)) == 0
-    assert run(
-        RunConfig(
-            input=csv,
-            methods=("D",),
-            output_json=loose,
-            tolerance_overrides={"isotropic": 1e-3},
-        )
-    ) == 0
-    assert json.loads(strict.read_text())["fits"]["d"]["status"] == "ok"
-    assert (
-        json.loads(loose.read_text())["fits"]["d"]["status"]
-        == "all_lines_through_centroid"
-    )

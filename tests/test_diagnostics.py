@@ -1,6 +1,8 @@
 import math
 import random
 
+import pytest
+
 from linefit.diagnostics import (
     ORDERING_CONDITION_NOT_MET,
     ORDERING_EQUALITY,
@@ -9,7 +11,7 @@ from linefit.diagnostics import (
     TAN_THETA_ALL,
     compare,
 )
-from linefit.fitters import fit_y
+from linefit.fitters import fit_d, fit_y
 from linefit.generators import CircleSpec, NoisyLineSpec, gen_circle, gen_noisy_line
 from linefit.stats import PairedSample, summarize
 
@@ -28,6 +30,30 @@ def test_reference_points_report():
     assert rep.m < rep.ratio_bound < rep.m_x
     assert rep.m < rep.tan_theta < rep.m_x
     assert not rep.collinear
+
+
+# variances 1.25 and 0.25 in units of 1e-14: not isotropic, not collinear
+SMALL_UNITS = PairedSample.from_points(
+    [(0.0, 0.0), (1e-7, 0.0), (2e-7, 1e-7), (3e-7, 1e-7)]
+)
+
+
+@pytest.mark.parametrize("k", [-60, -20, 0, 20, 60])
+def test_verdicts_do_not_depend_on_the_units(k):
+    scaled = PairedSample.from_xy(
+        [x * 2.0**k for x in SMALL_UNITS.xs.values],
+        [y * 2.0**k for y in SMALL_UNITS.ys.values],
+    )
+    rep, ref = compare(scaled), compare(SMALL_UNITS)
+    assert rep.case_tag == "I"
+    assert rep.collinear is False
+    assert rep.m_x == pytest.approx(0.5, rel=1e-12)
+    assert rep.ordering_e == ORDERING_HOLDS
+    assert rep.ordering_f == ORDERING_HOLDS
+    assert rep.ordering_f_observed is True
+    # a power-of-two scale is exact, so the slopes do not move at all
+    assert (rep.m, rep.m_x, rep.tan_theta) == (ref.m, ref.m_x, ref.tan_theta)
+    assert fit_d(scaled).line.theta == fit_d(SMALL_UNITS).line.theta
 
 
 def test_collinear_report_is_all_equalities():

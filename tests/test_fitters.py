@@ -39,9 +39,6 @@ def make_stats(var_x, var_y, cov, n=4):
         var_x=var_x,
         var_y=var_y,
         cov_xy=cov,
-        mean_xx=var_x,
-        mean_yy=var_y,
-        mean_xy=cov,
     )
 
 

@@ -87,12 +87,14 @@ def test_slanted_ladder_stats_match_closed_forms():
         tbar = sum(ts) / len(ts)
         den = m * m + 1.0
         w = b * b / den**2
-        scale = abs(s.mean_xx) + abs(s.mean_yy) + 1.0
-        assert abs(s.mean_x - (tbar + m * b / den)) <= 1e-12 * scale
-        assert abs(s.mean_y - (m * tbar + m * m * b / den)) <= 1e-12 * scale
-        assert abs(s.var_x - (vt + m * m * w)) <= 1e-12 * scale
-        assert abs(s.var_y - (m * m * vt + w)) <= 1e-12 * scale
-        assert abs(s.cov_xy - m * (vt - w)) <= 1e-12 * scale
+        # means to the position scale, second moments to the total variance
+        spread = s.var_x + s.var_y
+        where = abs(s.mean_x) + abs(s.mean_y) + math.sqrt(spread)
+        assert abs(s.mean_x - (tbar + m * b / den)) <= 1e-12 * where
+        assert abs(s.mean_y - (m * tbar + m * m * b / den)) <= 1e-12 * where
+        assert abs(s.var_x - (vt + m * m * w)) <= 1e-12 * spread
+        assert abs(s.var_y - (m * m * vt + w)) <= 1e-12 * spread
+        assert abs(s.cov_xy - m * (vt - w)) <= 1e-12 * spread
 
 
 def test_ladder_pairs_are_perpendicular_to_the_lines():

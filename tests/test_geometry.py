@@ -114,11 +114,12 @@ def test_slope_to_normal_trivials():
 
 @pytest.mark.parametrize("m", [-1e16, -9007199254740992.0, -1e300])
 def test_steep_negative_slope_folds_to_vertical_normal(m):
-    # arctan(m) rounds to -pi/2, outside (-pi/2, pi/2]; the same line is at pi/2
+    # arctan(m) rounds to -pi/2, outside (-pi/2, pi/2]; the same line is at
+    # pi/2, and c is its distance from the origin, 3/sqrt(1 + m^2)
     assert math.atan(m) == -math.pi / 2
     n = slope_to_normal(SlopeInterceptLine(m, 3.0))
     assert n.theta == math.pi / 2
-    assert n.c == 3.0 * math.cos(math.pi / 2)
+    assert n.c == 3.0 / math.hypot(1.0, m)
 
 
 @given(

@@ -12,7 +12,15 @@ from linefit.diagnostics import compare
 from linefit.errors import InvalidSampleError, SampleMismatchError
 from linefit.fitters import UniqueLine, fit_d_report, fit_x, fit_y
 from linefit.geometry import inverse_slope_to_normal, slope_to_normal
-from linefit.stats import PairedSample, Sample, covariance, mean, summarize, variance
+from linefit.stats import (
+    PairedSample,
+    Sample,
+    SummaryStats,
+    covariance,
+    mean,
+    summarize,
+    variance,
+)
 from linefit.transforms import (
     Rotation,
     Translation,
@@ -174,7 +182,8 @@ def test_summarize_reference_three_points():
     assert s.mean_y == pytest.approx(1.0 / 3.0, rel=1e-15)
     assert s.var_y == pytest.approx(2.0 / 9.0, rel=1e-15)
     assert s.cov_xy == pytest.approx(1.0 / 3.0, rel=1e-15)
-    assert s.mean_xx == pytest.approx(5.0 / 3.0, rel=1e-15)
+    # the raw second moment mean(x^2) = 5/3 follows from the central fields
+    assert s.var_x + s.mean_x**2 == pytest.approx(5.0 / 3.0, rel=1e-15)
 
 
 def test_summarize_quarter_turn_of_reference_points():
@@ -207,10 +216,36 @@ def test_summarize_rejects_overflowing_magnitudes(points):
 ])
 def test_summarize_accepts_large_magnitudes_with_finite_products(points):
     s = summarize(PairedSample.from_points(points))
-    assert s.mean_xy == 0.0
     assert s.cov_xy == 0.0
     assert s.var_x * s.var_y == 0.0
-    assert math.isfinite(s.mean_xx) and math.isfinite(s.mean_yy)
+    assert max(s.var_x, s.var_y) == pytest.approx(2e300 / 3.0, rel=1e-15)
+
+
+@pytest.mark.parametrize("scale", [1e-200, 1e-150, 1.0, 1e150])
+def test_summary_rejects_a_covariance_past_cauchy_schwarz_at_any_scale(scale):
+    # cov^2 = var_x*var_y*(1 + 2e-10); at 1e-200 that product would underflow
+    def stats(cov):
+        return SummaryStats(n=3, mean_x=0.0, mean_y=0.0, var_x=scale,
+                            var_y=4.0 * scale, cov_xy=cov)
+    with pytest.raises(ValueError, match="inconsistent"):
+        stats(2.0 * scale * (1.0 + 1e-10))
+    with pytest.raises(ValueError, match="inconsistent"):
+        stats(-2.0 * scale * (1.0 + 1e-10))
+    assert stats(-2.0 * scale).cov_xy == -2.0 * scale  # collinear is fine
+
+
+def test_a_one_ulp_step_at_1e155_fits():
+    # x steps by one ulp of 1e155: the central moments (~1e279) fit in a
+    # double where the raw ones (~1e310) would overflow
+    off = 1e155
+    u = math.ulp(off)
+    p = PairedSample.from_points(
+        [(off + i * u, 2 * i + (0.25 if i % 2 else -0.25)) for i in range(10)]
+    )
+    s = summarize(p)
+    assert s.var_x == pytest.approx(8.25 * u * u, rel=1e-12)
+    assert s.cov_xy == pytest.approx(16.625 * u, rel=1e-12)
+    assert fit_y(p).line.m == pytest.approx(16.625 / 8.25 / u, rel=1e-12)
 
 
 def test_lone_sample_views_accept_a_variance_whose_square_overflows():
@@ -374,8 +409,13 @@ def test_translation_leaves_spread_fields_unchanged(p, u, v):
             (x + u for x in p.xs.values), (y + v for y in p.ys.values)
         )
     )
-    # tolerance is relative to the second-moment scale the subtraction works at
-    scale = s.mean_xx + t.mean_xx + s.mean_yy + t.mean_yy + 1.0
-    assert abs(s.var_x - t.var_x) <= 1e-12 * scale
-    assert abs(s.var_y - t.var_y) <= 1e-12 * scale
-    assert abs(s.cov_xy - t.cov_xy) <= 1e-12 * scale
+    # moving a coordinate rounds it by up to half an ulp of |x| + |u|, which
+    # moves a standard deviation by as much; beyond that, the spread fields
+    # may differ only relative to the variances
+    dx = sys.float_info.epsilon * (100.0 + abs(u))
+    dy = sys.float_info.epsilon * (100.0 + abs(v))
+    sx, sy = math.sqrt(s.var_x), math.sqrt(s.var_y)
+    rel = 1e-12 * (s.var_x + s.var_y)
+    assert abs(s.var_x - t.var_x) <= rel + dx * (2.0 * sx + dx)
+    assert abs(s.var_y - t.var_y) <= rel + dy * (2.0 * sy + dy)
+    assert abs(s.cov_xy - t.cov_xy) <= rel + sx * dy + sy * dx + dx * dy
