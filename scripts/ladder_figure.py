@@ -42,7 +42,7 @@ print(f"  X slope: {1.0 / rx.line.mu:.6f}   (too steep)")
 print(f"  D slope: {math.tan(rd.line.line.theta):.6f}   (the mid-line)")
 
 out.write_text(
-    render_svg(points.points(), [("Y", ry), ("X", rx), ("D", rd)]),
+    render_svg(points, [("Y", ry), ("X", rx), ("D", rd)]),
     encoding="utf-8",
 )
 print(f"wrote {out}")

@@ -75,23 +75,46 @@ class RunConfig:
 # ---------------------------------------------------------------------------
 # CSV
 
-def parse_csv(data: bytes) -> PairedSample:
+def parse_csv(data: bytes, *, echo: bool = False):
     """Parse `x,y` lines; a single leading header line `x,y` is allowed.
 
     Blank lines are ignored; both LF and CRLF line endings work.  Errors name
     the offending 1-based line number.
+
+    With ``echo=True`` the result is ``(sample, points_json)``.  When every
+    field is a JSON float literal (RFC 8259 section 6, with a fraction or an
+    exponent) and no line holds a space or a tab, ``points_json`` is the JSON
+    array of the points spelled with the input's own digits.  A JSON reader
+    parses those digits to the same doubles as this parser did, so the text
+    reads back exactly.  Otherwise it is None.
     """
-    values = _bulk_values(data)
-    if values is None:
-        return _parse_csv_by_line(data)
-    return PairedSample.from_xy(values[0::2], values[1::2])
+    bulk = _bulk_values(data)
+    if bulk is None:
+        sample, points_json = _parse_csv_by_line(data), None
+    else:
+        values, body = bulk
+        sample = PairedSample.from_xy(values[0::2], values[1::2])
+        points_json = "[[" + "],[".join(body) + "]]" if echo and body is not None else None
+    return (sample, points_json) if echo else sample
 
 
-def _bulk_values(data: bytes) -> list[float] | None:
+def _reject(token: str):
+    raise ValueError(f"not a JSON float literal: {token}")
+
+
+# integer tokens are not echoed: `-0` and integers above 2**53 would read back
+# as other doubles than float() gave.  Raising in the scanner ends the decode
+# at the first such token, before the float() fallback parses the input again.
+_FLOAT_LITERALS = json.JSONDecoder(parse_int=_reject, parse_constant=_reject)
+
+
+def _bulk_values(data: bytes) -> tuple[list[float], list[str] | None] | None:
     """Flat [x0, y0, x1, ...] of regular input, else None for the line parser.
 
     Regular: UTF-8, an optional exact `x,y` first line, then at least two lines
-    of one comma each, all fields finite floats.
+    of one comma each, all fields finite floats.  The second item is the body
+    lines when every field is a JSON float literal and none holds a space or a
+    tab: the values were parsed from exactly that text.  Otherwise it is None.
     """
     try:
         lines = data.decode("utf-8").splitlines()
@@ -100,11 +123,20 @@ def _bulk_values(data: bytes) -> list[float] | None:
     body = lines[1:] if lines[:1] == ["x,y"] else lines
     if len(body) < 2 or set(map(str.count, body, repeat(","))) != {1}:
         return None
+    joined = ",".join(body)
     try:
-        values = list(map(float, ",".join(body).split(",")))
-    except ValueError:
+        values = _FLOAT_LITERALS.decode("[" + joined + "]")
+        literal = len(values) == 2 * len(body) and set(map(type, values)) == {float}
+    except (ValueError, RecursionError):
+        literal = False
+    if not literal:
+        try:
+            values = list(map(float, joined.split(",")))
+        except ValueError:
+            return None
+    if not all(map(math.isfinite, values)):
         return None
-    return values if all(map(math.isfinite, values)) else None
+    return values, body if literal and " " not in joined and "\t" not in joined else None
 
 
 def _parse_csv_by_line(data: bytes) -> PairedSample:
@@ -154,9 +186,18 @@ def render_csv(p: PairedSample) -> str:
 # ---------------------------------------------------------------------------
 # JSON
 
-def render_json(report: dict) -> str:
-    """One compact line; float repr round-trips exactly, non-finite is an error."""
-    return json.dumps(report, allow_nan=False, separators=(",", ":")) + "\n"
+def render_json(report: dict, points_json: str | None = None) -> str:
+    """One compact line; every float reads back exactly, non-finite is an error.
+
+    Floats use Python's shortest round-trip repr.  ``points_json``, the echo
+    from ``parse_csv(data, echo=True)``, is spliced in as the first key,
+    ``points``, spelled with the input's own digits; ``report`` then holds
+    the other keys.
+    """
+    text = json.dumps(report, allow_nan=False, separators=(",", ":"))
+    if points_json is not None:
+        text = '{"points":' + points_json + ("," if report else "") + text[1:]
+    return text + "\n"
 
 
 # ---------------------------------------------------------------------------
@@ -303,17 +344,21 @@ def _table_lines(s: SummaryStats, results: dict, cmp: diagnostics.ComparisonRepo
     return lines
 
 
-def _read_points(path: str | Path) -> PairedSample:
+def _read_input(path: str | Path) -> bytes:
     if str(path) == "-":
-        return parse_csv(sys.stdin.buffer.read())
-    return parse_csv(Path(path).read_bytes())
+        return sys.stdin.buffer.read()
+    return Path(path).read_bytes()
 
 
 def run(config: RunConfig, out=None) -> int:
     """Execute one fitting run; returns the process exit status."""
     out = out if out is not None else sys.stdout
     try:
-        points = _read_points(config.input)
+        data = _read_input(config.input)
+        if config.output_json is None:  # the echo is built only for a JSON report
+            points, points_json = parse_csv(data), None
+        else:
+            points, points_json = parse_csv(data, echo=True)
         s = points.summary
     except (LineFitError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -327,20 +372,21 @@ def run(config: RunConfig, out=None) -> int:
         print(line, file=out)
 
     if config.output_json is not None:
-        report = {
-            "points": points.points(),
-            "stats": asdict(s),
-            "fits": {m.lower(): _fit_json(results[m]) for m in config.methods},
-            "comparison": _comparison_json(cmp),
-        }
+        # without the input's own text, points go out as shortest reprs
+        report = {} if points_json is not None else {"points": points.points()}
+        report["stats"] = asdict(s)
+        report["fits"] = {m.lower(): _fit_json(results[m]) for m in config.methods}
+        report["comparison"] = _comparison_json(cmp)
         if deltas is not None:
             report["oracle"] = deltas
-        Path(config.output_json).write_text(render_json(report), encoding="utf-8")
+        Path(config.output_json).write_text(
+            render_json(report, points_json), encoding="utf-8"
+        )
 
     if config.output_svg is not None:
         fit_rows = [(m, r if isinstance(r, FitReport) else None) for m, r in results.items()]
         Path(config.output_svg).write_text(
-            render_svg(points.points(), fit_rows), encoding="utf-8"
+            render_svg(points, fit_rows), encoding="utf-8"
         )
 
     if any(isinstance(r, FitReport) for r in results.values()):
@@ -490,7 +536,7 @@ def _cmd_generate(args) -> int:
 
 def _cmd_transform(args) -> int:
     try:
-        points = _read_points(args.input)
+        points = parse_csv(_read_input(args.input))
         if args.rotate is not None:
             center = None
             if args.center:

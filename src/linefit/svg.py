@@ -15,6 +15,7 @@ from typing import Sequence
 
 from .fitters import FitReport
 from .geometry import NormalLine
+from .stats import PairedSample
 
 __all__ = ["render_svg"]
 
@@ -29,16 +30,27 @@ _STYLES = {
 }
 
 
+_Points = PairedSample | Sequence[tuple[float, float]]
+
+
+def _columns(points: _Points) -> tuple[Sequence[float], Sequence[float]]:
+    """The x and the y values, read from a sample's own columns."""
+    if isinstance(points, PairedSample):
+        return points.xs.values, points.ys.values
+    xs, ys = zip(*points)
+    return xs, ys
+
+
 class _Frame:
     """Data-to-pixel mapping with equal aspect and a margin."""
 
-    def __init__(self, points: Sequence[tuple[float, float]]):
-        xs = [p[0] for p in points]
-        ys = [p[1] for p in points]
-        self.cx = 0.5 * (max(xs) + min(xs))
-        self.cy = 0.5 * (max(ys) + min(ys))
-        span_x = max(xs) - min(xs)
-        span_y = max(ys) - min(ys)
+    def __init__(self, points: _Points):
+        xs, ys = _columns(points)
+        x_lo, x_hi, y_lo, y_hi = min(xs), max(xs), min(ys), max(ys)
+        self.cx = 0.5 * (x_hi + x_lo)
+        self.cy = 0.5 * (y_hi + y_lo)
+        span_x = x_hi - x_lo
+        span_y = y_hi - y_lo
         usable_w = WIDTH * (1.0 - 2.0 * MARGIN_FRACTION)
         usable_h = HEIGHT * (1.0 - 2.0 * MARGIN_FRACTION)
         # a relative floor keeps the frame independent of the data's units
@@ -85,14 +97,12 @@ def _fmt(v: float) -> str:
     return f"{v:.2f}"
 
 
-def render_svg(
-    points: Sequence[tuple[float, float]],
-    fits: Sequence[tuple[str, FitReport | None]],
-) -> str:
+def render_svg(points: _Points, fits: Sequence[tuple[str, FitReport | None]]) -> str:
     """Build the SVG document.
 
-    ``fits`` holds (method, report) pairs; the report is None for a method
-    that could not be fitted.
+    ``points`` is a sample or a sequence of (x, y) pairs.  ``fits`` holds
+    (method, report) pairs; the report is None for a method that could not
+    be fitted.
     """
     frame = _Frame(points)
     parts = [
@@ -138,7 +148,7 @@ def render_svg(
     parts += [
         '<circle class="data-point" cx="%.2f" cy="%.2f" r="3" fill="#444444"/>'
         % frame.to_pixel(x, y)
-        for x, y in points
+        for x, y in zip(*_columns(points))
     ]
     parts.append("</svg>")
     return "\n".join(parts)

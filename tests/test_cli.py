@@ -1,3 +1,4 @@
+import contextlib
 import io
 import json
 import math
@@ -84,7 +85,7 @@ def test_parse_csv_rejects_single_point():
 
 
 def test_parse_csv_bulk_path_takes_regular_input():
-    assert _bulk_values(b"x,y\r\n 1.5 ,-2\r\n3,4e-3\r\n") == [1.5, -2.0, 3.0, 4e-3]
+    assert _bulk_values(b"x,y\r\n 1.5 ,-2\r\n3,4e-3\r\n") == ([1.5, -2.0, 3.0, 4e-3], None)
     # a blank line inside the body leaves the decision to the line parser
     assert _bulk_values(b"1,2\n\n3,4\n") is None
 
@@ -144,6 +145,116 @@ def test_render_json_floats_round_trip():
     assert parsed["b"][0] == 1 / 3
     assert parsed["b"][1] == 1e-300
     assert parsed["c"]["n"] == 5
+
+
+# --- the JSON point echo ---------------------------------------------------------------
+
+# RFC 8259 float literals: a fraction or an exponent, up to 30-digit mantissas,
+# magnitudes whose variances stay finite
+_float_literal = st.one_of(
+    st.floats(-1e60, 1e60).map(repr),
+    st.sampled_from(["-0.0", "1e-400", "1E5", "1.50", "0.10000000000000001",
+                     "123456789012345678901234567890.123456789012345678901234567890"]),
+    st.builds(
+        "".join,
+        st.tuples(
+            st.sampled_from(["", "-"]),
+            st.from_regex(r"0|[1-9][0-9]{0,29}", fullmatch=True),
+            st.from_regex(r"(\.[0-9]{1,30})?", fullmatch=True),
+            st.from_regex(r"([eE][+-]?0?[0-9])?", fullmatch=True),
+        ),
+    ).filter(lambda t: "." in t or "e" in t or "E" in t),
+)
+
+
+def _written_report(tmp_dir: Path, data: bytes) -> tuple[int, str, str | None]:
+    """(exit code, stderr, JSON report text or None) of a `fit --json` run."""
+    csv, out = tmp_dir / "in.csv", tmp_dir / "report.json"
+    csv.write_bytes(data)
+    out.unlink(missing_ok=True)
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = run(RunConfig(input=csv, output_json=out), out=io.StringIO())
+    return code, err.getvalue(), out.read_text() if out.exists() else None
+
+
+def _hex_points(points) -> list[list[str]]:
+    return [[float.hex(x), float.hex(y)] for x, y in points]
+
+
+@given(st.lists(st.tuples(_float_literal, _float_literal), min_size=2, max_size=12),
+       st.booleans())
+def test_json_points_echo_the_input_text_bit_for_bit(tmp_path_factory, rows, header):
+    body = "".join(f"{x},{y}\n" for x, y in rows)
+    data = (("x,y\n" if header else "") + body).encode()
+    code, _, text = _written_report(tmp_path_factory.mktemp("echo"), data)
+    assert code in (0, 3)
+    assert text.startswith('{"points":[[' + "],[".join(body.splitlines()) + "]],")
+    points = json.loads(text)["points"]
+    assert all(type(v) is float for row in points for v in row)
+    assert _hex_points(points) == _hex_points(parse_csv(data).points())
+    assert _hex_points(points) == _hex_points(_parse_csv_by_line(data).points())
+
+
+@given(st.lists(st.tuples(st.floats(-1e60, 1e60), st.floats(-1e60, 1e60)),
+                min_size=2, max_size=12))
+def test_json_report_on_repr_input_is_what_json_dumps_writes(tmp_path_factory, rows):
+    # the echo of repr fields is the repr echo: re-encoding the parsed report
+    # gives back the same bytes
+    data = "".join(f"{x!r},{y!r}\n" for x, y in rows).encode()
+    code, _, text = _written_report(tmp_path_factory.mktemp("repr"), data)
+    assert code in (0, 3)
+    assert render_json(json.loads(text)) == text
+
+
+@pytest.mark.parametrize("token", [
+    "1", "-0", "9007199254740993", "%.17g" % 250.0, "+1.5", ".5", "1.",
+    "1_0", " 1.5", "1.5\t", "\xa01.5", "true", "[1", "[" * 10**5 + "1.5", "NaN",
+    "Infinity", "-Infinity", "1e400", '"1.5"',
+], ids=lambda t: repr(t) if len(t) < 20 else f"{len(t)}-char {t[:3]!r}...")
+def test_json_points_of_other_fields_are_reprs_or_the_line_parsers_error(tmp_path, token):
+    data = f"x,y\n{token},2.5\n3.5,{token}\n4.25,-1.0\n".encode()
+    code, err, text = _written_report(tmp_path, data)
+    try:
+        parsed = _parse_csv_by_line(data)
+    except (CsvParseError, InsufficientDataError) as exc:
+        assert (code, err, text) == (2, f"error: {exc}\n", None)
+        return
+    assert code in (0, 3)
+    assert render_json(json.loads(text)) == text
+    assert _hex_points(json.loads(text)["points"]) == _hex_points(parsed.points())
+
+
+def test_parse_csv_echo_keeps_the_input_digits():
+    data = b"x,y\n1.50,1e5\n0.10000000000000001,-0.0\n"
+    sample, points_json = parse_csv(data, echo=True)
+    assert points_json == "[[1.50,1e5],[0.10000000000000001,-0.0]]"
+    assert sample.points() == parse_csv(data).points()
+    assert parse_csv(b"1.5,1\n2.5,3.5\n", echo=True)[1] is None  # an integer field
+    assert parse_csv(b"1.5, 2.0\n2.5,3.5\n", echo=True)[1] is None  # padding
+
+
+def test_only_a_json_report_builds_the_echo(tmp_path, monkeypatch, capsys):
+    import linefit.cli as cli
+
+    csv = tmp_path / "pts.csv"
+    csv.write_text("x,y\n0.5,1.5\n1.5,2.0\n2.5,4.0\n")
+    original, calls = cli.parse_csv, []
+
+    def spy(data, **kwargs):
+        result = original(data, **kwargs)
+        calls.append((kwargs, result))
+        return result
+
+    monkeypatch.setattr(cli, "parse_csv", spy)
+    assert run(RunConfig(input=csv)) == 0
+    assert run(RunConfig(input=csv, output_svg=tmp_path / "f.svg")) == 0
+    assert main(["transform", "--input", str(csv), "--rotate", "0.3"]) == 0
+    assert len(calls) == 3
+    assert all(kwargs == {} and isinstance(r, PairedSample) for kwargs, r in calls)
+    assert run(RunConfig(input=csv, output_json=tmp_path / "r.json")) == 0
+    assert calls[-1][0] == {"echo": True}
+    assert calls[-1][1][1] == "[[0.5,1.5],[1.5,2.0],[2.5,4.0]]"
 
 
 # --- run() ----------------------------------------------------------------------------

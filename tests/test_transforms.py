@@ -1,4 +1,6 @@
+import functools
 import math
+import operator
 import random
 
 import pytest
@@ -67,6 +69,23 @@ def test_default_rotation_center_is_the_centroid():
     moved = apply_motion_points(p, Rotation(0.7))
     explicit = apply_motion_points(p, Rotation(0.7, Point(s.mean_x, s.mean_y)))
     assert moved.points() == explicit.points()
+
+
+def test_default_rotation_center_is_the_correctly_rounded_mean():
+    # a left-to-right sum() loses both 1.0s to the 1e16 terms; fsum keeps them,
+    # so the centre no longer depends on how a Python version's sum() rounds
+    xs = [1e16, 1.0, -1e16, 1.0]
+    ys = [1e16, 1.0, -1e16, 3.0]
+    assert functools.reduce(operator.add, xs) / 4 != math.fsum(xs) / 4
+    assert functools.reduce(operator.add, ys) / 4 != math.fsum(ys) / 4
+    p = PairedSample.from_xy(xs, ys)
+    centre = Point(math.fsum(xs) / 4, math.fsum(ys) / 4)
+    assert centre == Point(0.5, 1.0)
+    naive = Point(functools.reduce(operator.add, xs) / 4, functools.reduce(operator.add, ys) / 4)
+    for phi in (math.pi, 0.3):
+        moved = apply_motion_points(p, Rotation(phi)).points()
+        assert moved == apply_motion_points(p, Rotation(phi, centre)).points()
+        assert moved != apply_motion_points(p, Rotation(phi, naive)).points()
 
 
 # --- moving lines ----------------------------------------------------------------
