@@ -46,16 +46,13 @@ from .generators import (
     gen_parallel,
 )
 from .geometry import (
-    GeneralLine,
     InverseSlopeLine,
     NormalLine,
     Point,
     SlopeInterceptLine,
     inverse_slope_to_normal,
-    normal_to_general,
     normal_to_inverse_slope,
     normal_to_slope,
-    point_line_distance,
     slope_to_normal,
 )
 from .stats import PairedSample, Sample, SummaryStats, covariance, mean, summarize, variance

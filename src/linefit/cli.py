@@ -10,7 +10,8 @@ Subcommands:
                 CSV, for shell-level invariance experiments.
 
 Exit codes: 0 success (at least one requested fit produced a result),
-2 input error, 3 every requested fit failed its precondition.
+1 stdout was closed before the output was written, 2 input error, 3 every
+requested fit failed its precondition.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import random
 import re
 import sys
@@ -50,6 +52,7 @@ from .transforms import Rotation, Translation, apply_motion_points
 __all__ = ["RunConfig", "parse_csv", "run", "main"]
 
 EXIT_OK = 0
+EXIT_BROKEN_PIPE = 1
 EXIT_INPUT_ERROR = 2
 EXIT_NO_METHOD_SUCCEEDED = 3
 
@@ -555,11 +558,14 @@ def _cmd_transform(args) -> int:
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
-    if args.command == "fit":
-        return _cmd_fit(args)
-    if args.command == "generate":
-        return _cmd_generate(args)
-    return _cmd_transform(args)
+    command = {"fit": _cmd_fit, "generate": _cmd_generate}.get(args.command, _cmd_transform)
+    try:
+        code = command(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:  # the reader left; devnull takes the flush at exit
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_BROKEN_PIPE
 
 
 if __name__ == "__main__":

@@ -1,15 +1,12 @@
-"""Line representations and point-to-line distance.
+"""Line representations.
 
 Three line forms are used throughout:
 
 * slope-intercept ``y = m*x + b`` (cannot express vertical lines),
 * inverse-slope ``x = mu*y + beta`` (cannot express horizontal lines),
 * normal form ``x*sin(theta) - y*cos(theta) = c`` with theta in (-pi/2, pi/2],
-  which expresses every line and treats the two axes symmetrically.
-
-A fourth, ``a*x + b*y = c``, exists only as a distance-computation input and
-is never normalized on construction, so user-supplied coefficients stay
-inspectable.
+  which expresses every line and treats the two axes symmetrically.  Its
+  residual is the signed distance of a point from the line.
 """
 
 from __future__ import annotations
@@ -20,25 +17,20 @@ from dataclasses import dataclass
 from .errors import InvalidLineError, NotRepresentableError
 
 __all__ = [
-    "EPS_VERTICAL",
-    "EPS_HORIZONTAL",
     "Point",
     "SlopeInterceptLine",
     "InverseSlopeLine",
     "NormalLine",
-    "GeneralLine",
-    "point_line_distance",
     "normal_to_slope",
     "slope_to_normal",
     "inverse_slope_to_normal",
     "normal_to_inverse_slope",
-    "normal_to_general",
 ]
 
-# Below these, the converted slope would exceed ~1e9 and the target form is
+# Below this |cos(theta)| (for a slope) or |sin(theta)| (for an inverse
+# slope), the converted slope would exceed ~1e9 and the target form is
 # numerically meaningless.
-EPS_VERTICAL = 1e-9
-EPS_HORIZONTAL = 1e-9
+_AXIS_EPS = 1e-9
 
 _HALF_PI = math.pi / 2.0
 
@@ -141,37 +133,14 @@ class NormalLine:
         return Point(self.c * si + t * co, -self.c * co + t * si)
 
 
-@dataclass(frozen=True)
-class GeneralLine:
-    """a*x + b*y = c with (a, b) != (0, 0).  Coefficients are kept as given."""
-
-    a: float
-    b: float
-    c: float
-
-    def __post_init__(self):
-        object.__setattr__(self, "a", float(self.a))
-        object.__setattr__(self, "b", float(self.b))
-        object.__setattr__(self, "c", float(self.c))
-        _require_finite("GeneralLine", self.a, self.b, self.c)
-        if self.a == 0.0 and self.b == 0.0:
-            raise InvalidLineError("degenerate line: a and b are both zero")
-
-
-def point_line_distance(p: Point, line: GeneralLine) -> float:
-    """Euclidean distance from p to the line, |a*x + b*y - c| / sqrt(a^2 + b^2)."""
-    norm = math.hypot(line.a, line.b)
-    return abs(line.a * p.x + line.b * p.y - line.c) / norm
-
-
 def normal_to_slope(line: NormalLine) -> SlopeInterceptLine:
     """Rewrite as y = x*tan(theta) - c/cos(theta).
 
     Raises :class:`NotRepresentableError` for (near-)vertical lines, where
-    |cos(theta)| <= EPS_VERTICAL.
+    |cos(theta)| <= 1e-9.
     """
     co = math.cos(line.theta)
-    if abs(co) <= EPS_VERTICAL:
+    if abs(co) <= _AXIS_EPS:
         raise NotRepresentableError(
             f"line with theta={line.theta!r} is vertical within tolerance; "
             "it has no slope-intercept form"
@@ -190,21 +159,22 @@ def slope_to_normal(line: SlopeInterceptLine) -> NormalLine:
 
 
 def inverse_slope_to_normal(line: InverseSlopeLine) -> NormalLine:
-    """Normal form of x = mu*y + beta; handles mu = 0 (vertical) exactly."""
-    theta = _HALF_PI - math.atan(line.mu)
-    return NormalLine.canonical(theta, line.beta * math.sin(theta))
+    """Mirror of :func:`slope_to_normal`: theta = pi/2 - arctan(mu), c = beta/sqrt(1 + mu^2).
+
+    mu = 0 gives the vertical line exactly.  c is not beta*sin(theta), whose
+    rounded angle misses near-horizontal lines.
+    """
+    return NormalLine.canonical(
+        _HALF_PI - math.atan(line.mu), line.beta / math.hypot(1.0, line.mu)
+    )
 
 
 def normal_to_inverse_slope(line: NormalLine) -> InverseSlopeLine:
     """Rewrite as x = y*cot(theta) + c/sin(theta); horizontal lines have none."""
     si = math.sin(line.theta)
-    if abs(si) <= EPS_HORIZONTAL:
+    if abs(si) <= _AXIS_EPS:
         raise NotRepresentableError(
             f"line with theta={line.theta!r} is horizontal within tolerance; "
             "it has no inverse-slope form"
         )
     return InverseSlopeLine(math.cos(line.theta) / si, line.c / si)
-
-
-def normal_to_general(line: NormalLine) -> GeneralLine:
-    return GeneralLine(math.sin(line.theta), -math.cos(line.theta), line.c)

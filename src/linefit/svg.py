@@ -4,8 +4,9 @@ Fixed 800x600 viewport, equal-aspect scaling with a 5% margin.  Equal aspect
 is mandatory: stretching one axis would visually misrepresent perpendicular
 offsets.  Line styles follow the usual convention here: dotted for the
 vertical-offset fit, dashed for the horizontal-offset fit, solid for the
-perpendicular fit.  A degenerate perpendicular fit is drawn as a marked
-centroid with a note, not as a line.
+perpendicular fit.  A fitted line is drawn longer than the figure's diagonal
+and the viewport clips it (SVG 1.1 section 14.3).  A degenerate perpendicular
+fit is drawn as a marked centroid with a note, not as a line.
 """
 
 from __future__ import annotations
@@ -14,7 +15,6 @@ import math
 from typing import Sequence
 
 from .fitters import FitReport
-from .geometry import NormalLine
 from .stats import PairedSample
 
 __all__ = ["render_svg"]
@@ -58,39 +58,12 @@ class _Frame:
         span_x = max(span_x, floor)
         span_y = max(span_y, floor)
         self.scale = min(usable_w / span_x, usable_h / span_y)
-        # data rectangle actually visible in the viewport
-        self.x_lo = self.cx - 0.5 * WIDTH / self.scale
-        self.x_hi = self.cx + 0.5 * WIDTH / self.scale
-        self.y_lo = self.cy - 0.5 * HEIGHT / self.scale
-        self.y_hi = self.cy + 0.5 * HEIGHT / self.scale
 
     def to_pixel(self, x: float, y: float) -> tuple[float, float]:
         return (
             0.5 * WIDTH + (x - self.cx) * self.scale,
             0.5 * HEIGHT - (y - self.cy) * self.scale,
         )
-
-
-def _clip_line(line: NormalLine, frame: _Frame):
-    """Endpoints of the visible segment of an infinite line, or None."""
-    si, co = math.sin(line.theta), math.cos(line.theta)
-    px, py = line.c * si, -line.c * co  # closest point to the origin
-    t_lo, t_hi = -math.inf, math.inf
-    for pos, d, lo, hi in (
-        (px, co, frame.x_lo, frame.x_hi),
-        (py, si, frame.y_lo, frame.y_hi),
-    ):
-        if abs(d) < 1e-15:
-            if not (lo <= pos <= hi):
-                return None
-            continue
-        t0, t1 = (lo - pos) / d, (hi - pos) / d
-        if t0 > t1:
-            t0, t1 = t1, t0
-        t_lo, t_hi = max(t_lo, t0), min(t_hi, t1)
-    if t_lo >= t_hi:
-        return None
-    return (px + t_lo * co, py + t_lo * si), (px + t_hi * co, py + t_hi * si)
 
 
 def _fmt(v: float) -> str:
@@ -130,16 +103,19 @@ def render_svg(points: _Points, fits: Sequence[tuple[str, FitReport | None]]) ->
             )
             label = "perpendicular fit: degenerate (marked centroid)"
         else:
-            seg = _clip_line(report.normal_form, frame)
-            if seg is not None:
-                (x0, y0), (x1, y1) = seg
-                px0, py0 = frame.to_pixel(x0, y0)
-                px1, py1 = frame.to_pixel(x1, y1)
-                parts.append(
-                    f'<path class="fit-{method.lower()}" '
-                    f'd="M {_fmt(px0)} {_fmt(py0)} L {_fmt(px1)} {_fmt(py1)}" '
-                    f'fill="none" stroke-width="2" {style}/>'
-                )
+            # a visible point lies no farther from the foot of the frame centre
+            # than from the centre itself: within half a diagonal, < half below
+            nf = report.normal_form
+            t = frame.cx * math.cos(nf.theta) + frame.cy * math.sin(nf.theta)
+            half = (WIDTH + HEIGHT) / frame.scale
+            a, b = nf.point_at(t - half), nf.point_at(t + half)
+            px0, py0 = frame.to_pixel(a.x, a.y)
+            px1, py1 = frame.to_pixel(b.x, b.y)
+            parts.append(
+                f'<path class="fit-{method.lower()}" '
+                f'd="M {_fmt(px0)} {_fmt(py0)} L {_fmt(px1)} {_fmt(py1)}" '
+                f'fill="none" stroke-width="2" {style}/>'
+            )
         parts.append(
             f'<text x="12" y="{20 + 18 * legend_row}" font-size="13">'
             f"{method}: {label}</text>"

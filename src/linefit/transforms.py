@@ -44,8 +44,8 @@ class Rotation:
     """Rotation by ``phi`` about ``center``.
 
     ``center=None`` means "the centroid of whatever sample this motion is
-    applied to"; operations without a sample in hand (``transform_line``)
-    require an explicit center.
+    applied to"; operations without a sample in hand (``apply_motion_point``,
+    ``transform_line``) require an explicit center.
     """
 
     phi: float
@@ -67,7 +67,7 @@ def apply_motion_point(pt: Point, g: RigidMotion) -> Point:
     if isinstance(g, Translation):
         return Point(pt.x + g.u, pt.y + g.v)
     if g.center is None:
-        raise ValueError("rotation of a bare point needs an explicit center")
+        raise ValueError("a rotation without a sample needs an explicit center")
     co, si = math.cos(g.phi), math.sin(g.phi)
     dx, dy = pt.x - g.center.x, pt.y - g.center.y
     return Point(g.center.x + dx * co - dy * si, g.center.y + dx * si + dy * co)
@@ -93,26 +93,13 @@ def apply_motion_points(p: PairedSample, g: RigidMotion) -> PairedSample:
 def transform_line(line: NormalLine, g: RigidMotion) -> NormalLine:
     """Image of the line under the motion, renormalized into (-pi/2, pi/2].
 
-    Translation by (u, v) keeps theta and maps c to c + u*sin(theta) -
-    v*cos(theta); rotation by phi adds phi to theta and, about the origin,
-    keeps c.
+    The foot ``line.point_at(0.0)`` moves as any point does, and a rotation
+    by phi adds phi to theta; the image is the line through the moved foot at
+    the new angle.
     """
-    if isinstance(g, Translation):
-        return NormalLine.canonical(
-            line.theta,
-            line.c + g.u * math.sin(line.theta) - g.v * math.cos(line.theta),
-        )
-    if g.center is None:
-        raise ValueError(
-            "transform_line has no sample to take a centroid from; "
-            "construct the Rotation with an explicit center"
-        )
-    cx, cy = g.center.x, g.center.y
-    # conjugate by the translation that moves the center to the origin
-    c_at_origin = line.c - cx * math.sin(line.theta) + cy * math.cos(line.theta)
-    theta = line.theta + g.phi
-    c = c_at_origin + cx * math.sin(theta) - cy * math.cos(theta)
-    return NormalLine.canonical(theta, c)
+    foot = apply_motion_point(line.point_at(0.0), g)
+    theta = line.theta + g.phi if isinstance(g, Rotation) else line.theta
+    return NormalLine.canonical(theta, foot.x * math.sin(theta) - foot.y * math.cos(theta))
 
 
 def line_discrepancy(a: NormalLine, b: NormalLine) -> float:

@@ -409,11 +409,21 @@ def test_overflowing_diagnostics_are_null_in_the_json(tmp_path, rows, nulls):
     assert missing - {"ordering_f_observed"} == nulls
 
 
-def test_steep_y_line_has_the_normal_form_of_x_and_d():
-    # the Y slope is -2^53; its normal form must sit on the same line as X and D
-    p = parse_csv(b"1,2\n1.0000000000000002,0\n")
+def _assert_normal_forms_agree(data, c):
+    # the steep method's normal form must sit on the same line as the other two
+    p = parse_csv(data)
     cs = [fit(p).normal_form.c for fit in (fit_y, fit_x, fit_d_report)]
-    assert cs == [1.0, 1.0, 1.0]
+    assert cs == [c, c, c]
+
+
+def test_steep_y_line_has_the_normal_form_of_x_and_d():
+    # the Y slope is -2^53
+    _assert_normal_forms_agree(b"1,2\n1.0000000000000002,0\n", 1.0)
+
+
+def test_flat_x_line_has_the_normal_form_of_y_and_d():
+    # mirrored: the X inverse slope is -2^53
+    _assert_normal_forms_agree(b"2,1\n0,1.0000000000000002\n", -1.0)
 
 
 @pytest.mark.parametrize("scale", [1e-12, 1.0, 1e12])
@@ -488,6 +498,31 @@ def test_cli_fit_exit_codes(tmp_path):
     assert "line 2" in r.stderr
     assert run_cli(["fit", "--input", str(vertical), "--method", "y"]).returncode == 3
     assert run_cli(["fit", "--input", str(vertical)]).returncode == 0
+
+
+@pytest.mark.parametrize("args", [
+    ["fit"],
+    ["generate", "circle", "--n", "12"],
+    ["transform", "--rotate", "0.3"],
+])
+def test_closed_stdout_exits_1_without_a_traceback(args):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(SRC) + os.pathsep + env.get("PYTHONPATH", "")
+    read_end, write_end = os.pipe()
+    os.close(read_end)  # the reader is gone before the command writes a byte
+    try:
+        r = subprocess.run(
+            [sys.executable, "-m", "linefit", *args],
+            input=THREE_CSV.encode(),
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            env=env,
+            cwd=REPO,
+        )
+    finally:
+        os.close(write_end)
+    assert r.returncode == 1
+    assert r.stderr == b""
 
 
 @pytest.mark.parametrize("command, flag, value", [

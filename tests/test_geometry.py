@@ -1,6 +1,7 @@
 import math
 import random
 import sys
+from dataclasses import dataclass
 
 import pytest
 from hypothesis import assume, given
@@ -8,18 +9,40 @@ from hypothesis import strategies as st
 
 from linefit.errors import InvalidLineError, NotRepresentableError
 from linefit.geometry import (
-    GeneralLine,
     InverseSlopeLine,
     NormalLine,
     Point,
     SlopeInterceptLine,
     inverse_slope_to_normal,
-    normal_to_general,
     normal_to_inverse_slope,
     normal_to_slope,
-    point_line_distance,
     slope_to_normal,
 )
+
+
+# --- the distance oracle: the textbook distance to a*x + b*y = c ----------------
+
+@dataclass(frozen=True)
+class GeneralLine:
+    """a*x + b*y = c with (a, b) != (0, 0).  Coefficients are kept as given."""
+
+    a: float
+    b: float
+    c: float
+
+    def __post_init__(self):
+        if self.a == 0.0 and self.b == 0.0:
+            raise InvalidLineError("degenerate line: a and b are both zero")
+
+
+def point_line_distance(p: Point, line: GeneralLine) -> float:
+    """Euclidean distance from p to the line, |a*x + b*y - c| / sqrt(a^2 + b^2)."""
+    norm = math.hypot(line.a, line.b)
+    return abs(line.a * p.x + line.b * p.y - line.c) / norm
+
+
+def normal_to_general(line: NormalLine) -> GeneralLine:
+    return GeneralLine(math.sin(line.theta), -math.cos(line.theta), line.c)
 
 
 def projection_distance(p: Point, line: GeneralLine) -> float:

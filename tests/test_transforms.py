@@ -107,22 +107,37 @@ def test_transform_line_requires_explicit_rotation_center():
         transform_line(NormalLine(0.1, 1.0), Rotation(0.5))
 
 
-def test_transformed_line_contains_transformed_points():
+def _assert_transformed_line_contains_transformed_points(offset):
+    # lines, rotation centres and the points checked all sit near (offset, offset)
     rng = random.Random(4)
     for _ in range(40):
-        line = NormalLine(rng.uniform(-1.5, 1.5), rng.uniform(-5, 5))
+        theta = rng.uniform(-1.5, 1.5)
+        si, co = math.sin(theta), math.cos(theta)
+        line = NormalLine(theta, rng.uniform(-5, 5) + offset * (si - co))
         motion = (
             Translation(rng.uniform(-5, 5), rng.uniform(-5, 5))
             if rng.random() < 0.5
-            else Rotation(rng.uniform(-3, 3), Point(rng.uniform(-2, 2), rng.uniform(-2, 2)))
+            else Rotation(
+                rng.uniform(-3, 3),
+                Point(offset + rng.uniform(-2, 2), offset + rng.uniform(-2, 2)),
+            )
         )
         image = transform_line(line, motion)
         for t in (-8.0, -1.0, 0.0, 0.5, 7.0):
-            q = line.point_at(t)
+            q = line.point_at(offset * (co + si) + t)
             moved_p = apply_motion_points(
                 PairedSample.from_points([(q.x, q.y), (q.x + 0.0, q.y + 0.0)]), motion
             ).points()[0]
-            assert abs(image.residual(Point(*moved_p))) < 1e-12
+            assert abs(image.residual(Point(*moved_p))) < 1e-12 * (1.0 + abs(offset))
+
+
+def test_transformed_line_contains_transformed_points():
+    _assert_transformed_line_contains_transformed_points(0.0)
+
+
+@pytest.mark.parametrize("offset", [1.6e9, -1e12])
+def test_far_transformed_line_contains_transformed_points(offset):
+    _assert_transformed_line_contains_transformed_points(offset)
 
 
 def test_line_discrepancy_handles_boundary_wrap():
