@@ -26,6 +26,7 @@ import sys
 from dataclasses import asdict, dataclass
 from itertools import repeat
 from pathlib import Path
+from typing import NoReturn
 
 from . import diagnostics
 from .errors import (
@@ -79,26 +80,37 @@ class RunConfig:
 # CSV
 
 def parse_csv(data: bytes, *, echo: bool = False):
-    """Parse `x,y` lines; a single leading header line `x,y` is allowed.
+    """Parse UTF-8 `x,y` lines, LF or CRLF, into a sample.
 
-    Blank lines are ignored; both LF and CRLF line endings work.  Errors name
-    the offending 1-based line number.
+    Blank lines may appear anywhere, and the first non-blank line may be the
+    header `x,y`, with whitespace around its fields.  Fields are finite Python
+    float literals with optional surrounding whitespace; at least two pairs
+    are needed.  Other input raises :class:`CsvParseError`, which names the
+    first bad 1-based line, or :class:`InsufficientDataError`.
 
-    With ``echo=True`` the result is ``(sample, points_json)``.  When every
-    field is a JSON float literal (RFC 8259 section 6, with a fraction or an
-    exponent) and no line holds a space or a tab, ``points_json`` is the JSON
-    array of the points spelled with the input's own digits.  A JSON reader
-    parses those digits to the same doubles as this parser did, so the text
-    reads back exactly.  Otherwise it is None.
+    With ``echo=True`` the result is ``(sample, points_json)``.  If every field
+    is a JSON float literal (RFC 8259 section 6: a fraction or an exponent) and
+    no data line holds a space or a tab, ``points_json`` is the JSON array of
+    the points in the input's own digits, which read back exactly; else None.
     """
-    bulk = _bulk_values(data)
-    if bulk is None:
-        sample, points_json = _parse_csv_by_line(data), None
-    else:
-        values, body = bulk
+    try:
+        rows = list(filter(str.strip, data.decode("utf-8").splitlines()))
+    except UnicodeDecodeError as exc:
+        raise CsvParseError(f"input is not UTF-8 text: {exc}") from exc
+    header = bool(rows) and [f.strip() for f in rows[0].split(",")] == ["x", "y"]
+    if header:
+        del rows[0]
+    if set(map(str.count, rows, repeat(","))) != {1}:
+        _explain(data, header)
+    try:
+        values, spelled = _values(",".join(rows))
+        # the Sample check is the one finiteness pass, and it counts the points
         sample = PairedSample.from_xy(values[0::2], values[1::2])
-        points_json = "[[" + "],[".join(body) + "]]" if echo and body is not None else None
-    return (sample, points_json) if echo else sample
+    except ValueError:
+        _explain(data, header)
+    if not echo:
+        return sample
+    return sample, "[[" + "],[".join(rows) + "]]" if spelled else None
 
 
 def _reject(token: str):
@@ -111,74 +123,35 @@ def _reject(token: str):
 _FLOAT_LITERALS = json.JSONDecoder(parse_int=_reject, parse_constant=_reject)
 
 
-def _bulk_values(data: bytes) -> tuple[list[float], list[str] | None] | None:
-    """Flat [x0, y0, x1, ...] of regular input, else None for the line parser.
-
-    Regular: UTF-8, an optional exact `x,y` first line, then at least two lines
-    of one comma each, all fields finite floats.  The second item is the body
-    lines when every field is a JSON float literal and none holds a space or a
-    tab: the values were parsed from exactly that text.  Otherwise it is None.
-    """
-    try:
-        lines = data.decode("utf-8").splitlines()
-    except UnicodeDecodeError:
-        return None
-    body = lines[1:] if lines[:1] == ["x,y"] else lines
-    if len(body) < 2 or set(map(str.count, body, repeat(","))) != {1}:
-        return None
-    joined = ",".join(body)
+def _values(joined: str) -> tuple[list[float], bool]:
+    """The joined fields as floats, and whether the JSON echo may splice them."""
     try:
         values = _FLOAT_LITERALS.decode("[" + joined + "]")
-        literal = len(values) == 2 * len(body) and set(map(type, values)) == {float}
+        if set(map(type, values)) == {float}:
+            return values, " " not in joined and "\t" not in joined
     except (ValueError, RecursionError):
-        literal = False
-    if not literal:
-        try:
-            values = list(map(float, joined.split(",")))
-        except ValueError:
-            return None
-    if not all(map(math.isfinite, values)):
-        return None
-    return values, body if literal and " " not in joined and "\t" not in joined else None
+        pass
+    return list(map(float, map(str.strip, joined.split(",")))), False
 
 
-def _parse_csv_by_line(data: bytes) -> PairedSample:
-    """:func:`parse_csv` one line at a time: the judge of irregular input."""
-    try:
-        text = data.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        raise CsvParseError(f"input is not UTF-8 text: {exc}") from exc
-    points: list[tuple[float, float]] = []
-    seen_content = False
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line:
-            continue
-        fields = [f.strip() for f in line.split(",")]
-        if not seen_content and fields == ["x", "y"]:
-            seen_content = True
-            continue
-        seen_content = True
+def _explain(data: bytes, header: bool) -> NoReturn:
+    """Raise the error of the first line of UTF-8 ``data`` that :func:`parse_csv`
+    cannot accept; ``header`` says whether the first non-blank line is the header."""
+    lines = enumerate(data.decode("utf-8").splitlines(), start=1)
+    numbered = [(lineno, raw) for lineno, raw in lines if raw.strip()]
+    for lineno, raw in numbered[1:] if header else numbered:
+        fields = [f.strip() for f in raw.split(",")]
         if len(fields) != 2:
-            raise CsvParseError(
-                f"line {lineno}: expected 'x,y', got {raw!r}", line=lineno
-            )
+            raise CsvParseError(f"line {lineno}: expected 'x,y', got {raw!r}", line=lineno)
         try:
-            x, y = float(fields[0]), float(fields[1])
+            x, y = map(float, fields)
         except ValueError as exc:
             raise CsvParseError(
                 f"line {lineno}: could not parse numbers from {raw!r}", line=lineno
             ) from exc
         if not (math.isfinite(x) and math.isfinite(y)):
-            raise CsvParseError(
-                f"line {lineno}: non-finite value in {raw!r}", line=lineno
-            )
-        points.append((x, y))
-    if len(points) < 2:
-        raise InsufficientDataError(
-            f"need at least 2 data points, got {len(points)}"
-        )
-    return PairedSample.from_points(points)
+            raise CsvParseError(f"line {lineno}: non-finite value in {raw!r}", line=lineno)
+    raise InsufficientDataError(f"need at least 2 data points, got {len(numbered) - header}")
 
 
 def render_csv(p: PairedSample) -> str:

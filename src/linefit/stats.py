@@ -3,12 +3,13 @@
 Every fitting routine in this package consumes the ``SummaryStats`` produced
 here; once a sample is summarized the raw coordinates are never needed again,
 and a ``PairedSample`` caches its summary, so it is computed at most once.
-Accumulation is one left-to-right pass over the offsets from the first point
-(the "shifted data" algorithm of Chan, Golub & LeVeque, 1983): far from the
-origin the offsets are exact and small, so the centered quantities do not
-cancel away.  The quadratic pairwise-difference forms of the variance and
-covariance are deliberately kept out of the library: they serve as
-independent oracles in the test suite.
+Accumulation is one left-to-right pass over the offsets from the centroid,
+which comes from correctly rounded sums (the "corrected two-pass" algorithm
+of Chan, Golub & LeVeque, 1983): wherever the points sit, the offsets are
+small, so the centered quantities do not cancel away.  The quadratic
+pairwise-difference forms of the variance and covariance are deliberately
+kept out of the library: they serve as independent oracles in the test
+suite.
 """
 
 from __future__ import annotations
@@ -84,6 +85,10 @@ class PairedSample:
     def points(self) -> tuple[tuple[float, float], ...]:
         return tuple(zip(self.xs.values, self.ys.values))
 
+    def centroid(self) -> tuple[float, float]:
+        """The mean point from correctly rounded sums: the same on every Python."""
+        return mean(self.xs), mean(self.ys)
+
     @cached_property
     def summary(self) -> "SummaryStats":
         """``summarize(self)``, computed on first use and kept: the values
@@ -120,8 +125,16 @@ class SummaryStats:
 
 
 def mean(s: Sample) -> float:
-    """The ``mean_x`` of :func:`summarize`, with zeros (no overflow) as the y."""
-    return summarize(PairedSample(s, Sample((0.0,) * s.n))).mean_x
+    """``math.fsum(values) / n``, the ``mean_x`` of :func:`summarize`."""
+    values, n = s.values, s.n
+    # rounding the sum, then the quotient, can move a constant off itself
+    if all(map(values[0].__eq__, values)):
+        return values[0]
+    try:
+        return math.fsum(values) / n
+    except OverflowError:  # a power-of-two scale 2**-k <= 1/n is exact and in range
+        k = n.bit_length()
+        return math.ldexp(math.fsum([math.ldexp(v, -k) for v in values]) / n, k)
 
 
 def variance(s: Sample) -> float:
@@ -135,20 +148,20 @@ def covariance(p: PairedSample) -> float:
 
 
 def summarize(p: PairedSample) -> SummaryStats:
-    """One pass over dx = x - x0 and dy = y - y0, offsets from the first point.
+    """One pass over the offsets dx, dy from the centroid ``p.centroid()``.
 
-    var_x = mean(dx^2) - mean(dx)^2 and cov_xy = mean(dx*dy) - mean(dx)*mean(dy),
-    so a constant coordinate gives exact zeros.  Computes on every call
-    (``p.summary`` keeps one).  Raises :class:`InvalidSampleError` when the
-    statistics overflow.
+    var_x = mean(dx^2) - mean(dx)^2 and cov_xy = mean(dx*dy) - mean(dx)*mean(dy):
+    the mean(dx) terms correct for the rounding of the centroid.  Computes on
+    every call (``p.summary`` keeps one).  Raises :class:`InvalidSampleError`
+    when the statistics overflow.
     """
     xs, ys = p.xs.values, p.ys.values
     n = len(xs)
-    x0, y0 = xs[0], ys[0]
+    mean_x, mean_y = p.centroid()
     sx = sy = sxx = syy = sxy = 0.0
     for x, y in zip(xs, ys):
-        dx = x - x0
-        dy = y - y0
+        dx = x - mean_x
+        dy = y - mean_y
         sx += dx
         sy += dy
         sxx += dx * dx
@@ -158,8 +171,8 @@ def summarize(p: PairedSample) -> SummaryStats:
     mean_dy = sy / n
     var_x = max(0.0, sxx / n - mean_dx * mean_dx)
     var_y = max(0.0, syy / n - mean_dy * mean_dy)
-    # on collinear data, rounding about a far first point can push |cov| past
-    # sqrt(var_x*var_y), which no genuine sample exceeds
+    # on collinear data, rounding can push |cov| past sqrt(var_x*var_y),
+    # which no genuine sample exceeds
     cov_xy = sxy / n - mean_dx * mean_dy
     bound = math.sqrt(var_x) * math.sqrt(var_y)
     if abs(cov_xy) > bound:
@@ -171,11 +184,4 @@ def summarize(p: PairedSample) -> SummaryStats:
             "coordinates too large in magnitude: their sums of squares and "
             "products overflow a double"
         )
-    return SummaryStats(
-        n=n,
-        mean_x=x0 + mean_dx,
-        mean_y=y0 + mean_dy,
-        var_x=var_x,
-        var_y=var_y,
-        cov_xy=cov_xy,
-    )
+    return SummaryStats(n, mean_x, mean_y, var_x, var_y, cov_xy)

@@ -57,9 +57,7 @@ RigidMotion = Union[Translation, Rotation]
 
 def _resolve_center(g: RigidMotion, p: PairedSample) -> RigidMotion:
     if isinstance(g, Rotation) and g.center is None:
-        # fsum: the correctly rounded sum, the same bytes on every Python
-        n = p.n
-        return Rotation(g.phi, Point(math.fsum(p.xs.values) / n, math.fsum(p.ys.values) / n))
+        return Rotation(g.phi, Point(*p.centroid()))
     return g
 
 

@@ -10,14 +10,12 @@ import xml.etree.ElementTree as ET
 from pathlib import Path
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 import linefit
 from linefit.cli import (
     RunConfig,
-    _bulk_values,
-    _parse_csv_by_line,
     main,
     parse_csv,
     render_csv,
@@ -84,13 +82,53 @@ def test_parse_csv_rejects_single_point():
         parse_csv(b"1,2\n")
 
 
-def test_parse_csv_bulk_path_takes_regular_input():
-    assert _bulk_values(b"x,y\r\n 1.5 ,-2\r\n3,4e-3\r\n") == ([1.5, -2.0, 3.0, 4e-3], None)
-    # a blank line inside the body leaves the decision to the line parser
-    assert _bulk_values(b"1,2\n\n3,4\n") is None
+def test_parse_csv_echoes_input_with_blank_lines_and_a_spaced_header():
+    data = b"\n x , y \r\n1.5,-2.0\n\n3.0,4e-3\n  \n"
+    sample, points_json = parse_csv(data, echo=True)
+    assert points_json == "[[1.5,-2.0],[3.0,4e-3]]"
+    assert sample.points() == ((1.5, -2.0), (3.0, 4e-3))
 
 
-_pad = st.sampled_from(["", " ", "\t", "\xa0"])
+def _parse_csv_by_line(data: bytes) -> PairedSample:
+    """:func:`parse_csv` one line at a time: the judge of irregular input."""
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise CsvParseError(f"input is not UTF-8 text: {exc}") from exc
+    points: list[tuple[float, float]] = []
+    seen_content = False
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if not line:
+            continue
+        fields = [f.strip() for f in line.split(",")]
+        if not seen_content and fields == ["x", "y"]:
+            seen_content = True
+            continue
+        seen_content = True
+        if len(fields) != 2:
+            raise CsvParseError(
+                f"line {lineno}: expected 'x,y', got {raw!r}", line=lineno
+            )
+        try:
+            x, y = float(fields[0]), float(fields[1])
+        except ValueError as exc:
+            raise CsvParseError(
+                f"line {lineno}: could not parse numbers from {raw!r}", line=lineno
+            ) from exc
+        if not (math.isfinite(x) and math.isfinite(y)):
+            raise CsvParseError(
+                f"line {lineno}: non-finite value in {raw!r}", line=lineno
+            )
+        points.append((x, y))
+    if len(points) < 2:
+        raise InsufficientDataError(
+            f"need at least 2 data points, got {len(points)}"
+        )
+    return PairedSample.from_points(points)
+
+
+_pad = st.sampled_from(["", " ", "\t", "\xa0", "\x1f"])
 _number = st.one_of(
     st.floats(allow_nan=False, allow_infinity=False).map(repr),
     st.integers(-10**6, 10**6).map(str),
@@ -127,8 +165,16 @@ def _parse_outcome(parse, data):
 
 
 @given(csv_inputs())
+@example(b"1,2,3\n4\n")  # the field count adds up, the lines do not
+@example(b"0.5,1\x1f\n2,3\n")  # str.strip takes U+001F; float() alone does not
 def test_parse_csv_agrees_with_the_line_parser(data):
     assert _parse_outcome(parse_csv, data) == _parse_outcome(_parse_csv_by_line, data)
+    with contextlib.suppress(CsvParseError, InsufficientDataError):
+        points_json = parse_csv(data, echo=True)[1]
+        if points_json is not None:
+            # any echo text reads back to exactly the line parser's doubles
+            expected = _parse_csv_by_line(data).points()
+            assert _hex_points(json.loads(points_json)) == _hex_points(expected)
 
 
 def test_csv_round_trip():
@@ -379,8 +425,8 @@ def test_run_fits_a_one_ulp_step_at_1e155(tmp_path):
 
 
 def test_collinear_points_with_a_far_first_point_fit(tmp_path):
-    # accumulating about a first point 100 spreads from the rest rounds
-    # |cov| past sqrt(var_x*var_y); summarize clamps it back onto the bound
+    # a first point 100 spreads from the rest: |cov| must stay within
+    # sqrt(var_x*var_y), where summarize clamps it when rounding pushes past
     rng = random.Random(1)
     m, b = rng.uniform(-3.0, 3.0), rng.uniform(-5.0, 5.0)
     xs = [100.0] + [rng.random() for _ in range(4999)]

@@ -139,3 +139,15 @@ def test_collinearity_flag_tracks_generator_noise():
             NoisyLineSpec(slope=1.3, intercept=0.2, n=12, seed=3, noise=noise)
         )
         assert not compare(noisy).collinear
+
+
+def test_collinear_points_read_collinear_with_a_far_first_point():
+    # a first point 100 spreads from the rest must not cost the digits that
+    # the relative collinearity tolerance looks at
+    flags = []
+    for seed in range(200):
+        rng = random.Random(seed)
+        m, b = rng.uniform(-3.0, 3.0), rng.uniform(-5.0, 5.0)
+        xs = [100.0] + [rng.random() for _ in range(4999)]
+        flags.append(compare(PairedSample.from_xy(xs, [m * x + b for x in xs])).collinear)
+    assert flags.count(True) == 200

@@ -3,6 +3,7 @@ import math
 import pickle
 import random
 import sys
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -120,7 +121,9 @@ def test_mean_of_unit_spike():
 
 
 def test_mean_of_constant_sample():
-    assert mean(Sample((7.25,) * 9)) == 7.25
+    for k in (7.25, 0.1, 0.7, 123.456):
+        for n in (3, 5, 9, 10):
+            assert mean(Sample((k,) * n)) == k
 
 
 def test_mean_matches_sequential_oracle():
@@ -219,6 +222,19 @@ def test_summarize_accepts_large_magnitudes_with_finite_products(points):
     assert s.cov_xy == 0.0
     assert s.var_x * s.var_y == 0.0
     assert max(s.var_x, s.var_y) == pytest.approx(2e300 / 3.0, rel=1e-15)
+
+
+@pytest.mark.parametrize("xs", [
+    [1e308, 1e308],
+    [1.5e308, 1e308, 1.7e308, -1e300],
+    [1e308] * 5 + [5e-324],
+])
+def test_centroid_of_coordinates_whose_sum_overflows(xs):
+    p = PairedSample.from_xy(xs, [1.0] * len(xs))
+    mean_x, mean_y = p.centroid()
+    exact = float(sum(map(Fraction, xs)) / len(xs))
+    assert abs(mean_x - exact) <= math.ulp(exact)
+    assert mean_y == 1.0
 
 
 @pytest.mark.parametrize("scale", [1e-200, 1e-150, 1.0, 1e150])

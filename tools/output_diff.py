@@ -4,10 +4,10 @@
 
 For each side, in a subprocess, it runs `fit --json --svg` and
 `transform --rotate 0.3` on every corpus input, and the three `generate`
-shapes.  The corpus is a perfbench-style 1e5-point noisy line (seed 11) and a
-few small inputs at the edges of the line forms.  Every side after the first
-is compared with the first, output by output: the table (stdout), stderr,
-the exit code and the JSON and SVG files.  Each prints `same` or `different`;
+shapes.  The corpus is a perfbench-style 1e5-point noisy line (seed 11) and
+small inputs at the edges of the line forms and of the CSV grammar, valid and
+not.  Every side after the first is compared with the first, output by
+output: the table (stdout), stderr, the exit code and the JSON and SVG files.  Each prints `same` or `different`;
 a differing JSON names the key paths whose text differs, and a differing
 stdout or SVG names its differing rows or element classes.  For the SVG's
 fit paths it also gives how far apart the paths' ends are once each is
@@ -32,11 +32,18 @@ sys.path.insert(0, str(ROOT / "perfbench"))
 from inputs import noisy_line, rng_for, write_csv  # noqa: E402
 
 SMALL = {
-    "three": "0,0\n1,0\n2,1\n",
-    "vertical": "2,0\n2,1\n2,5\n",
-    "isotropic": "1,0\n0,1\n-1,0\n0,-1\n",
-    "steep-y": "1,2\n1.0000000000000002,0\n",
-    "flat-x": "2,1\n0,1.0000000000000002\n",
+    "three": b"0,0\n1,0\n2,1\n",
+    "vertical": b"2,0\n2,1\n2,5\n",
+    "isotropic": b"1,0\n0,1\n-1,0\n0,-1\n",
+    "steep-y": b"1,2\n1.0000000000000002,0\n",
+    "flat-x": b"2,1\n0,1.0000000000000002\n",
+    "blank-body": b"0.5,1.0\n\n1.50,2.5\n  \n3.0,2e0\n",
+    "spaced-header": b"\n x , y \n0.5,1.0\n1.50,2.5\n3.0,2e0\n",
+    "crlf": b"x,y\r\n0.5,1.0\r\n1.5,2.5\r\n3.0,2.0\r\n",
+    "integers": b"x,y\n1,2.5\n-0,3\n4,1e1\n",
+    "three-fields": b"0.5,1.0\n1.5,2.5,3.5\n3.0,2.0\n",
+    "nan": b"0.5,1.0\n1.5,nan\n3.0,2.0\n",
+    "non-utf8": b"0.5,1.0\n1.5,\xff2.5\n3.0,2.0\n",
 }
 GENERATE = {
     "circle": ["circle", "--n", "12"],
@@ -52,9 +59,9 @@ def corpus(work: Path) -> list[tuple[str, str, list[str], Path | None]]:
     big = work / "noisy-1e5.csv"
     write_csv(big, *noisy_line(rng_for(11, "cli-report-100k"), 100_000))
     inputs = {"noisy-1e5": big}
-    for name, text in SMALL.items():
+    for name, data in SMALL.items():
         inputs[name] = work / f"{name}.csv"
-        inputs[name].write_text(text)
+        inputs[name].write_bytes(data)
     runs = []
     for name, path in inputs.items():
         runs.append((name, "fit --json --svg", ["fit", "--json", "r.json", "--svg", "r.svg"], path))
@@ -152,7 +159,7 @@ def main() -> int:
                 for out in sorted(set(want) | set(got)):
                     verdict = describe(out, want.get(out, b""), got.get(out, b""))
                     differ |= verdict != "same"
-                    print(f"{name} vs {base[0]}  {input_name:<10} {command:<24} "
+                    print(f"{name} vs {base[0]}  {input_name:<13} {command:<24} "
                           f"{out:<6} {verdict}")
     return 1 if differ else 0
 
