@@ -24,7 +24,6 @@ from .fitters import (
     AllLinesThroughCentroid,
     FitReport,
     OrthogonalCase,
-    OrthogonalFit,
     UniqueLine,
     fit_d,
     fit_d_report,

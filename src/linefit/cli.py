@@ -10,8 +10,8 @@ Subcommands:
                 CSV, for shell-level invariance experiments.
 
 Exit codes: 0 success (at least one requested fit produced a result),
-1 stdout was closed before the output was written, 2 input error, 3 every
-requested fit failed its precondition.
+1 stdout was closed before the output was written, 2 input error or an
+unwritable output path, 3 every requested fit failed its precondition.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ import os
 import random
 import re
 import sys
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, astuple, dataclass
 from itertools import repeat
 from pathlib import Path
 from typing import NoReturn
@@ -35,7 +35,7 @@ from .errors import (
     InsufficientDataError,
     LineFitError,
 )
-from .fitters import FitReport, fit_d_report, fit_x, fit_y
+from .fitters import FitReport, UniqueLine, fit_d_report, fit_x, fit_y
 from .generators import (
     CircleSpec,
     NoisyLineSpec,
@@ -179,11 +179,6 @@ def render_json(report: dict, points_json: str | None = None) -> str:
 # ---------------------------------------------------------------------------
 # fitting orchestration
 
-# the slope and intercept attributes of the Y and X lines, and the oracle
-# grid search that checks them; the D row derives its slope from the normal form
-_NATURAL = {"Y": ("m", "b", "grid_min_y"), "X": ("mu", "beta", "grid_min_x")}
-
-
 def _fit_all(s: SummaryStats, methods):
     """Each method's FitReport, or the LineFitError its precondition raised."""
     fitters = {"Y": fit_y, "X": fit_x, "D": fit_d_report}  # per call: sees rebound globals
@@ -206,18 +201,13 @@ def _fit_json(outcome: FitReport | LineFitError) -> dict:
             "centroid": [line.centroid.x, line.centroid.y],
             "objective": line.objective,
         }
-    body: dict = {"status": "ok"}
-    if outcome.method in _NATURAL:
-        slope_attr, intercept_attr, _ = _NATURAL[outcome.method]
-        body[slope_attr] = getattr(line, slope_attr)
-        body[intercept_attr] = getattr(line, intercept_attr)
-    else:
-        body["theta"] = nf.theta
-        body["c"] = nf.c
-        body["case"] = line.case.tag
+    if isinstance(line, UniqueLine):
+        body = {"status": "ok", "theta": nf.theta, "c": nf.c, "case": line.case.tag}
         if line.case.e_ratio is not None:
             body["e_ratio"] = line.case.e_ratio
-    body["normal_form"] = {"theta": nf.theta, "c": nf.c}
+    else:  # the Y line's fields are m, b and the X line's mu, beta
+        body = {"status": "ok", **asdict(line)}
+    body["normal_form"] = asdict(nf)
     body["objective_min"] = outcome.objective_min
     return body
 
@@ -235,23 +225,20 @@ def _oracle_deltas(p: PairedSample, results: dict) -> dict:
     for method, report in results.items():
         if not isinstance(report, FitReport) or report.normal_form is None:
             continue
-        if method in _NATURAL:
-            slope_attr, intercept_attr, grid_min = _NATURAL[method]
-            slope, intercept, obj = getattr(oracle, grid_min)(p)
-            deltas[method.lower()] = {
-                "slope_delta": abs(getattr(report.line, slope_attr) - slope),
-                "intercept_delta": abs(getattr(report.line, intercept_attr) - intercept),
-                "objective_delta": abs(report.objective_min - obj),
-            }
-        else:
+        if method == "D":
             theta, c, obj = oracle.grid_min_d(p)
             nf = report.normal_form
             aligned_c = c if math.cos(nf.theta - theta) >= 0.0 else -c
-            deltas["d"] = {
-                "theta_delta": abs(math.remainder(nf.theta - theta, math.pi)),
-                "c_delta": abs(nf.c - aligned_c),
-                "objective_delta": abs(report.objective_min - obj),
-            }
+            delta = {"theta_delta": abs(math.remainder(nf.theta - theta, math.pi)),
+                     "c_delta": abs(nf.c - aligned_c)}
+        else:
+            grid_min = oracle.grid_min_y if method == "Y" else oracle.grid_min_x
+            slope, intercept, obj = grid_min(p)
+            fit_slope, fit_intercept = astuple(report.line)
+            delta = {"slope_delta": abs(fit_slope - slope),
+                     "intercept_delta": abs(fit_intercept - intercept)}
+        delta["objective_delta"] = abs(report.objective_min - obj)
+        deltas[method.lower()] = delta
     return deltas
 
 
@@ -265,10 +252,7 @@ def _table_lines(s: SummaryStats, results: dict, cmp: diagnostics.ComparisonRepo
     header = f"{'method':<8}{'slope':>14}{'intercept':>14}{'theta':>14}{'c':>14}{'objective':>14}"
     lines.append(header)
     lines.append("-" * len(header))
-    for method in ("Y", "X", "D"):
-        if method not in results:
-            continue
-        report = results[method]
+    for method, report in results.items():
         if not isinstance(report, FitReport):
             lines.append(f"{method:<8}({report})")
             continue
@@ -280,13 +264,11 @@ def _table_lines(s: SummaryStats, results: dict, cmp: diagnostics.ComparisonRepo
                 f"objective {_g6(line.objective)}"
             )
             continue
-        if method in _NATURAL:
-            slope_attr, intercept_attr, _ = _NATURAL[method]
-            slope, intercept = getattr(line, slope_attr), getattr(line, intercept_attr)
+        if method != "D":
+            slope, intercept = astuple(line)
         else:
             try:
-                si_line = normal_to_slope(nf)
-                slope, intercept = si_line.m, si_line.b
+                slope, intercept = astuple(normal_to_slope(nf))
             except LineFitError:
                 slope, intercept = None, None
         lines.append(
@@ -347,23 +329,26 @@ def run(config: RunConfig, out=None) -> int:
     for line in _table_lines(s, results, cmp, deltas):
         print(line, file=out)
 
-    if config.output_json is not None:
-        # without the input's own text, points go out as shortest reprs
-        report = {} if points_json is not None else {"points": points.points()}
-        report["stats"] = asdict(s)
-        report["fits"] = {m.lower(): _fit_json(results[m]) for m in config.methods}
-        report["comparison"] = _comparison_json(cmp)
-        if deltas is not None:
-            report["oracle"] = deltas
-        Path(config.output_json).write_text(
-            render_json(report, points_json), encoding="utf-8"
-        )
-
-    if config.output_svg is not None:
-        fit_rows = [(m, r if isinstance(r, FitReport) else None) for m, r in results.items()]
-        Path(config.output_svg).write_text(
-            render_svg(points, fit_rows), encoding="utf-8"
-        )
+    try:
+        if config.output_json is not None:
+            # without the input's own text, points go out as shortest reprs
+            report = {} if points_json is not None else {"points": points.points()}
+            report["stats"] = asdict(s)
+            report["fits"] = {m.lower(): _fit_json(results[m]) for m in config.methods}
+            report["comparison"] = _comparison_json(cmp)
+            if deltas is not None:
+                report["oracle"] = deltas
+            Path(config.output_json).write_text(
+                render_json(report, points_json), encoding="utf-8"
+            )
+        if config.output_svg is not None:
+            fitted = [(m, r) for m, r in results.items() if isinstance(r, FitReport)]
+            Path(config.output_svg).write_text(render_svg(points, fitted), encoding="utf-8")
+    except BrokenPipeError:
+        raise  # the reader left: exit 1 in main, as for stdout
+    except OSError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_INPUT_ERROR
 
     if any(isinstance(r, FitReport) for r in results.values()):
         return EXIT_OK
@@ -373,14 +358,13 @@ def run(config: RunConfig, out=None) -> int:
 # ---------------------------------------------------------------------------
 # argument parsing
 
-def _parse_pair(text: str, flag: str) -> tuple[float, float]:
-    parts = text.split(",")
-    if len(parts) != 2:
-        raise argparse.ArgumentTypeError(f"{flag} expects 'A,B', got {text!r}")
+def _pair(text: str) -> tuple[float, float]:
+    """An 'A,B' option value; argparse reports a malformed one."""
     try:
-        return float(parts[0]), float(parts[1])
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"{flag}: {exc}") from exc
+        a, b = map(float, text.split(","))
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected two numbers 'A,B', got {text!r}") from None
+    return a, b
 
 
 class _Parser(argparse.ArgumentParser):
@@ -423,7 +407,7 @@ def _build_parser() -> argparse.ArgumentParser:
     circle.add_argument("--n", type=int, required=True)
     circle.add_argument("--alpha", type=float, default=0.0, help="phase angle")
     circle.add_argument("--radius", type=float, default=1.0)
-    circle.add_argument("--center", type=str, default="0,0", metavar="X,Y")
+    circle.add_argument("--center", type=_pair, default=(0.0, 0.0), metavar="X,Y")
 
     ladder = gsub.add_parser(
         "parallel", help="symmetric rungs between two parallel lines"
@@ -450,11 +434,11 @@ def _build_parser() -> argparse.ArgumentParser:
     tr.add_argument("--rotate", type=float, metavar="PHI", help="rotation angle (radians)")
     tr.add_argument(
         "--center",
-        type=str,
+        type=_pair,
         metavar="X,Y",
         help="rotation center (default: sample centroid)",
     )
-    tr.add_argument("--translate", type=str, metavar="U,V", help="translation vector")
+    tr.add_argument("--translate", type=_pair, metavar="U,V", help="translation vector")
     return parser
 
 
@@ -473,10 +457,9 @@ def _cmd_fit(args) -> int:
 def _cmd_generate(args) -> int:
     try:
         if args.shape == "circle":
-            cx, cy = _parse_pair(args.center, "--center")
             points = gen_circle(
                 CircleSpec(n=args.n, phase=args.alpha, radius=args.radius,
-                           center=Point(cx, cy))
+                           center=Point(*args.center))
             )
         elif args.shape == "parallel":
             rng = random.Random(args.seed)
@@ -514,14 +497,10 @@ def _cmd_transform(args) -> int:
     try:
         points = parse_csv(_read_input(args.input))
         if args.rotate is not None:
-            center = None
-            if args.center:
-                cx, cy = _parse_pair(args.center, "--center")
-                center = Point(cx, cy)
+            center = None if args.center is None else Point(*args.center)
             points = apply_motion_points(points, Rotation(args.rotate, center))
         if args.translate is not None:
-            u, v = _parse_pair(args.translate, "--translate")
-            points = apply_motion_points(points, Translation(u, v))
+            points = apply_motion_points(points, Translation(*args.translate))
     except (LineFitError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR

@@ -9,10 +9,11 @@
 All minimizers are closed forms in the summary statistics, so each fit also
 takes a ``SummaryStats`` in place of the sample; given a sample, it reads the
 sample's cached ``summary``.  ``fit_y``, ``fit_x`` and ``fit_d_report``
-return a ``FitReport``, which also carries the line in normal form.  The
-perpendicular line runs along the major axis of the 2x2 covariance matrix, so
-its angle satisfies tan(2*theta) = 2*cov / (var_x - var_y); the sign pattern
-of the two sides only labels the case (I..VI) or flags the isotropic family.
+return a ``FitReport`` of the line and its minimum objective; the line's
+fields are the method's own parameters (m, b or mu, beta).  The perpendicular
+line runs along the major axis of the 2x2 covariance matrix, so its angle
+satisfies tan(2*theta) = 2*cov / (var_x - var_y); the sign pattern of the two
+sides only labels the case (I..VI) or flags the isotropic family.
 """
 
 from __future__ import annotations
@@ -34,12 +35,10 @@ from .geometry import (
 from .stats import PairedSample, SummaryStats
 
 __all__ = [
-    "CASE_TAGS",
     "ISOTROPIC",
     "OrthogonalCase",
     "UniqueLine",
     "AllLinesThroughCentroid",
-    "OrthogonalFit",
     "FitReport",
     "iso_tolerance",
     "resolve_case",
@@ -53,7 +52,6 @@ __all__ = [
 ]
 
 ISOTROPIC = "Isotropic"
-CASE_TAGS = ("I", "II", "III", "IV", "V", "VI", ISOTROPIC)
 
 
 @dataclass(frozen=True)
@@ -66,10 +64,6 @@ class OrthogonalCase:
 
     tag: str
     e_ratio: float | None = None
-
-    def __post_init__(self):
-        if self.tag not in CASE_TAGS:
-            raise ValueError(f"unknown case tag {self.tag!r}")
 
 
 @dataclass(frozen=True)
@@ -86,21 +80,16 @@ class AllLinesThroughCentroid:
     objective: float
 
 
-OrthogonalFit = Union[UniqueLine, AllLinesThroughCentroid]
-
-
 @dataclass(frozen=True)
 class FitReport:
-    """A fitted line bundled with its optimal objective and the input stats.
+    """A fitted line and its minimum objective.
 
     ``line`` is in the method's own form; ``normal_form`` is the same line in
     normal form, derived on first read, and None only for the isotropic family.
     """
 
-    method: str  # "Y", "X" or "D"
     line: Union[SlopeInterceptLine, InverseSlopeLine, UniqueLine, AllLinesThroughCentroid]
     objective_min: float
-    stats: SummaryStats
 
     @cached_property
     def normal_form(self) -> NormalLine | None:
@@ -135,7 +124,7 @@ def fit_y(data: PairedSample | SummaryStats) -> FitReport:
     m = s.cov_xy / s.var_x
     b = s.mean_y - m * s.mean_x
     objective = max(0.0, (s.var_x * s.var_y - s.cov_xy**2) / s.var_x)
-    return FitReport("Y", SlopeInterceptLine(m, b), objective, s)
+    return FitReport(SlopeInterceptLine(m, b), objective)
 
 
 def fit_x(data: PairedSample | SummaryStats) -> FitReport:
@@ -149,7 +138,7 @@ def fit_x(data: PairedSample | SummaryStats) -> FitReport:
     mu = s.cov_xy / s.var_y
     beta = s.mean_x - mu * s.mean_y
     objective = max(0.0, (s.var_x * s.var_y - s.cov_xy**2) / s.var_y)
-    return FitReport("X", InverseSlopeLine(mu, beta), objective, s)
+    return FitReport(InverseSlopeLine(mu, beta), objective)
 
 
 def resolve_case(s: SummaryStats) -> OrthogonalCase:
@@ -189,7 +178,7 @@ def _major_axis(s: SummaryStats) -> tuple[float, float]:
     return u, v
 
 
-def fit_d(data: PairedSample | SummaryStats) -> OrthogonalFit:
+def fit_d(data: PairedSample | SummaryStats) -> UniqueLine | AllLinesThroughCentroid:
     """Perpendicular-distance fit in normal form.
 
     Returns a :class:`UniqueLine` through the centroid, or
@@ -220,12 +209,12 @@ def _min_objective_d(s: SummaryStats) -> float:
 
 
 def fit_d_report(data: PairedSample | SummaryStats) -> FitReport:
-    """Perpendicular fit packaged with its minimum objective and statistics."""
+    """Perpendicular fit packaged with its minimum objective."""
     s = _stats(data)
     fit = fit_d(s)
     if isinstance(fit, AllLinesThroughCentroid):
-        return FitReport("D", fit, fit.objective, s)
-    return FitReport("D", fit, _min_objective_d(s), s)
+        return FitReport(fit, fit.objective)
+    return FitReport(fit, _min_objective_d(s))
 
 
 def objective_y(p: PairedSample, m: float, b: float) -> float:

@@ -30,22 +30,11 @@ _STYLES = {
 }
 
 
-_Points = PairedSample | Sequence[tuple[float, float]]
-
-
-def _columns(points: _Points) -> tuple[Sequence[float], Sequence[float]]:
-    """The x and the y values, read from a sample's own columns."""
-    if isinstance(points, PairedSample):
-        return points.xs.values, points.ys.values
-    xs, ys = zip(*points)
-    return xs, ys
-
-
 class _Frame:
     """Data-to-pixel mapping with equal aspect and a margin."""
 
-    def __init__(self, points: _Points):
-        xs, ys = _columns(points)
+    def __init__(self, p: PairedSample):
+        xs, ys = p.xs.values, p.ys.values
         x_lo, x_hi, y_lo, y_hi = min(xs), max(xs), min(ys), max(ys)
         self.cx = 0.5 * (x_hi + x_lo)
         self.cy = 0.5 * (y_hi + y_lo)
@@ -70,14 +59,9 @@ def _fmt(v: float) -> str:
     return f"{v:.2f}"
 
 
-def render_svg(points: _Points, fits: Sequence[tuple[str, FitReport | None]]) -> str:
-    """Build the SVG document.
-
-    ``points`` is a sample or a sequence of (x, y) pairs.  ``fits`` holds
-    (method, report) pairs; the report is None for a method that could not
-    be fitted.
-    """
-    frame = _Frame(points)
+def render_svg(p: PairedSample, fits: Sequence[tuple[str, FitReport]]) -> str:
+    """Build the SVG document of the sample and its (method, report) fits."""
+    frame = _Frame(p)
     parts = [
         '<?xml version="1.0" encoding="UTF-8"?>',
         f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
@@ -85,10 +69,7 @@ def render_svg(points: _Points, fits: Sequence[tuple[str, FitReport | None]]) ->
         f'viewBox="0 0 {WIDTH:.0f} {HEIGHT:.0f}">',
         f'<rect width="{WIDTH:.0f}" height="{HEIGHT:.0f}" fill="#ffffff"/>',
     ]
-    legend_row = 0
-    for method, report in fits:
-        if report is None:
-            continue
+    for legend_row, (method, report) in enumerate(fits):
         style, label = _STYLES[method]
         if report.normal_form is None:
             centroid = report.line.centroid
@@ -120,11 +101,10 @@ def render_svg(points: _Points, fits: Sequence[tuple[str, FitReport | None]]) ->
             f'<text x="12" y="{20 + 18 * legend_row}" font-size="13">'
             f"{method}: {label}</text>"
         )
-        legend_row += 1
     parts += [
         '<circle class="data-point" cx="%.2f" cy="%.2f" r="3" fill="#444444"/>'
         % frame.to_pixel(x, y)
-        for x, y in zip(*_columns(points))
+        for x, y in zip(p.xs.values, p.ys.values)
     ]
     parts.append("</svg>")
     return "\n".join(parts)

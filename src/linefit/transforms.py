@@ -30,9 +30,6 @@ __all__ = [
     "invariance_report",
 ]
 
-METHODS = ("Y", "X", "D")
-
-
 @dataclass(frozen=True)
 class Translation:
     u: float
@@ -127,7 +124,6 @@ class InvarianceReport:
     reports an infinite discrepancy.
     """
 
-    method: str
     motion: RigidMotion
     status: str
     line_from_transformed_data: object | None = None
@@ -151,18 +147,18 @@ def invariance_report(p: PairedSample, g: RigidMotion, method: str) -> Invarianc
     recorded in the report status, never raised.
     """
     if method not in _FITS:
-        raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")
+        raise ValueError(f"unknown method {method!r}; expected one of {tuple(_FITS)}")
     fit, from_normal = _FITS[method]
     g = _resolve_center(g, p)
     moved = apply_motion_points(p, g)
     try:
         original = fit(p)
     except LineFitError:
-        return InvarianceReport(method, g, STATUS_ORIGINAL_FIT_NONEXISTENT)
+        return InvarianceReport(g, STATUS_ORIGINAL_FIT_NONEXISTENT)
     try:
         actual = fit(moved)
     except LineFitError:
-        return InvarianceReport(method, g, STATUS_TRANSFORMED_FIT_NONEXISTENT)
+        return InvarianceReport(g, STATUS_TRANSFORMED_FIT_NONEXISTENT)
 
     if original.normal_form is None:  # isotropic D: two families compare centroids
         expected: object = AllLinesThroughCentroid(
@@ -184,13 +180,11 @@ def invariance_report(p: PairedSample, g: RigidMotion, method: str) -> Invarianc
                 expected = from_normal(expected)
             except LineFitError:
                 return InvarianceReport(
-                    method,
                     g,
                     STATUS_EXPECTED_NOT_REPRESENTABLE,
                     line_from_transformed_data=actual.line,
                 )
     return InvarianceReport(
-        method,
         g,
         STATUS_OK,
         line_from_transformed_data=actual.line,

@@ -384,6 +384,44 @@ def test_run_vertical_data_method_mix(tmp_path, capsys):
     assert abs(report["fits"]["d"]["theta"] - math.pi / 2) < 1e-12
 
 
+_OK_Y = ["status", "m", "b", "normal_form", "objective_min"]
+_OK_X = ["status", "mu", "beta", "normal_form", "objective_min"]
+_OK_D = ["status", "theta", "c", "case", "e_ratio", "normal_form", "objective_min"]
+_FAILED = ["status", "error"]
+
+
+@pytest.mark.parametrize("rows, y, x, d", [
+    ("0,0\n1,0\n2,1\n", _OK_Y, _OK_X, _OK_D),  # case I
+    ("0,0\n1,1\n2,2\n", _OK_Y, _OK_X, [k for k in _OK_D if k != "e_ratio"]),  # case V
+    ("1,0\n0,1\n-1,0\n0,-1\n", _OK_Y, _OK_X, ["status", "centroid", "objective"]),
+    ("2,0\n2,1\n2,5\n", _FAILED, _OK_X, _OK_D),
+    ("0,1\n1,1\n5,1\n", _OK_Y, _FAILED, _OK_D),
+])
+def test_json_report_keys_are_pinned(tmp_path, rows, y, x, d):
+    csv = tmp_path / "pts.csv"
+    csv.write_text(rows)
+    out_json = tmp_path / "report.json"
+    assert run(RunConfig(input=csv, output_json=out_json, oracle_check=True)) == 0
+    report = json.loads(out_json.read_text())
+    assert list(report) == ["points", "stats", "fits", "comparison", "oracle"]
+    assert list(report["stats"]) == ["n", "mean_x", "mean_y", "var_x", "var_y", "cov_xy"]
+    assert list(report["comparison"]) == [
+        "m", "m_x", "tan_theta", "ratio_bound", "ordering_e", "ordering_f",
+        "ordering_f_observed", "cs_gap", "collinear", "case",
+    ]
+    fits = report["fits"]
+    assert list(fits) == ["y", "x", "d"]
+    assert [list(fits["y"]), list(fits["x"]), list(fits["d"])] == [y, x, d]
+    for fit in fits.values():
+        if "normal_form" in fit:
+            assert list(fit["normal_form"]) == ["theta", "c"]
+    oracle = {"y": ["slope_delta", "intercept_delta", "objective_delta"],
+              "x": ["slope_delta", "intercept_delta", "objective_delta"],
+              "d": ["theta_delta", "c_delta", "objective_delta"]}
+    lines = [m for m in "yxd" if "normal_form" in fits[m]]
+    assert {m: list(v) for m, v in report["oracle"].items()} == {m: oracle[m] for m in lines}
+
+
 def test_run_missing_file_is_an_input_error(tmp_path):
     assert run(RunConfig(input=tmp_path / "nope.csv")) == 2
 
@@ -476,13 +514,13 @@ def test_flat_x_line_has_the_normal_form_of_y_and_d():
 def test_svg_frame_does_not_depend_on_the_units(scale):
     shape = [(0.0, 0.0), (3.0, 1.0), (1.0, 2.0), (2.0, 3.0)]
     def markers(points):
-        return [line for line in render_svg(points, []).splitlines()
+        return [line for line in render_svg(PairedSample.from_points(points), []).splitlines()
                 if 'class="data-point"' in line]
     assert markers([(x * scale, y * scale) for x, y in shape]) == markers(shape)
 
 
 def test_svg_draws_identical_points_at_the_centre():
-    for line in render_svg([(2.5, -1.5)] * 3, []).splitlines():
+    for line in render_svg(PairedSample.from_points([(2.5, -1.5)] * 3), []).splitlines():
         if 'class="data-point"' in line:
             assert 'cx="400.00" cy="300.00"' in line
 
@@ -496,17 +534,18 @@ def test_run_summarizes_once(tmp_path, summarize_calls):
 
 
 @given(st.lists(
-    st.tuples(st.floats(-1e6, 1e6), st.floats(-1e6, 1e6)), min_size=1, max_size=30
+    st.tuples(st.floats(-1e6, 1e6), st.floats(-1e6, 1e6)), min_size=2, max_size=30
 ))
 def test_render_svg_data_points_match_per_point_reference(points):
-    frame = _Frame(points)
+    p = PairedSample.from_points(points)
+    frame = _Frame(p)
     expected = []
     for x, y in points:
         px, py = frame.to_pixel(x, y)
         expected.append(
             f'<circle class="data-point" cx="{px:.2f}" cy="{py:.2f}" r="3" fill="#444444"/>'
         )
-    rendered = render_svg(points, []).splitlines()
+    rendered = render_svg(p, []).splitlines()
     assert [line for line in rendered if 'class="data-point"' in line] == expected
 
 
@@ -569,6 +608,56 @@ def test_closed_stdout_exits_1_without_a_traceback(args):
         os.close(write_end)
     assert r.returncode == 1
     assert r.stderr == b""
+
+
+@pytest.mark.parametrize("flag", ["--json", "--svg"])
+def test_unwritable_output_path_exits_2_with_a_message(tmp_path, flag):
+    csv = tmp_path / "pts.csv"
+    csv.write_text(THREE_CSV)
+    target = tmp_path / "missing-dir" / "out"
+    r = run_cli(["fit", "--input", str(csv), flag, str(target)])
+    assert r.returncode == 2
+    assert r.stderr.startswith("error: ") and "Traceback" not in r.stderr
+    assert str(target) in r.stderr
+    assert r.stdout.startswith("method")  # the table is printed before the files
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/stdout"), reason="needs /dev/stdout")
+def test_report_into_a_closed_stdout_exits_1_without_a_message():
+    # `--json /dev/stdout` writes the report through its own handle; a reader
+    # that left makes that write, too, a broken pipe rather than an input error
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(SRC) + os.pathsep + env.get("PYTHONPATH", "")
+    env.pop("PYTHONUNBUFFERED", None)  # the table waits in the buffer, the report goes first
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        r = subprocess.run(
+            [sys.executable, "-m", "linefit", "fit", "--json", "/dev/stdout"],
+            input=THREE_CSV.encode(),
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            env=env,
+            cwd=REPO,
+        )
+    finally:
+        os.close(write_end)
+    assert r.returncode == 1
+    assert r.stderr == b""
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["transform", "--rotate", "0.3", "--center", "1,2,3"], "--center"),
+    (["transform", "--translate", "a,b"], "--translate"),
+    (["generate", "circle", "--n", "5", "--center", "1"], "--center"),
+    (["generate", "circle", "--n", "5", "--center="], "--center"),
+])
+def test_malformed_pair_is_a_usage_error(capsys, argv, flag):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert f"error: argument {flag}: expected two numbers 'A,B'" in err
 
 
 @pytest.mark.parametrize("command, flag, value", [

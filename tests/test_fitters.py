@@ -666,20 +666,20 @@ def test_normal_form_is_the_reported_line():
     ]
     families = 0
     for p in samples:
-        for fit in (fit_y, fit_x, fit_d_report):
+        for method, fit in (("Y", fit_y), ("X", fit_x), ("D", fit_d_report)):
             try:
                 report = fit(p)
             except (VerticalDataError, HorizontalDataError):
                 continue
             line, nf = report.line, report.normal_form
             if isinstance(line, AllLinesThroughCentroid):
-                assert report.method == "D" and nf is None
+                assert method == "D" and nf is None
                 families += 1
                 continue
-            if report.method == "Y":
+            if method == "Y":
                 want = slope_to_normal(line)
                 on_line = [(x, line.y_at(x)) for x in (-1.0, 1.0)]
-            elif report.method == "X":
+            elif method == "X":
                 want = inverse_slope_to_normal(line)
                 on_line = [(line.x_at(y), y) for y in (-1.0, 1.0)]
             else:
