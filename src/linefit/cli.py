@@ -367,6 +367,17 @@ def _pair(text: str) -> tuple[float, float]:
     return a, b
 
 
+def _angle(text: str) -> float:
+    """A finite angle in radians; cos and sin of inf or nan are no rotation."""
+    try:
+        phi = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
+    if not math.isfinite(phi):
+        raise argparse.ArgumentTypeError(f"expected a finite angle, got {text!r}")
+    return phi
+
+
 class _Parser(argparse.ArgumentParser):
     """Reads ``-1e-3`` or ``-0.0,0`` (a minus, then a digit) as a value where
     argparse reads an option; add_subparsers gives every subcommand this class."""
@@ -405,7 +416,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     circle = gsub.add_parser("circle", help="evenly spaced points on a circle")
     circle.add_argument("--n", type=int, required=True)
-    circle.add_argument("--alpha", type=float, default=0.0, help="phase angle")
+    circle.add_argument("--alpha", type=_angle, default=0.0, help="phase angle")
     circle.add_argument("--radius", type=float, default=1.0)
     circle.add_argument("--center", type=_pair, default=(0.0, 0.0), metavar="X,Y")
 
@@ -431,7 +442,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     tr = sub.add_parser("transform", help="rigidly move a CSV point set")
     tr.add_argument("--input", default="-", help="CSV file path ('-' = stdin)")
-    tr.add_argument("--rotate", type=float, metavar="PHI", help="rotation angle (radians)")
+    tr.add_argument("--rotate", type=_angle, metavar="PHI", help="rotation angle (radians)")
     tr.add_argument(
         "--center",
         type=_pair,

@@ -169,17 +169,25 @@ def summarize(p: PairedSample) -> SummaryStats:
         sxy += dx * dy
     mean_dx = sx / n
     mean_dy = sy / n
-    var_x = max(0.0, sxx / n - mean_dx * mean_dx)
-    var_y = max(0.0, syy / n - mean_dy * mean_dy)
-    # on collinear data, rounding can push |cov| past sqrt(var_x*var_y),
-    # which no genuine sample exceeds
-    cov_xy = sxy / n - mean_dx * mean_dy
+    return _checked(n, mean_x, mean_y, sxx / n - mean_dx * mean_dx,
+                    syy / n - mean_dy * mean_dy, sxy / n - mean_dx * mean_dy)
+
+
+def _checked(n: int, mean_x: float, mean_y: float,
+             var_x: float, var_y: float, cov_xy: float) -> SummaryStats:
+    """``SummaryStats`` of moments that carry rounding error, kept to what a
+    genuine sample satisfies: a variance that rounded below 0.0 is 0.0, and
+    |cov_xy| is at most sqrt(var_x)*sqrt(var_y), which rounding on collinear
+    data can exceed.  Raises :class:`InvalidSampleError` when the statistics
+    overflow."""
+    finite = all(map(math.isfinite, (mean_x, mean_y, var_x, var_y, cov_xy)))
+    var_x, var_y = max(0.0, var_x), max(0.0, var_y)
     bound = math.sqrt(var_x) * math.sqrt(var_y)
     if abs(cov_xy) > bound:
         cov_xy = math.copysign(bound, cov_xy)
     # the fit objectives and diagnostics square cov_xy and multiply var_x by
     # var_y, so those have to stay finite too
-    if not all(map(math.isfinite, (sxx, syy, sxy, cov_xy * cov_xy, var_x * var_y))):
+    if not (finite and math.isfinite(cov_xy * cov_xy) and math.isfinite(var_x * var_y)):
         raise InvalidSampleError(
             "coordinates too large in magnitude: their sums of squares and "
             "products overflow a double"

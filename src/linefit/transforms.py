@@ -5,6 +5,17 @@ methods.  Rotating the data rotates only the perpendicular-distance line the
 same way; the vertical- and horizontal-offset lines generally end up somewhere
 else.  ``invariance_report`` quantifies that: it compares the line fitted to
 the moved data against the moved original line.
+
+Every fit is a function of the five statistics, and they move in closed form,
+so ``invariance_report`` moves the summary, never the points.  A translation
+by (u, v) adds (u, v) to the means and keeps the central moments.  A rotation
+by phi moves the mean as a point and turns the covariance matrix S to
+R S R^T: in half-angle form t = (var_x + var_y)/2 stays fixed, the pair
+(d, cov_xy) with d = (var_x - var_y)/2 turns by 2*phi, and then
+var_x = t + d, var_y = t - d.  No moved coordinate is formed, so data far
+from the origin keeps its digits: moving each point would round it to the
+ulp of its new position.  ``apply_motion_points`` moves the points
+themselves, for ``linefit transform`` and the generators.
 """
 
 from __future__ import annotations
@@ -14,9 +25,9 @@ from dataclasses import dataclass
 from typing import Union
 
 from .errors import LineFitError
-from .fitters import AllLinesThroughCentroid, fit_d_report, fit_x, fit_y
+from .fitters import AllLinesThroughCentroid, _stats, fit_d_report, fit_x, fit_y
 from .geometry import NormalLine, Point, normal_to_inverse_slope, normal_to_slope
-from .stats import PairedSample
+from .stats import PairedSample, SummaryStats, _checked
 
 __all__ = [
     "Translation",
@@ -52,9 +63,13 @@ class Rotation:
 RigidMotion = Union[Translation, Rotation]
 
 
-def _resolve_center(g: RigidMotion, p: PairedSample) -> RigidMotion:
+def _resolve_center(g: RigidMotion, data: PairedSample | SummaryStats) -> RigidMotion:
+    """The motion with a missing rotation centre set to the data's centroid:
+    a summary's means, which are ``PairedSample.centroid()``."""
     if isinstance(g, Rotation) and g.center is None:
-        return Rotation(g.phi, Point(*p.centroid()))
+        if isinstance(data, SummaryStats):
+            return Rotation(g.phi, Point(data.mean_x, data.mean_y))
+        return Rotation(g.phi, Point(*data.centroid()))
     return g
 
 
@@ -83,6 +98,19 @@ def apply_motion_points(p: PairedSample, g: RigidMotion) -> PairedSample:
         xs.append(cx + dx * co - dy * si)
         ys.append(cy + dx * si + dy * co)
     return PairedSample.from_xy(xs, ys)
+
+
+def _move_summary(s: SummaryStats, g: RigidMotion) -> SummaryStats:
+    """The statistics of the sample moved by ``g``, whose centre is set, in
+    closed form from the sample's own (see the module docstring)."""
+    if isinstance(g, Translation):
+        return _checked(s.n, s.mean_x + g.u, s.mean_y + g.v, s.var_x, s.var_y, s.cov_xy)
+    mean = apply_motion_point(Point(s.mean_x, s.mean_y), g)
+    co, si = math.cos(g.phi), math.sin(g.phi)
+    co2, si2 = (co - si) * (co + si), 2.0 * co * si
+    t, d = (s.var_x + s.var_y) / 2.0, (s.var_x - s.var_y) / 2.0
+    d, cov = co2 * d - si2 * s.cov_xy, si2 * d + co2 * s.cov_xy
+    return _checked(s.n, mean.x, mean.y, t + d, t - d, cov)
 
 
 def transform_line(line: NormalLine, g: RigidMotion) -> NormalLine:
@@ -140,23 +168,30 @@ _FITS = {
 }
 
 
-def invariance_report(p: PairedSample, g: RigidMotion, method: str) -> InvarianceReport:
+def invariance_report(
+    data: PairedSample | SummaryStats, g: RigidMotion, method: str
+) -> InvarianceReport:
     """Fit the moved sample and compare against the moved original fit.
 
-    Fit preconditions that fail (vertical data for Y, horizontal for X) are
+    Like the fits, it takes a sample or its ``SummaryStats``, and it reads
+    only the statistics: the moved sample's statistics come from the
+    original's in closed form (see the module docstring), so a report costs
+    O(1) once the sample is summarized.  A rotation without a centre turns
+    about the summary's means.  Fit preconditions that fail (vertical data
+    for Y, horizontal for X), and moved statistics that overflow, are
     recorded in the report status, never raised.
     """
     if method not in _FITS:
         raise ValueError(f"unknown method {method!r}; expected one of {tuple(_FITS)}")
     fit, from_normal = _FITS[method]
-    g = _resolve_center(g, p)
-    moved = apply_motion_points(p, g)
     try:
-        original = fit(p)
-    except LineFitError:
-        return InvarianceReport(g, STATUS_ORIGINAL_FIT_NONEXISTENT)
+        s = _stats(data)
+        g = _resolve_center(g, s)
+        original = fit(s)
+    except LineFitError:  # a sample whose statistics overflow turns about its centroid
+        return InvarianceReport(_resolve_center(g, data), STATUS_ORIGINAL_FIT_NONEXISTENT)
     try:
-        actual = fit(moved)
+        actual = fit(_move_summary(s, g))
     except LineFitError:
         return InvarianceReport(g, STATUS_TRANSFORMED_FIT_NONEXISTENT)
 

@@ -660,6 +660,25 @@ def test_malformed_pair_is_a_usage_error(capsys, argv, flag):
     assert f"error: argument {flag}: expected two numbers 'A,B'" in err
 
 
+@pytest.mark.parametrize("value", ["inf", "nan", "-inf"])
+@pytest.mark.parametrize("command, flag", [
+    (["transform"], "--rotate"),
+    (["generate", "circle", "--n", "5"], "--alpha"),
+])
+def test_non_finite_angle_is_a_usage_error(tmp_path, capsys, command, flag, value):
+    # cos(inf) raises, and cos(nan) would turn every point into nan
+    if command[0] == "transform":
+        src = tmp_path / "in.csv"
+        src.write_text(THREE_CSV)
+        command = command + ["--input", str(src)]
+    with pytest.raises(SystemExit) as exc:
+        main(command + [f"{flag}={value}"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert f"error: argument {flag}: expected a finite angle, got '{value}'" in captured.err
+    assert captured.out == ""
+
+
 @pytest.mark.parametrize("command, flag, value", [
     (["generate", "circle", "--n", "7"], "--center", "-0.0,0"),
     (["generate", "noisy-line"], "--slope", "-2e-1"),

@@ -370,7 +370,7 @@ def test_one_sample_is_summarized_once_across_fits(summarize_calls):
     for method in "YXD":
         invariance_report(p, Rotation(0.3), method)
     assert sum(c is p for c in summarize_calls) == 1
-    assert len(summarize_calls) == 4  # plus one per moved sample, fitted once each
+    assert len(summarize_calls) == 1  # invariance_report moves the summary, not the points
 
 
 # --- invariants ------------------------------------------------------------------

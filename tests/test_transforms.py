@@ -2,6 +2,7 @@ import functools
 import math
 import operator
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -11,8 +12,11 @@ from linefit.geometry import NormalLine, Point
 from linefit.stats import PairedSample, summarize
 from linefit.transforms import (
     STATUS_OK,
+    STATUS_TRANSFORMED_FIT_NONEXISTENT,
     Rotation,
     Translation,
+    _move_summary,
+    _resolve_center,
     apply_motion_points,
     invariance_report,
     line_discrepancy,
@@ -300,3 +304,101 @@ def test_anisotropy_ratio_follows_tangent_addition():
         want = (e0 + t2) / (1.0 - e0 * t2)
         assert abs(e1 - want) <= 1e-8 * (abs(want) + 1.0)
         checked += 1
+
+
+# --- moved statistics ----------------------------------------------------------------
+
+def _exact_moments(points):
+    """(mean_x, mean_y, var_x, var_y, cov_xy) of Fraction points, exactly."""
+    n = len(points)
+    mx = sum(x for x, _ in points) / n
+    my = sum(y for _, y in points) / n
+    vx = sum((x - mx) ** 2 for x, _ in points) / n
+    vy = sum((y - my) ** 2 for _, y in points) / n
+    cxy = sum((x - mx) * (y - my) for x, y in points) / n
+    return mx, my, vx, vy, cxy
+
+
+def _exactly_moved(p, g):
+    """The sample's points moved in rational arithmetic, with the double
+    cos(phi) and sin(phi) that every rotation in the package uses."""
+    pts = [(Fraction(x), Fraction(y)) for x, y in p.points()]
+    if isinstance(g, Translation):
+        return [(x + Fraction(g.u), y + Fraction(g.v)) for x, y in pts]
+    co, si = Fraction(math.cos(g.phi)), Fraction(math.sin(g.phi))
+    cx, cy = Fraction(g.center.x), Fraction(g.center.y)
+    return [(cx + (x - cx) * co - (y - cy) * si, cy + (x - cx) * si + (y - cy) * co)
+            for x, y in pts]
+
+
+@pytest.mark.parametrize("offset", [0.0, 1.6e9, 1e12])
+def test_moved_summary_matches_the_exact_moments_of_the_moved_points(offset):
+    rng = random.Random(31)
+    for trial in range(24):
+        n = rng.randint(2, 30)
+        slope = rng.uniform(-3, 3)
+        us = [rng.uniform(-10, 10) for _ in range(n)]
+        p = PairedSample.from_xy(
+            [offset + u for u in us],
+            [offset + slope * u + rng.uniform(-1, 1) for u in us],
+        )
+        s = p.summary
+        phi = rng.uniform(-math.pi, math.pi)
+        g = [
+            Rotation(phi),
+            Rotation(phi, ORIGIN),
+            Rotation(phi, Point(offset + rng.uniform(-20, 20), offset + rng.uniform(-20, 20))),
+            Translation(rng.uniform(-1e3, 1e3), rng.uniform(-1e3, 1e3)),
+        ][trial % 4]
+        g = _resolve_center(g, s)
+        got = _move_summary(s, g)
+        mx, my, vx, vy, cxy = _exact_moments(_exactly_moved(p, g))
+        centre = [mx, my, Fraction(s.mean_x), Fraction(s.mean_y)]
+        if isinstance(g, Rotation):
+            centre += [Fraction(g.center.x), Fraction(g.center.y)]
+        scale = max(map(abs, centre)) + Fraction(math.sqrt(float(vx + vy)))
+        assert got.n == p.n
+        assert abs(Fraction(got.mean_x) - mx) <= Fraction(1e-15) * scale
+        assert abs(Fraction(got.mean_y) - my) <= Fraction(1e-15) * scale
+        for value, exact in ((got.var_x, vx), (got.var_y, vy), (got.cov_xy, cxy)):
+            assert abs(Fraction(value) - exact) <= Fraction(1e-14) * (vx + vy)
+
+
+def test_far_d_refit_turns_with_the_data():
+    # x ~ 1.6e9 (Unix timestamps) turned about the origin: moving each point
+    # would round it to the offset's ulp, ~2e-7, and cost ~8 digits of the
+    # spread's moments; the moved summary keeps the angle to the last bits
+    rng = random.Random(32)
+    for _ in range(200):
+        us = [rng.uniform(-10, 10) for _ in range(32)]
+        slope = rng.uniform(-3, 3)
+        p = PairedSample.from_xy(
+            [1.6e9 + u for u in us], [slope * u + rng.uniform(-1, 1) for u in us]
+        )
+        report = invariance_report(p, Rotation(rng.uniform(-math.pi, math.pi), ORIGIN), "D")
+        assert report.status == STATUS_OK
+        dt = report.line_from_transformed_data.line.theta - report.expected_if_invariant.theta
+        assert abs(math.sin(dt)) <= 1e-12
+
+
+def test_moved_statistics_that_overflow_leave_no_fit():
+    # the statistics of the sample are finite; turned by pi/4, var_x*var_y
+    # and cov**2 are ~1e599, which the fits would square or multiply
+    p = PairedSample.from_points([(0.0, 0.0), (1e150, 1e-150), (2e150, 0.0)])
+    for method in "YXD":
+        report = invariance_report(p, Rotation(math.pi / 4), method)
+        assert report.status == STATUS_TRANSFORMED_FIT_NONEXISTENT
+        assert report.line_from_transformed_data is None
+
+
+@pytest.mark.parametrize("method", ["Y", "X", "D"])
+def test_invariance_report_takes_the_summary(summarize_calls, method):
+    rng = random.Random(33)
+    p = random_sample(rng)
+    s = summarize(p)
+    for g in (Rotation(0.9), Rotation(-2.0, Point(1.0, 3.0)), Translation(4.0, -1.0)):
+        from_summary = invariance_report(s, g, method)
+        assert from_summary == invariance_report(p, g, method)
+        if isinstance(g, Rotation) and g.center is None:
+            assert from_summary.motion.center == Point(s.mean_x, s.mean_y)
+    assert summarize_calls == [p]  # p.summary; no moved sample is summarized
