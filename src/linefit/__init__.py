@@ -67,12 +67,3 @@ from .transforms import (
 )
 
 __version__ = "0.1.0"
-
-
-def __getattr__(name: str):
-    # PEP 562: the grid oracle needs numpy, so load it on first use, not here
-    if name in ("GridSpec", "grid_min_d", "grid_min_x", "grid_min_y"):
-        from . import oracle
-
-        return getattr(oracle, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -66,7 +66,6 @@ class RunConfig:
     methods: tuple[str, ...] = ("Y", "X", "D")
     output_json: Path | None = None
     output_svg: Path | None = None
-    oracle_check: bool = False
 
     def __post_init__(self):
         if not self.methods:
@@ -218,36 +217,11 @@ def _comparison_json(cmp: diagnostics.ComparisonReport) -> dict:
     return body
 
 
-def _oracle_deltas(p: PairedSample, results: dict) -> dict:
-    from . import oracle  # numpy; loaded only when --oracle asks for it
-
-    deltas: dict[str, dict] = {}
-    for method, report in results.items():
-        if not isinstance(report, FitReport) or report.normal_form is None:
-            continue
-        if method == "D":
-            theta, c, obj = oracle.grid_min_d(p)
-            nf = report.normal_form
-            aligned_c = c if math.cos(nf.theta - theta) >= 0.0 else -c
-            delta = {"theta_delta": abs(math.remainder(nf.theta - theta, math.pi)),
-                     "c_delta": abs(nf.c - aligned_c)}
-        else:
-            grid_min = oracle.grid_min_y if method == "Y" else oracle.grid_min_x
-            slope, intercept, obj = grid_min(p)
-            fit_slope, fit_intercept = astuple(report.line)
-            delta = {"slope_delta": abs(fit_slope - slope),
-                     "intercept_delta": abs(fit_intercept - intercept)}
-        delta["objective_delta"] = abs(report.objective_min - obj)
-        deltas[method.lower()] = delta
-    return deltas
-
-
 def _g6(v: float | None) -> str:
     return "-" if v is None else format(v, ".6g")
 
 
-def _table_lines(s: SummaryStats, results: dict, cmp: diagnostics.ComparisonReport,
-                 oracle_deltas: dict | None) -> list[str]:
+def _table_lines(s: SummaryStats, results: dict, cmp: diagnostics.ComparisonReport) -> list[str]:
     lines: list[str] = []
     header = f"{'method':<8}{'slope':>14}{'intercept':>14}{'theta':>14}{'c':>14}{'objective':>14}"
     lines.append(header)
@@ -293,10 +267,6 @@ def _table_lines(s: SummaryStats, results: dict, cmp: diagnostics.ComparisonRepo
         f"(case {cmp.case_tag}, collinear={str(cmp.collinear).lower()}, "
         f"cs_gap={_g6(cmp.cs_gap)})"
     )
-    if oracle_deltas is not None:
-        for method, d in oracle_deltas.items():
-            pairs = "  ".join(f"{k}={_g6(v)}" for k, v in d.items())
-            lines.append(f"oracle[{method}]: {pairs}")
     if isinstance(results.get("X"), FitReport):
         lines.append("note: X slope/intercept are mu and beta in x = mu*y + beta")
     return lines
@@ -324,9 +294,8 @@ def run(config: RunConfig, out=None) -> int:
 
     results = _fit_all(s, config.methods)
     cmp = diagnostics.compare(s)
-    deltas = _oracle_deltas(points, results) if config.oracle_check else None
 
-    for line in _table_lines(s, results, cmp, deltas):
+    for line in _table_lines(s, results, cmp):
         print(line, file=out)
 
     try:
@@ -336,8 +305,6 @@ def run(config: RunConfig, out=None) -> int:
             report["stats"] = asdict(s)
             report["fits"] = {m.lower(): _fit_json(results[m]) for m in config.methods}
             report["comparison"] = _comparison_json(cmp)
-            if deltas is not None:
-                report["oracle"] = deltas
             Path(config.output_json).write_text(
                 render_json(report, points_json), encoding="utf-8"
             )
@@ -379,12 +346,13 @@ def _angle(text: str) -> float:
 
 
 class _Parser(argparse.ArgumentParser):
-    """Reads ``-1e-3`` or ``-0.0,0`` (a minus, then a digit) as a value where
-    argparse reads an option; add_subparsers gives every subcommand this class."""
+    """Reads ``-1e-3``, ``-0.0,0`` (a minus, then a digit) and the ``-inf``,
+    ``-infinity`` and ``-nan`` that float() takes as a value where argparse
+    reads an option; add_subparsers gives every subcommand this class."""
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
-        self._negative_number_matcher = re.compile(r"^-\.?\d")
+        self._negative_number_matcher = re.compile(r"^-(\.?\d|(inf(inity)?|nan)$)", re.I)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -405,11 +373,6 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     fit.add_argument("--json", metavar="PATH", help="write a JSON report here")
     fit.add_argument("--svg", metavar="PATH", help="write an SVG figure here")
-    fit.add_argument(
-        "--oracle",
-        action="store_true",
-        help="also run the brute-force grid oracle and report deltas",
-    )
 
     gen = sub.add_parser("generate", help="emit a benchmark dataset as CSV")
     gsub = gen.add_subparsers(dest="shape", required=True)
@@ -460,7 +423,6 @@ def _cmd_fit(args) -> int:
         methods=methods,
         output_json=Path(args.json) if args.json else None,
         output_svg=Path(args.svg) if args.svg else None,
-        oracle_check=args.oracle,
     )
     return run(config)
 

@@ -1,9 +1,10 @@
-"""Brute-force grid minimizers used to validate the closed-form fits.
+"""Test support: brute-force grid minimizers that check the closed-form fits.
 
-These never feed production paths; they exist so the test suite can check the
-fitters against an optimizer that knows nothing about the minimization
-algebra.  Each search evaluates the raw mean-squared-residual objective on a
-grid and repeatedly re-grids a shrunken bracket around the incumbent optimum.
+The package never imports this module, and pytest does not collect it;
+``test_oracle.py`` and the acceptance suite import it to check the fitters
+against an optimizer that knows nothing about the minimization algebra.
+Each search evaluates the raw mean-squared-residual objective on a grid and
+repeatedly re-grids a shrunken bracket around the incumbent optimum.
 
 The angle search is one-dimensional because the optimal offset for any angle
 is fixed by the centroid (c = mean_x*sin(theta) - mean_y*cos(theta)); that
@@ -19,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .stats import PairedSample
+from linefit.stats import PairedSample
 
 __all__ = [
     "GridSpec",

@@ -15,6 +15,7 @@ import xml.etree.ElementTree as ET
 from pathlib import Path
 
 import pytest
+from grid_oracle import grid_min_d, grid_min_x, grid_min_y
 
 from linefit.diagnostics import ORDERING_HOLDS, compare
 from linefit.errors import VerticalDataError
@@ -34,7 +35,6 @@ from linefit.generators import (
     gen_parallel,
 )
 from linefit.geometry import Point
-from linefit.oracle import grid_min_d, grid_min_x, grid_min_y
 from linefit.stats import PairedSample, Sample, summarize
 from linefit.transforms import Rotation, Translation, invariance_report
 

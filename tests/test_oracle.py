@@ -2,10 +2,10 @@ import math
 import random
 
 import pytest
+from grid_oracle import DEFAULT_GRID, PLANAR_GRID, GridSpec, grid_min_d, grid_min_x, grid_min_y
 
 from linefit.fitters import fit_d_report, fit_x, fit_y, objective_d
 from linefit.generators import CircleSpec, gen_circle
-from linefit.oracle import DEFAULT_GRID, PLANAR_GRID, GridSpec, grid_min_d, grid_min_x, grid_min_y
 from linefit.stats import PairedSample, summarize
 
 THREE_POINTS = PairedSample.from_points([(0, 0), (1, 0), (2, 1)])
@@ -113,7 +113,7 @@ def test_closed_form_is_a_lower_bound_for_the_oracle():
 def test_chunked_plane_evaluation_matches_single_pass(monkeypatch):
     # force many small chunks through the 2D search and require the exact
     # same optimum as the one-chunk evaluation
-    import linefit.oracle as oracle_mod
+    import grid_oracle as oracle_mod
 
     rng = random.Random(53)
     p = PairedSample.from_xy(
