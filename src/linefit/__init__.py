@@ -5,6 +5,11 @@ closed form in the summary statistics.  The perpendicular fit is the only one
 that is invariant under rotations of the data and the only one that never
 fails on degenerate input; when the statistics are isotropic it reports the
 whole family of lines through the centroid instead of picking one.
+
+Every record (points, lines, samples, reports, dataset specifications) is an
+immutable named tuple whose constructor checks its fields; ``_make`` and
+``_replace`` build the tuple directly and skip those checks.  A record equals
+any tuple of the same values, whatever its type, and hashes as that tuple.
 """
 
 from .diagnostics import ComparisonReport, compare
@@ -35,15 +40,6 @@ from .fitters import (
     objective_y,
     resolve_case,
 )
-from .generators import (
-    CircleSpec,
-    NoisyLineSpec,
-    SlantedLadder,
-    VerticalLadder,
-    gen_circle,
-    gen_noisy_line,
-    gen_parallel,
-)
 from .geometry import (
     InverseSlopeLine,
     NormalLine,
@@ -67,3 +63,14 @@ from .transforms import (
 )
 
 __version__ = "0.1.0"
+
+_GENERATORS = {"CircleSpec", "NoisyLineSpec", "SlantedLadder", "VerticalLadder",
+               "gen_circle", "gen_noisy_line", "gen_parallel"}
+
+
+def __getattr__(name):
+    # PEP 562: only `linefit generate` needs the generators, so they load on first use
+    if name in _GENERATORS:
+        from . import generators
+        return getattr(generators, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

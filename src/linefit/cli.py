@@ -20,13 +20,10 @@ import argparse
 import json
 import math
 import os
-import random
 import re
 import sys
-from dataclasses import asdict, astuple, dataclass
-from itertools import repeat
-from pathlib import Path
-from typing import NoReturn
+from collections import namedtuple
+from itertools import chain, repeat
 
 from . import diagnostics
 from .errors import (
@@ -36,15 +33,6 @@ from .errors import (
     LineFitError,
 )
 from .fitters import FitReport, UniqueLine, fit_d_report, fit_x, fit_y
-from .generators import (
-    CircleSpec,
-    NoisyLineSpec,
-    SlantedLadder,
-    VerticalLadder,
-    gen_circle,
-    gen_noisy_line,
-    gen_parallel,
-)
 from .geometry import Point, normal_to_slope
 from .stats import PairedSample, Sample, SummaryStats
 from .svg import render_svg
@@ -58,21 +46,23 @@ EXIT_INPUT_ERROR = 2
 EXIT_NO_METHOD_SUCCEEDED = 3
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """One fitting run: a CSV path ('-' = stdin) and at least one method."""
+class RunConfig(namedtuple("RunConfig", "input methods output_json output_svg")):
+    """One fitting run: a CSV path ('-' = stdin) and at least one method.
 
-    input: str | Path
-    methods: tuple[str, ...] = ("Y", "X", "D")
-    output_json: Path | None = None
-    output_svg: Path | None = None
+    A path is a ``str`` or an ``os.PathLike`` such as ``pathlib.Path``.
+    """
 
-    def __post_init__(self):
-        if not self.methods:
+    __slots__ = ()
+
+    def __new__(cls, input: str | os.PathLike, methods: tuple[str, ...] = ("Y", "X", "D"),
+                output_json: str | os.PathLike | None = None,
+                output_svg: str | os.PathLike | None = None):
+        if not methods:
             raise ValueError("at least one method must be selected")
-        for m in self.methods:
+        for m in methods:
             if m not in ("Y", "X", "D"):
                 raise ValueError(f"unknown method {m!r}")
+        return super().__new__(cls, input, methods, output_json, output_svg)
 
 
 # ---------------------------------------------------------------------------
@@ -133,9 +123,10 @@ def _values(joined: str) -> tuple[list[float], bool]:
     return list(map(float, map(str.strip, joined.split(",")))), False
 
 
-def _explain(data: bytes, header: bool) -> NoReturn:
+def _explain(data: bytes, header: bool) -> None:
     """Raise the error of the first line of UTF-8 ``data`` that :func:`parse_csv`
-    cannot accept; ``header`` says whether the first non-blank line is the header."""
+    cannot accept; never returns.  ``header`` says whether the first non-blank
+    line is the header."""
     lines = enumerate(data.decode("utf-8").splitlines(), start=1)
     numbered = [(lineno, raw) for lineno, raw in lines if raw.strip()]
     for lineno, raw in numbered[1:] if header else numbered:
@@ -154,8 +145,10 @@ def _explain(data: bytes, header: bool) -> NoReturn:
 
 
 def render_csv(p: PairedSample) -> str:
-    # 17 significant digits round-trip any double exactly
-    return "x,y\n" + "".join(["%.17g,%.17g\n" % xy for xy in p.points()])
+    # 17 significant digits round-trip any double exactly; one format call
+    # over the interleaved coordinates builds no string per point
+    xy = tuple(chain.from_iterable(zip(p.xs.values, p.ys.values)))
+    return ("x,y\n" + "%.17g,%.17g\n" * p.n) % xy
 
 
 # ---------------------------------------------------------------------------
@@ -205,14 +198,14 @@ def _fit_json(outcome: FitReport | LineFitError) -> dict:
         if line.case.e_ratio is not None:
             body["e_ratio"] = line.case.e_ratio
     else:  # the Y line's fields are m, b and the X line's mu, beta
-        body = {"status": "ok", **asdict(line)}
-    body["normal_form"] = asdict(nf)
+        body = {"status": "ok", **line._asdict()}
+    body["normal_form"] = nf._asdict()
     body["objective_min"] = outcome.objective_min
     return body
 
 
 def _comparison_json(cmp: diagnostics.ComparisonReport) -> dict:
-    body = asdict(cmp)
+    body = cmp._asdict()
     body["case"] = body.pop("case_tag")
     return body
 
@@ -239,10 +232,10 @@ def _table_lines(s: SummaryStats, results: dict, cmp: diagnostics.ComparisonRepo
             )
             continue
         if method != "D":
-            slope, intercept = astuple(line)
+            slope, intercept = line
         else:
             try:
-                slope, intercept = astuple(normal_to_slope(nf))
+                slope, intercept = normal_to_slope(nf)
             except LineFitError:
                 slope, intercept = None, None
         lines.append(
@@ -272,10 +265,16 @@ def _table_lines(s: SummaryStats, results: dict, cmp: diagnostics.ComparisonRepo
     return lines
 
 
-def _read_input(path: str | Path) -> bytes:
+def _read_input(path: str | os.PathLike) -> bytes:
     if str(path) == "-":
         return sys.stdin.buffer.read()
-    return Path(path).read_bytes()
+    with open(path, "rb") as f:
+        return f.read()
+
+
+def _write_text(path: str | os.PathLike, text: str) -> None:
+    with open(path, "w", encoding="utf-8") as f:
+        f.write(text)
 
 
 def run(config: RunConfig, out=None) -> int:
@@ -302,15 +301,13 @@ def run(config: RunConfig, out=None) -> int:
         if config.output_json is not None:
             # without the input's own text, points go out as shortest reprs
             report = {} if points_json is not None else {"points": points.points()}
-            report["stats"] = asdict(s)
+            report["stats"] = s._asdict()
             report["fits"] = {m.lower(): _fit_json(results[m]) for m in config.methods}
             report["comparison"] = _comparison_json(cmp)
-            Path(config.output_json).write_text(
-                render_json(report, points_json), encoding="utf-8"
-            )
+            _write_text(config.output_json, render_json(report, points_json))
         if config.output_svg is not None:
             fitted = [(m, r) for m, r in results.items() if isinstance(r, FitReport)]
-            Path(config.output_svg).write_text(render_svg(points, fitted), encoding="utf-8")
+            _write_text(config.output_svg, render_svg(points, fitted))
     except BrokenPipeError:
         raise  # the reader left: exit 1 in main, as for stdout
     except OSError as exc:
@@ -325,24 +322,38 @@ def run(config: RunConfig, out=None) -> int:
 # ---------------------------------------------------------------------------
 # argument parsing
 
+def _finite(text: str) -> float:
+    """A finite number option value; argparse names the option of a bad one.
+
+    Options take no inf or nan: cos and sin of them are no rotation, and a
+    generated coordinate would be no point."""
+    try:
+        v = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
+    if not math.isfinite(v):
+        raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
+    return v
+
+
+def _half_width(text: str) -> float:
+    """A finite h whose interval [-h, h], which values are drawn from, has a
+    finite width too."""
+    h = _finite(text)
+    if not math.isfinite(2.0 * h):
+        raise argparse.ArgumentTypeError(f"{text!r} is too large: twice it overflows a double")
+    return h
+
+
 def _pair(text: str) -> tuple[float, float]:
-    """An 'A,B' option value; argparse reports a malformed one."""
+    """An 'A,B' option value of two finite numbers; argparse reports a bad one."""
     try:
         a, b = map(float, text.split(","))
     except ValueError:
         raise argparse.ArgumentTypeError(f"expected two numbers 'A,B', got {text!r}") from None
+    if not (math.isfinite(a) and math.isfinite(b)):
+        raise argparse.ArgumentTypeError(f"expected two finite numbers 'A,B', got {text!r}")
     return a, b
-
-
-def _angle(text: str) -> float:
-    """A finite angle in radians; cos and sin of inf or nan are no rotation."""
-    try:
-        phi = float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
-    if not math.isfinite(phi):
-        raise argparse.ArgumentTypeError(f"expected a finite angle, got {text!r}")
-    return phi
 
 
 class _Parser(argparse.ArgumentParser):
@@ -379,33 +390,33 @@ def _build_parser() -> argparse.ArgumentParser:
 
     circle = gsub.add_parser("circle", help="evenly spaced points on a circle")
     circle.add_argument("--n", type=int, required=True)
-    circle.add_argument("--alpha", type=_angle, default=0.0, help="phase angle")
-    circle.add_argument("--radius", type=float, default=1.0)
+    circle.add_argument("--alpha", type=_finite, default=0.0, help="phase angle")
+    circle.add_argument("--radius", type=_finite, default=1.0)
     circle.add_argument("--center", type=_pair, default=(0.0, 0.0), metavar="X,Y")
 
     ladder = gsub.add_parser(
         "parallel", help="symmetric rungs between two parallel lines"
     )
-    ladder.add_argument("--A", type=float, help="half gap of a vertical ladder")
-    ladder.add_argument("--M", type=float, help="slope of a slanted ladder")
-    ladder.add_argument("--B", type=float, help="intercept offset of a slanted ladder")
+    ladder.add_argument("--A", type=_finite, help="half gap of a vertical ladder")
+    ladder.add_argument("--M", type=_finite, help="slope of a slanted ladder")
+    ladder.add_argument("--B", type=_finite, help="intercept offset of a slanted ladder")
     ladder.add_argument("--n", type=int, default=25, help="rungs per line")
     ladder.add_argument("--seed", type=int, default=0)
     ladder.add_argument(
-        "--spread", type=float, default=30.0, help="rung positions span [-spread, spread]"
+        "--spread", type=_half_width, default=30.0, help="rung positions span [-spread, spread]"
     )
 
     noisy = gsub.add_parser("noisy-line", help="seeded noisy points along a line")
-    noisy.add_argument("--slope", type=float, required=True)
-    noisy.add_argument("--intercept", type=float, default=0.0)
+    noisy.add_argument("--slope", type=_finite, required=True)
+    noisy.add_argument("--intercept", type=_finite, default=0.0)
     noisy.add_argument("--n", type=int, default=30)
     noisy.add_argument("--seed", type=int, default=0)
-    noisy.add_argument("--noise", type=float, default=0.1)
-    noisy.add_argument("--span", type=float, default=10.0, help="x in [-span, span]")
+    noisy.add_argument("--noise", type=_half_width, default=0.1)
+    noisy.add_argument("--span", type=_half_width, default=10.0, help="x in [-span, span]")
 
     tr = sub.add_parser("transform", help="rigidly move a CSV point set")
     tr.add_argument("--input", default="-", help="CSV file path ('-' = stdin)")
-    tr.add_argument("--rotate", type=_angle, metavar="PHI", help="rotation angle (radians)")
+    tr.add_argument("--rotate", type=_finite, metavar="PHI", help="rotation angle (radians)")
     tr.add_argument(
         "--center",
         type=_pair,
@@ -421,13 +432,18 @@ def _cmd_fit(args) -> int:
     config = RunConfig(
         input=args.input,
         methods=methods,
-        output_json=Path(args.json) if args.json else None,
-        output_svg=Path(args.svg) if args.svg else None,
+        output_json=args.json or None,
+        output_svg=args.svg or None,
     )
     return run(config)
 
 
 def _cmd_generate(args) -> int:
+    import random
+
+    from .generators import (CircleSpec, NoisyLineSpec, SlantedLadder, VerticalLadder,
+                             gen_circle, gen_noisy_line, gen_parallel)
+
     try:
         if args.shape == "circle":
             points = gen_circle(

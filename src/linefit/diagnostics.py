@@ -15,7 +15,7 @@ that ordering is only guaranteed under the gate condition
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .fitters import ISOTROPIC, _major_axis, _stats, resolve_case
 from .stats import PairedSample, SummaryStats
@@ -49,26 +49,20 @@ def _finite(v: float) -> float | None:
     return v if math.isfinite(v) else None
 
 
-@dataclass(frozen=True)
-class ComparisonReport:
+class ComparisonReport(namedtuple("ComparisonReport", (
+        "m m_x tan_theta ratio_bound ordering_e ordering_f ordering_f_observed "
+        "cs_gap collinear case_tag"))):
     """Slopes, bounds and orderings; absent values are encoded as None.
 
     ``m`` is missing on vertical data, ``m_x`` when the covariance it divides
     by is zero relative to sqrt(var_x*var_y), and ``tan_theta`` is the string
     "all" in the isotropic case and None when the perpendicular fit is exactly
     vertical.  A slope or bound that overflows (subnormal variance) is None.
+    ``ordering_f_observed`` is a bool or None, ``collinear`` a bool and the
+    rest are floats or strings.
     """
 
-    m: float | None
-    m_x: float | None
-    tan_theta: float | str | None
-    ratio_bound: float | None
-    ordering_e: str
-    ordering_f: str
-    ordering_f_observed: bool | None
-    cs_gap: float
-    collinear: bool
-    case_tag: str
+    __slots__ = ()
 
 
 def compare(data: PairedSample | SummaryStats) -> ComparisonReport:

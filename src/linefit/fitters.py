@@ -19,9 +19,8 @@ sides only labels the case (I..VI) or flags the isotropic family.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import cached_property
-from typing import Union
 
 from .errors import HorizontalDataError, VerticalDataError
 from .geometry import (
@@ -32,7 +31,7 @@ from .geometry import (
     inverse_slope_to_normal,
     slope_to_normal,
 )
-from .stats import PairedSample, SummaryStats
+from .stats import PairedSample, SummaryStats, _immutable
 
 __all__ = [
     "ISOTROPIC",
@@ -54,42 +53,39 @@ __all__ = [
 ISOTROPIC = "Isotropic"
 
 
-@dataclass(frozen=True)
-class OrthogonalCase:
+class OrthogonalCase(namedtuple("OrthogonalCase", "tag e_ratio", defaults=(None,))):
     """Sign-pattern case of the perpendicular fit.
 
     ``e_ratio`` is 2*cov / (var_x - var_y); it is present exactly for cases
     I..IV, where the variances differ.
     """
 
-    tag: str
-    e_ratio: float | None = None
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class UniqueLine:
-    line: NormalLine
-    case: OrthogonalCase
+class UniqueLine(namedtuple("UniqueLine", "line case")):
+    """The perpendicular fit's one ``NormalLine`` and its ``OrthogonalCase``."""
+
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class AllLinesThroughCentroid:
+class AllLinesThroughCentroid(namedtuple("AllLinesThroughCentroid", "centroid objective")):
     """Isotropic outcome: every line through the centroid shares the objective."""
 
-    centroid: Point
-    objective: float
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class FitReport:
+class FitReport(namedtuple("FitReport", "line objective_min")):
     """A fitted line and its minimum objective.
 
-    ``line`` is in the method's own form; ``normal_form`` is the same line in
-    normal form, derived on first read, and None only for the isotropic family.
+    ``line`` is in the method's own form: a ``SlopeInterceptLine``,
+    ``InverseSlopeLine``, ``UniqueLine`` or ``AllLinesThroughCentroid``.
+    ``normal_form`` is the same line in normal form, derived on first read
+    and kept in the instance dict (so no ``__slots__``), and None only for
+    the isotropic family.
     """
 
-    line: Union[SlopeInterceptLine, InverseSlopeLine, UniqueLine, AllLinesThroughCentroid]
-    objective_min: float
+    __setattr__ = _immutable
 
     @cached_property
     def normal_form(self) -> NormalLine | None:

@@ -15,8 +15,7 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
-from typing import Union
+from collections import namedtuple
 
 from .errors import GenerationError
 from .geometry import Point
@@ -35,29 +34,27 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class VerticalLadder:
+class VerticalLadder(namedtuple("VerticalLadder", "half_gap rungs")):
     """Rungs between the vertical lines x = half_gap and x = -half_gap.
 
-    ``rungs`` are the y positions; they must actually spread out
+    ``rungs`` are the y positions, a ``Sample``; they must actually spread out
     (var(rungs) > 0).  The perpendicular fit returns the vertical mid-line
     x = 0 when var(rungs) > half_gap^2, the horizontal line y = mean(rungs)
     when var(rungs) < half_gap^2, and every line through (0, mean(rungs)) at
     the transition.
     """
 
-    half_gap: float
-    rungs: Sample
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not (self.half_gap > 0.0):
-            raise GenerationError(f"half_gap must be positive, got {self.half_gap!r}")
-        if variance(self.rungs) <= 0.0:
+    def __new__(cls, half_gap: float, rungs: Sample):
+        if not (half_gap > 0.0):
+            raise GenerationError(f"half_gap must be positive, got {half_gap!r}")
+        if variance(rungs) <= 0.0:
             raise GenerationError("ladder rungs must have positive variance")
+        return super().__new__(cls, half_gap, rungs)
 
 
-@dataclass(frozen=True)
-class SlantedLadder:
+class SlantedLadder(namedtuple("SlantedLadder", "slope offset rungs")):
     """Rungs between y = slope*x + offset and y = slope*x - offset.
 
     ``rungs`` are the x positions of the points on the upper line; the lower
@@ -67,38 +64,35 @@ class SlantedLadder:
     draws the mid-line exactly when var(rungs) > offset^2/(slope^2+1)^2.
     """
 
-    slope: float
-    offset: float
-    rungs: Sample
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not (self.offset > 0.0):
-            raise GenerationError(f"offset must be positive, got {self.offset!r}")
-        if not math.isfinite(self.slope):
-            raise GenerationError(f"slope must be finite, got {self.slope!r}")
-
-
-ParallelSpec = Union[VerticalLadder, SlantedLadder]
+    def __new__(cls, slope: float, offset: float, rungs: Sample):
+        if not (offset > 0.0):
+            raise GenerationError(f"offset must be positive, got {offset!r}")
+        if not math.isfinite(slope):
+            raise GenerationError(f"slope must be finite, got {slope!r}")
+        return super().__new__(cls, slope, offset, rungs)
 
 
-@dataclass(frozen=True)
-class CircleSpec:
+# the classes a ladder specification may be, for isinstance
+ParallelSpec = (VerticalLadder, SlantedLadder)
+
+
+class CircleSpec(namedtuple("CircleSpec", "n phase radius center")):
     """n points at angles phase + 2*pi*i/n, i = 1..n, on the given circle."""
 
-    n: int
-    phase: float = 0.0
-    radius: float = 1.0
-    center: Point = Point(0.0, 0.0)
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.n < 3:
-            raise GenerationError(f"a circle sample needs n >= 3, got {self.n}")
-        if not (self.radius > 0.0):
-            raise GenerationError(f"radius must be positive, got {self.radius!r}")
+    def __new__(cls, n: int, phase: float = 0.0, radius: float = 1.0,
+                center: Point = Point(0.0, 0.0)):
+        if n < 3:
+            raise GenerationError(f"a circle sample needs n >= 3, got {n}")
+        if not (radius > 0.0):
+            raise GenerationError(f"radius must be positive, got {radius!r}")
+        return super().__new__(cls, n, phase, radius, center)
 
 
-@dataclass(frozen=True)
-class NoisyLineSpec:
+class NoisyLineSpec(namedtuple("NoisyLineSpec", "slope intercept n seed x_span noise")):
     """Points on y = slope*x + intercept plus bounded uniform noise on y.
 
     The pseudo-random stream is fully determined by ``seed``; per point, an x
@@ -106,20 +100,17 @@ class NoisyLineSpec:
     (-noise, noise).
     """
 
-    slope: float
-    intercept: float
-    n: int
-    seed: int
-    x_span: tuple[float, float] = (-10.0, 10.0)
-    noise: float = 0.1
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.n < 2:
-            raise GenerationError(f"need at least 2 points, got {self.n}")
-        if self.x_span[0] >= self.x_span[1]:
-            raise GenerationError(f"empty x_span {self.x_span!r}")
-        if self.noise < 0.0:
-            raise GenerationError(f"noise must be nonnegative, got {self.noise!r}")
+    def __new__(cls, slope: float, intercept: float, n: int, seed: int,
+                x_span: tuple[float, float] = (-10.0, 10.0), noise: float = 0.1):
+        if n < 2:
+            raise GenerationError(f"need at least 2 points, got {n}")
+        if x_span[0] >= x_span[1]:
+            raise GenerationError(f"empty x_span {x_span!r}")
+        if noise < 0.0:
+            raise GenerationError(f"noise must be nonnegative, got {noise!r}")
+        return super().__new__(cls, slope, intercept, n, seed, x_span, noise)
 
 
 def gen_parallel(spec: ParallelSpec) -> PairedSample:

@@ -12,7 +12,7 @@ Three line forms are used throughout:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .errors import InvalidLineError, NotRepresentableError
 
@@ -41,69 +41,63 @@ def _require_finite(name: str, *values: float) -> None:
             raise InvalidLineError(f"{name} requires finite parameters, got {v!r}")
 
 
-@dataclass(frozen=True)
-class Point:
-    x: float
-    y: float
+class Point(namedtuple("Point", "x y")):
+    """A point with finite coordinates."""
 
-    def __post_init__(self):
-        object.__setattr__(self, "x", float(self.x))
-        object.__setattr__(self, "y", float(self.y))
-        _require_finite("Point", self.x, self.y)
+    __slots__ = ()
+
+    def __new__(cls, x: float, y: float):
+        x, y = float(x), float(y)
+        _require_finite("Point", x, y)
+        return super().__new__(cls, x, y)
 
 
-@dataclass(frozen=True)
-class SlopeInterceptLine:
+class SlopeInterceptLine(namedtuple("SlopeInterceptLine", "m b")):
     """y = m*x + b."""
 
-    m: float
-    b: float
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "m", float(self.m))
-        object.__setattr__(self, "b", float(self.b))
-        _require_finite("SlopeInterceptLine", self.m, self.b)
+    def __new__(cls, m: float, b: float):
+        m, b = float(m), float(b)
+        _require_finite("SlopeInterceptLine", m, b)
+        return super().__new__(cls, m, b)
 
     def y_at(self, x: float) -> float:
         return self.m * x + self.b
 
 
-@dataclass(frozen=True)
-class InverseSlopeLine:
+class InverseSlopeLine(namedtuple("InverseSlopeLine", "mu beta")):
     """x = mu*y + beta."""
 
-    mu: float
-    beta: float
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "mu", float(self.mu))
-        object.__setattr__(self, "beta", float(self.beta))
-        _require_finite("InverseSlopeLine", self.mu, self.beta)
+    def __new__(cls, mu: float, beta: float):
+        mu, beta = float(mu), float(beta)
+        _require_finite("InverseSlopeLine", mu, beta)
+        return super().__new__(cls, mu, beta)
 
     def x_at(self, y: float) -> float:
         return self.mu * y + self.beta
 
 
-@dataclass(frozen=True)
-class NormalLine:
+class NormalLine(namedtuple("NormalLine", "theta c")):
     """x*sin(theta) - y*cos(theta) = c, with theta in (-pi/2, pi/2].
 
     Use :meth:`canonical` when the angle may fall outside that range; a shift
     by pi describes the same point set with the sign of c flipped.
     """
 
-    theta: float
-    c: float
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "theta", float(self.theta))
-        object.__setattr__(self, "c", float(self.c))
-        _require_finite("NormalLine", self.theta, self.c)
-        if not (-_HALF_PI < self.theta <= _HALF_PI):
+    def __new__(cls, theta: float, c: float):
+        theta, c = float(theta), float(c)
+        _require_finite("NormalLine", theta, c)
+        if not (-_HALF_PI < theta <= _HALF_PI):
             raise InvalidLineError(
-                f"theta must lie in (-pi/2, pi/2], got {self.theta!r}; "
+                f"theta must lie in (-pi/2, pi/2], got {theta!r}; "
                 "use NormalLine.canonical to renormalize"
             )
+        return super().__new__(cls, theta, c)
 
     @classmethod
     def canonical(cls, theta: float, c: float) -> "NormalLine":

@@ -15,9 +15,9 @@ suite.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
+from collections.abc import Iterable, Sequence
 from functools import cached_property
-from typing import Iterable, Sequence
 
 from .errors import InvalidSampleError, SampleMismatchError
 
@@ -32,14 +32,18 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class Sample:
+def _immutable(self, name: str, value) -> None:
+    """``__setattr__`` of the records whose dict only caches a property."""
+    raise AttributeError(f"cannot set {name!r}: a {type(self).__name__} is immutable")
+
+
+class Sample(namedtuple("Sample", "values")):
     """An immutable vector of at least two finite coordinates."""
 
-    values: tuple[float, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        vals = tuple(map(float, self.values))
+    def __new__(cls, values: Iterable[float]):
+        vals = tuple(map(float, values))
         if len(vals) < 2:
             raise InvalidSampleError(
                 f"a sample needs at least 2 values, got {len(vals)}"
@@ -49,25 +53,27 @@ class Sample:
             raise InvalidSampleError(
                 f"sample value at index {i} is not finite: {v!r}"
             )
-        object.__setattr__(self, "values", vals)
+        return super().__new__(cls, vals)
 
     @property
     def n(self) -> int:
         return len(self.values)
 
 
-@dataclass(frozen=True)
-class PairedSample:
-    """Two equal-length coordinate vectors describing points (x_i, y_i)."""
+class PairedSample(namedtuple("PairedSample", "xs ys")):
+    """Two equal-length coordinate vectors describing points (x_i, y_i).
 
-    xs: Sample
-    ys: Sample
+    No ``__slots__``: the cached ``summary`` lives in the instance dict.
+    """
 
-    def __post_init__(self):
-        if self.xs.n != self.ys.n:
+    __setattr__ = _immutable
+
+    def __new__(cls, xs: Sample, ys: Sample):
+        if xs.n != ys.n:
             raise SampleMismatchError(
-                f"x and y samples differ in length: {self.xs.n} vs {self.ys.n}"
+                f"x and y samples differ in length: {xs.n} vs {ys.n}"
             )
+        return super().__new__(cls, xs, ys)
 
     @classmethod
     def from_points(cls, points: Iterable[Sequence[float]]) -> "PairedSample":
@@ -96,8 +102,7 @@ class PairedSample:
         return summarize(self)
 
 
-@dataclass(frozen=True)
-class SummaryStats:
+class SummaryStats(namedtuple("SummaryStats", "n mean_x mean_y var_x var_y cov_xy")):
     """Sufficient statistics of a paired sample, all central moments.
 
     ``cov_xy**2 <= var_x * var_y`` holds for any genuine sample (equality
@@ -105,23 +110,20 @@ class SummaryStats:
     combinations that violate it beyond a relative rounding allowance.
     """
 
-    n: int
-    mean_x: float
-    mean_y: float
-    var_x: float
-    var_y: float
-    cov_xy: float
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.var_x < 0.0 or self.var_y < 0.0:
+    def __new__(cls, n: int, mean_x: float, mean_y: float,
+                var_x: float, var_y: float, cov_xy: float):
+        if var_x < 0.0 or var_y < 0.0:
             raise ValueError(
-                f"variances must be nonnegative: var_x={self.var_x}, var_y={self.var_y}"
+                f"variances must be nonnegative: var_x={var_x}, var_y={var_y}"
             )
         # square roots first, so tiny variances cannot underflow the bound
-        if abs(self.cov_xy) > (1.0 + 1e-12) * math.sqrt(self.var_x) * math.sqrt(self.var_y):
+        if abs(cov_xy) > (1.0 + 1e-12) * math.sqrt(var_x) * math.sqrt(var_y):
             raise ValueError(
                 "inconsistent statistics: cov_xy^2 > var_x*var_y beyond tolerance"
             )
+        return super().__new__(cls, n, mean_x, mean_y, var_x, var_y, cov_xy)
 
 
 def mean(s: Sample) -> float:

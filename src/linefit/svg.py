@@ -12,7 +12,7 @@ fit is drawn as a marked centroid with a note, not as a line.
 from __future__ import annotations
 
 import math
-from typing import Sequence
+from collections.abc import Sequence
 
 from .fitters import FitReport
 from .stats import PairedSample

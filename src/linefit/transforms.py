@@ -21,8 +21,7 @@ themselves, for ``linefit transform`` and the generators.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Union
+from collections import namedtuple
 
 from .errors import LineFitError
 from .fitters import AllLinesThroughCentroid, _stats, fit_d_report, fit_x, fit_y
@@ -41,26 +40,26 @@ __all__ = [
     "invariance_report",
 ]
 
-@dataclass(frozen=True)
-class Translation:
-    u: float
-    v: float
+
+class Translation(namedtuple("Translation", "u v")):
+    """Translation by the vector (u, v)."""
+
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Rotation:
-    """Rotation by ``phi`` about ``center``.
+class Rotation(namedtuple("Rotation", "phi center", defaults=(None,))):
+    """Rotation by ``phi`` about ``center``, a ``Point``.
 
     ``center=None`` means "the centroid of whatever sample this motion is
     applied to"; operations without a sample in hand (``apply_motion_point``,
     ``transform_line``) require an explicit center.
     """
 
-    phi: float
-    center: Point | None = None
+    __slots__ = ()
 
 
-RigidMotion = Union[Translation, Rotation]
+# the classes a rigid motion may be, for isinstance
+RigidMotion = (Translation, Rotation)
 
 
 def _resolve_center(g: RigidMotion, data: PairedSample | SummaryStats) -> RigidMotion:
@@ -143,8 +142,9 @@ STATUS_TRANSFORMED_FIT_NONEXISTENT = "transformed-fit-nonexistent"
 STATUS_EXPECTED_NOT_REPRESENTABLE = "expected-line-not-representable"
 
 
-@dataclass(frozen=True)
-class InvarianceReport:
+class InvarianceReport(namedtuple("InvarianceReport", (
+        "motion status line_from_transformed_data expected_if_invariant discrepancy"),
+        defaults=(None, None, None))):
     """Outcome of the fit-then-move vs move-then-fit comparison.
 
     ``discrepancy`` is present only for status "ok".  For the D method a pair
@@ -152,11 +152,7 @@ class InvarianceReport:
     reports an infinite discrepancy.
     """
 
-    motion: RigidMotion
-    status: str
-    line_from_transformed_data: object | None = None
-    expected_if_invariant: object | None = None
-    discrepancy: float | None = None
+    __slots__ = ()
 
 
 # each method's fitter, and the rewrite of a normal-form line into the

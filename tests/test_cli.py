@@ -670,7 +670,34 @@ def test_non_finite_angle_is_a_usage_error(tmp_path, capsys, command, flag, valu
         main(command + [f"{flag}={value}"])
     assert exc.value.code == 2
     captured = capsys.readouterr()
-    assert f"error: argument {flag}: expected a finite angle, got '{value}'" in captured.err
+    assert f"error: argument {flag}: expected a finite number, got '{value}'" in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("args, flag, message", [
+    (["parallel", "--A", "1", "--spread", "1e308"], "--spread",
+     "'1e308' is too large: twice it overflows a double"),
+    (["parallel", "--A", "1", "--spread", "inf"], "--spread", "expected a finite number"),
+    (["parallel", "--A", "1", "--spread", "nan"], "--spread", "expected a finite number"),
+    (["parallel", "--A", "inf"], "--A", "expected a finite number"),
+    (["parallel", "--M", "1", "--B", "inf"], "--B", "expected a finite number"),
+    (["noisy-line", "--slope", "1", "--span", "1e308"], "--span",
+     "'1e308' is too large: twice it overflows a double"),
+    (["noisy-line", "--slope", "1", "--span", "inf"], "--span", "expected a finite number"),
+    (["noisy-line", "--slope", "1", "--noise", "inf"], "--noise", "expected a finite number"),
+    (["noisy-line", "--slope", "inf"], "--slope", "expected a finite number"),
+    (["circle", "--n", "5", "--radius", "inf"], "--radius", "expected a finite number"),
+    (["circle", "--n", "5", "--center", "inf,0"], "--center",
+     "expected two finite numbers 'A,B'"),
+])
+def test_non_finite_generate_option_is_a_usage_error_that_names_it(capsys, args, flag,
+                                                                   message):
+    # each used to fail later, naming an internal sample: "sample value at index 0"
+    with pytest.raises(SystemExit) as exc:
+        main(["generate"] + args)
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert f"error: argument {flag}: {message}" in captured.err
     assert captured.out == ""
 
 
@@ -690,7 +717,7 @@ def test_negative_non_finite_angle_after_its_flag_names_the_angle(tmp_path, caps
         main(command + [flag, value])
     assert exc.value.code == 2
     captured = capsys.readouterr()
-    assert f"error: argument {flag}: expected a finite angle, got '{value}'" in captured.err
+    assert f"error: argument {flag}: expected a finite number, got '{value}'" in captured.err
     assert captured.out == ""
 
 
@@ -748,14 +775,19 @@ def test_cli_transform_round_trip(tmp_path):
     assert parse_csv(translated.stdout.encode()).points()[0] == (1.0, 2.0)
 
 
-def test_importing_the_cli_loads_no_numpy():
+def test_importing_the_cli_loads_only_what_a_run_needs():
+    # -S: a site .pth file may import some of these before linefit does
     env = dict(os.environ)
     env["PYTHONPATH"] = str(SRC) + os.pathsep + env.get("PYTHONPATH", "")
-    code = "import sys, linefit, linefit.cli; print('numpy' in sys.modules)"
-    r = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+    unneeded = ["numpy", "dataclasses", "inspect", "typing", "pathlib", "random",
+                "linefit.generators"]
+    code = ("import sys, linefit, linefit.cli; "
+            f"print([m for m in {unneeded!r} if m in sys.modules])")
+    r = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True,
                        env=env, cwd=REPO)
     assert r.returncode == 0, r.stderr
-    assert r.stdout.strip() == "False"
+    assert r.stdout.strip() == "[]"
+    assert linefit.gen_circle is linefit.generators.gen_circle  # through __getattr__
     with pytest.raises(AttributeError):
         linefit.no_such_name
 

@@ -1,4 +1,4 @@
-"""Whole-process wall time and peak RSS of `linefit fit`, for several checkouts.
+"""Whole-process wall time and peak RSS of `linefit` commands, for several checkouts.
 
     python3 tools/process_bench.py --src parent=../old/src --src change=src \
         --n 1000 100000 1000000 --reps 3 --out result.json
@@ -28,10 +28,13 @@ sys.path.insert(0, str(ROOT / "perfbench"))
 
 from inputs import noisy_line, rng_for, write_csv  # noqa: E402
 
+# linefit arguments; {csv} is the input, {dir} a scratch directory
 COMMANDS = {
-    "fit --json --svg": ["--json", "{dir}/r.json", "--svg", "{dir}/r.svg"],
-    "fit --json": ["--json", "{dir}/r.json"],
-    "fit": [],
+    "fit --json --svg": ["fit", "--input", "{csv}", "--json", "{dir}/r.json",
+                         "--svg", "{dir}/r.svg"],
+    "fit --json": ["fit", "--input", "{csv}", "--json", "{dir}/r.json"],
+    "fit": ["fit", "--input", "{csv}"],
+    "transform --rotate 0.3": ["transform", "--input", "{csv}", "--rotate", "0.3"],
 }
 
 # prints "wall_s maxrss_kb exit_code" of the command in argv
@@ -44,11 +47,11 @@ LAUNCHER = (
 )
 
 
-def measure(src: Path, csv: Path, extra: list[str], work: Path) -> tuple[float, float]:
-    """(wall seconds, peak RSS in MB) of one `linefit fit` process."""
+def measure(src: Path, csv: Path, args: list[str], work: Path) -> tuple[float, float]:
+    """(wall seconds, peak RSS in MB) of one `linefit` process; its output is discarded."""
     env = dict(os.environ, PYTHONPATH=str(src))
-    argv = [sys.executable, "-c", LAUNCHER, sys.executable, "-m", "linefit", "fit",
-            "--input", str(csv), *(a.format(dir=work) for a in extra)]
+    argv = [sys.executable, "-c", LAUNCHER, sys.executable, "-m", "linefit",
+            *(a.format(csv=csv, dir=work) for a in args)]
     out = subprocess.run(argv, env=env, capture_output=True, text=True, check=True).stdout
     wall, maxrss_kb, code = out.split()
     if int(code) != 0:
