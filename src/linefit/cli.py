@@ -30,6 +30,7 @@ from .errors import (
     CsvParseError,
     GenerationError,
     InsufficientDataError,
+    InvalidSampleError,
     LineFitError,
 )
 from .fitters import FitReport, UniqueLine, fit_d_report, fit_x, fit_y
@@ -438,6 +439,12 @@ def _cmd_fit(args) -> int:
     return run(config)
 
 
+def _overflowed(command: str) -> int:
+    print(f"error: {command}: the options overflow a double "
+          "(a coordinate came out non-finite)", file=sys.stderr)
+    return EXIT_INPUT_ERROR
+
+
 def _cmd_generate(args) -> int:
     import random
 
@@ -446,9 +453,8 @@ def _cmd_generate(args) -> int:
 
     try:
         if args.shape == "circle":
-            points = gen_circle(
-                CircleSpec(n=args.n, phase=args.alpha, radius=args.radius,
-                           center=Point(*args.center))
+            generate, spec = gen_circle, CircleSpec(
+                n=args.n, phase=args.alpha, radius=args.radius, center=Point(*args.center)
             )
         elif args.shape == "parallel":
             rng = random.Random(args.seed)
@@ -457,27 +463,25 @@ def _cmd_generate(args) -> int:
             if args.A is not None:
                 if args.M is not None or args.B is not None:
                     raise GenerationError("--A excludes --M/--B")
-                points = gen_parallel(VerticalLadder(args.A, rungs))
+                generate, spec = gen_parallel, VerticalLadder(args.A, rungs)
             else:
                 if args.M is None or args.B is None:
                     raise GenerationError(
                         "a ladder needs either --A (vertical) or both --M and --B"
                     )
-                points = gen_parallel(SlantedLadder(args.M, args.B, rungs))
+                generate, spec = gen_parallel, SlantedLadder(args.M, args.B, rungs)
         else:
-            points = gen_noisy_line(
-                NoisyLineSpec(
-                    slope=args.slope,
-                    intercept=args.intercept,
-                    n=args.n,
-                    seed=args.seed,
-                    x_span=(-args.span, args.span),
-                    noise=args.noise,
-                )
+            generate, spec = gen_noisy_line, NoisyLineSpec(
+                slope=args.slope, intercept=args.intercept, n=args.n, seed=args.seed,
+                x_span=(-args.span, args.span), noise=args.noise,
             )
     except LineFitError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
+    try:
+        points = generate(spec)
+    except InvalidSampleError:  # a valid spec has enough points: one is not finite
+        return _overflowed(f"generate {args.shape}")
     sys.stdout.write(render_csv(points))
     return EXIT_OK
 
@@ -490,6 +494,8 @@ def _cmd_transform(args) -> int:
             points = apply_motion_points(points, Rotation(args.rotate, center))
         if args.translate is not None:
             points = apply_motion_points(points, Translation(*args.translate))
+    except InvalidSampleError:  # parse_csv raises none: a moved point is not finite
+        return _overflowed("transform")
     except (LineFitError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR

@@ -6,10 +6,11 @@ slopes in y-on-x terms are m = cov/var_x (vertical fit), tan(theta)
 
     |m| <= sqrt(var_y/var_x) <= |m_x|
 
-with equality exactly on collinear data.  The middle bound also sandwiches
-|tan(theta)| in the sign-pattern cases I, II, V and VI; in cases III and IV
-that ordering is only guaranteed under the gate condition
-2*cov^2 >= var_x*|var_x - var_y|, and is merely observed otherwise.
+with equality exactly on collinear data.  So do |m| <= |tan(theta)| <= |m_x|,
+in every sign-pattern case: take a = var_x, b = var_y, c = cov > 0 (y -> -y
+gives c < 0).  tan(theta) is the positive root of q(t) = c*t^2 + (a-b)*t - c,
+and q(c/a) = c*(c^2 - ab)/a^2 <= 0 <= (ab - c^2)/c = q(b/c) by Cauchy-Schwarz.
+Both orderings therefore come from the one verdict on cs_gap = ab - c^2.
 """
 
 from __future__ import annotations
@@ -24,7 +25,6 @@ __all__ = [
     "ORDERING_HOLDS",
     "ORDERING_EQUALITY",
     "ORDERING_NOT_APPLICABLE",
-    "ORDERING_CONDITION_NOT_MET",
     "TAN_THETA_ALL",
     "ComparisonReport",
     "compare",
@@ -34,7 +34,6 @@ __all__ = [
 ORDERING_HOLDS = "holds"
 ORDERING_EQUALITY = "equality"
 ORDERING_NOT_APPLICABLE = "not-applicable"
-ORDERING_CONDITION_NOT_MET = "condition-not-met"
 
 # every line through the centroid fits equally well
 TAN_THETA_ALL = "all"
@@ -50,16 +49,14 @@ def _finite(v: float) -> float | None:
 
 
 class ComparisonReport(namedtuple("ComparisonReport", (
-        "m m_x tan_theta ratio_bound ordering_e ordering_f ordering_f_observed "
-        "cs_gap collinear case_tag"))):
+        "m m_x tan_theta ratio_bound ordering_e ordering_f cs_gap collinear case_tag"))):
     """Slopes, bounds and orderings; absent values are encoded as None.
 
     ``m`` is missing on vertical data, ``m_x`` when the covariance it divides
     by is zero relative to sqrt(var_x*var_y), and ``tan_theta`` is the string
     "all" in the isotropic case and None when the perpendicular fit is exactly
     vertical.  A slope or bound that overflows (subnormal variance) is None.
-    ``ordering_f_observed`` is a bool or None, ``collinear`` a bool and the
-    rest are floats or strings.
+    ``collinear`` is a bool and the rest are floats or strings.
     """
 
     __slots__ = ()
@@ -89,18 +86,7 @@ def compare(data: PairedSample | SummaryStats) -> ComparisonReport:
     else:
         ordering_e = ORDERING_HOLDS
 
-    observed: bool | None = None
-    if m is not None and m_x is not None and isinstance(tan_theta, float):
-        observed = abs(m) <= abs(tan_theta) <= abs(m_x)
-
-    if m is None or m_x is None or case.tag == ISOTROPIC:
-        ordering_f = ORDERING_NOT_APPLICABLE
-    elif case.tag in ("I", "II", "V", "VI"):
-        ordering_f = ORDERING_HOLDS
-    elif 2.0 * s.cov_xy**2 >= s.var_x * abs(s.var_x - s.var_y):
-        ordering_f = ORDERING_HOLDS
-    else:
-        ordering_f = ORDERING_CONDITION_NOT_MET
+    ordering_f = ORDERING_NOT_APPLICABLE if case.tag == ISOTROPIC else ordering_e
 
     return ComparisonReport(
         m=m,
@@ -109,7 +95,6 @@ def compare(data: PairedSample | SummaryStats) -> ComparisonReport:
         ratio_bound=ratio_bound,
         ordering_e=ordering_e,
         ordering_f=ordering_f,
-        ordering_f_observed=observed,
         cs_gap=cs_gap,
         collinear=collinear,
         case_tag=case.tag,

@@ -407,7 +407,7 @@ def test_json_report_keys_are_pinned(tmp_path, rows, y, x, d):
     assert list(report["stats"]) == ["n", "mean_x", "mean_y", "var_x", "var_y", "cov_xy"]
     assert list(report["comparison"]) == [
         "m", "m_x", "tan_theta", "ratio_bound", "ordering_e", "ordering_f",
-        "ordering_f_observed", "cs_gap", "collinear", "case",
+        "cs_gap", "collinear", "case",
     ]
     fits = report["fits"]
     assert list(fits) == ["y", "x", "d"]
@@ -485,7 +485,7 @@ def test_overflowing_diagnostics_are_null_in_the_json(tmp_path, rows, nulls):
     assert r.returncode == 0, r.stderr
     comparison = json.loads(out_json.read_text())["comparison"]
     missing = {k for k, v in comparison.items() if v is None}
-    assert missing - {"ordering_f_observed"} == nulls
+    assert missing == nulls
 
 
 def _assert_normal_forms_agree(data, c):
@@ -699,6 +699,32 @@ def test_non_finite_generate_option_is_a_usage_error_that_names_it(capsys, args,
     captured = capsys.readouterr()
     assert f"error: argument {flag}: {message}" in captured.err
     assert captured.out == ""
+
+
+@pytest.mark.parametrize("command, rows", [
+    (["generate", "noisy-line", "--slope", "1e308"], None),
+    (["generate", "parallel", "--M", "1e300", "--B", "1"], None),  # m*m + 1 overflows
+    (["generate", "circle", "--n", "5", "--radius", "1e308", "--center", "1e308,0"], None),
+    (["transform", "--translate", "1e308,0"], "1e308,0\n1e308,1\n"),
+], ids=["noisy-line", "parallel", "circle", "transform"])
+def test_overflowing_options_name_the_command_not_a_sample(tmp_path, capsys, command, rows):
+    # every option is finite, and each used to fail naming "sample value at index ..."
+    name = " ".join(command[:2] if command[0] == "generate" else command[:1])
+    if rows is not None:
+        csv = tmp_path / "pts.csv"
+        csv.write_text(rows)
+        command = command + ["--input", str(csv)]
+    assert main(command) == 2
+    captured = capsys.readouterr()
+    assert captured.err == (
+        f"error: {name}: the options overflow a double (a coordinate came out non-finite)\n"
+    )
+    assert captured.out == ""
+
+
+def test_too_few_rungs_keep_their_own_message(capsys):
+    assert main(["generate", "parallel", "--A", "1", "--n", "0"]) == 2
+    assert capsys.readouterr().err == "error: a sample needs at least 2 values, got 0\n"
 
 
 @pytest.mark.parametrize("value", ["-inf", "-nan", "-Infinity"])

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from linefit.diagnostics import compare
+from linefit.diagnostics import ORDERING_EQUALITY, compare
 from linefit.errors import HorizontalDataError, VerticalDataError
 from linefit.fitters import (
     ISOTROPIC,
@@ -488,7 +488,7 @@ def test_slope_ordering_equality_iff_collinear():
     assert fit_y(p).objective_min < 1e-12
 
 
-def test_conditional_perpendicular_slope_ordering():
+def test_perpendicular_slope_lies_between_the_regression_slopes():
     rng = random.Random(10)
     for _ in range(300):
         p = random_sample(rng)
@@ -497,12 +497,6 @@ def test_conditional_perpendicular_slope_ordering():
             continue
         fd = fit_d(p)
         if not isinstance(fd, UniqueLine):
-            continue
-        tag = fd.case.tag
-        gated = tag in ("I", "II", "V", "VI") or (
-            2.0 * s.cov_xy**2 >= s.var_x * abs(s.var_x - s.var_y)
-        )
-        if not gated:
             continue
         m = abs(s.cov_xy / s.var_x)
         m_x = abs(s.var_y / s.cov_xy)
@@ -643,7 +637,7 @@ def test_y_equals_x_is_fitted_exactly(xs):
     assert fit.line.theta == math.pi / 4
     rep = compare(p)
     assert rep.tan_theta == 1.0
-    assert rep.ordering_f_observed is True
+    assert rep.ordering_f == ORDERING_EQUALITY
 
 
 @pytest.mark.parametrize("x", [0.0, 4.0, -1e9, 1.6e9])

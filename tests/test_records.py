@@ -55,7 +55,7 @@ RECORDS = [
     (compare(P),
      "ComparisonReport(m=1.5, m_x=1.5555555555555556, tan_theta=1.538761977977345, "
      "ratio_bound=1.5275252316519468, ordering_e='holds', ordering_f='holds', "
-     "ordering_f_observed=True, cs_gap=0.03703703703703698, collinear=False, case_tag='III')",
+     "cs_gap=0.03703703703703698, collinear=False, case_tag='III')",
      None),
     (Translation(1, 2), "Translation(u=1, v=2)", None),
     (Rotation(0.3, Point(0, 0)), "Rotation(phi=0.3, center=Point(x=0.0, y=0.0))", None),

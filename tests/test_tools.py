@@ -17,6 +17,12 @@ def test_json_differences_are_named_by_key_path_and_number_text():
     assert describe("json", a, b) == "different: $.fits.x.c, $.points[0][0]"
 
 
+def test_a_key_removed_with_a_null_value_is_named():
+    a = b'{"comparison":{"m":null,"gone":null}}'
+    b = b'{"comparison":{"m":null}}'
+    assert describe("json", a, b) == "different: $.comparison.gone"
+
+
 def test_svg_fit_paths_compare_inside_the_viewport():
     a = b'<rect/>\n<path class="fit-d" d="M 0.00 300.00 L 800.00 300.00"/>'
     b = b'<rect/>\n<path class="fit-d" d="M -1000.00 300.00 L 1800.00 300.00"/>'

@@ -4,7 +4,7 @@
 
 For each side, in a subprocess, it runs `fit --json --svg` and
 `transform --rotate 0.3` on every corpus input, and the three `generate`
-shapes.  The corpus is a perfbench-style 1e5-point noisy line (seed 11) and
+shapes, plus one `generate` whose options overflow.  The corpus is a perfbench-style 1e5-point noisy line (seed 11) and
 small inputs at the edges of the line forms and of the CSV grammar, valid and
 not.  Every side after the first is compared with the first, output by
 output: the table (stdout), stderr, the exit code and the JSON and SVG files.  Each prints `same` or `different`;
@@ -44,11 +44,14 @@ SMALL = {
     "three-fields": b"0.5,1.0\n1.5,2.5,3.5\n3.0,2.0\n",
     "nan": b"0.5,1.0\n1.5,nan\n3.0,2.0\n",
     "non-utf8": b"0.5,1.0\n1.5,\xff2.5\n3.0,2.0\n",
+    "gate-miss": b"0,0\n1,0\n2,1\n3,1\n0,5\n",  # case IV, 2*cov^2 < var_x*|var_x - var_y|
+    "collinear": b"0,0\n1,2\n2,4\n",
 }
 GENERATE = {
     "circle": ["circle", "--n", "12"],
     "parallel": ["parallel", "--M", "2", "--B", "40", "--seed", "7"],
     "noisy-line": ["noisy-line", "--slope", "0.5", "--n", "50", "--seed", "3"],
+    "overflow": ["noisy-line", "--slope", "1e308"],
 }
 MAX_PATHS = 8
 FIT_PATH = re.compile(r'class="(fit-\w)" d="M (\S+) (\S+) L (\S+) (\S+)"')
@@ -84,11 +87,15 @@ def outputs(src: Path, argv: list[str], stdin: Path | None, cwd: Path) -> dict[s
     return got
 
 
+ABSENT = object()  # a key on one side only differs from a null on the other
+
+
 def json_paths(a, b, path: str = "$") -> list[str]:
     """Key paths where two parsed documents differ; numbers compare as text."""
     if isinstance(a, dict) and isinstance(b, dict):
         keys = list(a) + [k for k in b if k not in a]
-        return [p for k in keys for p in json_paths(a.get(k), b.get(k), f"{path}.{k}")]
+        return [p for k in keys
+                for p in json_paths(a.get(k, ABSENT), b.get(k, ABSENT), f"{path}.{k}")]
     if isinstance(a, list) and isinstance(b, list) and len(a) == len(b):
         return [p for i, (x, y) in enumerate(zip(a, b)) for p in json_paths(x, y, f"{path}[{i}]")]
     return [] if a == b else [path]
