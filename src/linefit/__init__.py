@@ -50,7 +50,7 @@ from .geometry import (
     normal_to_slope,
     slope_to_normal,
 )
-from .stats import PairedSample, Sample, SummaryStats, covariance, mean, summarize, variance
+from .stats import PairedSample, Sample, SummaryStats, mean, summarize
 from .transforms import (
     InvarianceReport,
     RigidMotion,

@@ -6,14 +6,14 @@
   but when var(x) = var(y) and cov(x, y) = 0 every line through the centroid
   attains the same objective and a line family is returned instead of a line.
 
-All minimizers are closed forms in the summary statistics, so each fit also
-takes a ``SummaryStats`` in place of the sample; given a sample, it reads the
-sample's cached ``summary``.  ``fit_y``, ``fit_x`` and ``fit_d_report``
-return a ``FitReport`` of the line and its minimum objective; the line's
-fields are the method's own parameters (m, b or mu, beta).  The perpendicular
-line runs along the major axis of the 2x2 covariance matrix, so its angle
-satisfies tan(2*theta) = 2*cov / (var_x - var_y); the sign pattern of the two
-sides only labels the case (I..VI) or flags the isotropic family.
+All minimizers, and the objectives of any line (the minimum plus squares:
+the paper's completed square), are closed forms in the summary statistics,
+so each also takes a ``SummaryStats``; given a sample, it reads the sample's
+cached ``summary``.  ``fit_y``, ``fit_x`` and ``fit_d_report`` return a
+``FitReport`` of the line and its minimum objective, the line in the method's
+own parameters (m, b or mu, beta).  The D line runs along the major axis of
+the covariance matrix, tan(2*theta) = 2*cov / (var_x - var_y); the sign
+pattern of the two sides only labels the case (I..VI) or flags isotropy.
 """
 
 from __future__ import annotations
@@ -213,20 +213,32 @@ def fit_d_report(data: PairedSample | SummaryStats) -> FitReport:
     return FitReport(fit, _min_objective_d(s))
 
 
-def objective_y(p: PairedSample, m: float, b: float) -> float:
-    """Mean squared vertical offset of the points from y = m*x + b."""
-    xs, ys = p.xs.values, p.ys.values
-    return sum((m * x + b - y) ** 2 for x, y in zip(xs, ys)) / len(xs)
+def objective_y(data: PairedSample | SummaryStats, m: float, b: float) -> float:
+    """Mean squared vertical offset from y = m*x + b: the minimum, plus
+    var_x*(m - m_fit)^2, plus the squared miss at the centroid (0.0 at the fit)."""
+    s = _stats(data)
+    miss = (s.mean_y - m * s.mean_x) - b  # as fit_y forms b
+    if s.var_x == 0.0:
+        return s.var_y + miss * miss
+    fit = fit_y(s)
+    dm = m - fit.line.m  # (var_x*dm)*dm stays finite where the product is
+    return fit.objective_min + s.var_x * dm * dm + miss * miss
 
 
-def objective_x(p: PairedSample, mu: float, beta: float) -> float:
-    """Mean squared horizontal offset of the points from x = mu*y + beta."""
-    xs, ys = p.xs.values, p.ys.values
-    return sum((mu * y + beta - x) ** 2 for x, y in zip(xs, ys)) / len(xs)
+def objective_x(data: PairedSample | SummaryStats, mu: float, beta: float) -> float:
+    """Mean squared horizontal offset from x = mu*y + beta: Y, axes swapped."""
+    s = _stats(data)
+    return objective_y(s._replace(mean_x=s.mean_y, mean_y=s.mean_x,
+                                  var_x=s.var_y, var_y=s.var_x), mu, beta)
 
 
-def objective_d(p: PairedSample, theta: float, c: float) -> float:
-    """Mean squared distance of the points from x*sin(theta) - y*cos(theta) = c."""
-    xs, ys = p.xs.values, p.ys.values
-    si, co = math.sin(theta), math.cos(theta)
-    return sum((x * si - y * co - c) ** 2 for x, y in zip(xs, ys)) / len(xs)
+def objective_d(data: PairedSample | SummaryStats, theta: float, c: float) -> float:
+    """Mean squared distance from x*sin(theta) - y*cos(theta) = c: the minimum,
+    plus the eigen-gap h times sin^2 of the turn from the major axis (h = 0 on
+    isotropic data), plus the squared miss at the centroid."""
+    s = _stats(data)
+    u, v = _major_axis(s)
+    h = math.hypot(s.var_x - s.var_y, 2.0 * s.cov_xy)
+    turn = math.remainder(theta - math.atan2(v, u), math.pi)  # theta counts mod pi
+    miss = s.mean_x * math.sin(theta) - s.mean_y * math.cos(theta) - c
+    return _min_objective_d(s) + h * math.sin(turn) ** 2 + miss * miss

@@ -19,7 +19,7 @@ from collections import namedtuple
 
 from .errors import GenerationError
 from .geometry import Point
-from .stats import PairedSample, Sample, variance
+from .stats import PairedSample, Sample
 from .transforms import Translation, apply_motion_points
 
 __all__ = [
@@ -49,7 +49,7 @@ class VerticalLadder(namedtuple("VerticalLadder", "half_gap rungs")):
     def __new__(cls, half_gap: float, rungs: Sample):
         if not (half_gap > 0.0):
             raise GenerationError(f"half_gap must be positive, got {half_gap!r}")
-        if variance(rungs) <= 0.0:
+        if max(rungs.values) == min(rungs.values):  # var(rungs) = 0, without forming it
             raise GenerationError("ladder rungs must have positive variance")
         return super().__new__(cls, half_gap, rungs)
 

@@ -26,8 +26,6 @@ __all__ = [
     "PairedSample",
     "SummaryStats",
     "mean",
-    "variance",
-    "covariance",
     "summarize",
 ]
 
@@ -137,16 +135,6 @@ def mean(s: Sample) -> float:
     except OverflowError:  # a power-of-two scale 2**-k <= 1/n is exact and in range
         k = n.bit_length()
         return math.ldexp(math.fsum([math.ldexp(v, -k) for v in values]) / n, k)
-
-
-def variance(s: Sample) -> float:
-    """The ``var_x`` of :func:`summarize`, with zeros as the y; 0.0 if constant."""
-    return summarize(PairedSample(s, Sample((0.0,) * s.n))).var_x
-
-
-def covariance(p: PairedSample) -> float:
-    """The ``cov_xy`` of :func:`summarize`; exactly 0.0 if a coordinate is constant."""
-    return summarize(p).cov_xy
 
 
 def summarize(p: PairedSample) -> SummaryStats:

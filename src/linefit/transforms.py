@@ -23,7 +23,7 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 
-from .errors import LineFitError
+from .errors import InvalidSampleError, LineFitError
 from .fitters import AllLinesThroughCentroid, _stats, fit_d_report, fit_x, fit_y
 from .geometry import NormalLine, Point, normal_to_inverse_slope, normal_to_slope
 from .stats import PairedSample, SummaryStats, _checked
@@ -96,6 +96,18 @@ def apply_motion_points(p: PairedSample, g: RigidMotion) -> PairedSample:
         dx, dy = x - cx, y - cy
         xs.append(cx + dx * co - dy * si)
         ys.append(cy + dx * si + dy * co)
+    try:
+        return PairedSample.from_xy(xs, ys)
+    except InvalidSampleError:
+        pass
+    # an offset x - cx can overflow where every moved point is finite: turn
+    # the half offsets, and add each turned half twice
+    xs, ys = [], []
+    for x, y in zip(p.xs.values, p.ys.values):
+        hx, hy = x / 2 - cx / 2, y / 2 - cy / 2
+        u, w = hx * co - hy * si, hx * si + hy * co
+        xs.append(cx + u + u)
+        ys.append(cy + w + w)
     return PairedSample.from_xy(xs, ys)
 
 

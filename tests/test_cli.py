@@ -727,6 +727,44 @@ def test_too_few_rungs_keep_their_own_message(capsys):
     assert capsys.readouterr().err == "error: a sample needs at least 2 values, got 0\n"
 
 
+@pytest.mark.parametrize("spread", ["8e307", "1e-170"])
+def test_a_vertical_ladder_whose_rung_variance_leaves_the_doubles_prints(capsys, spread):
+    # the rungs spread out, though their variance overflows or underflows
+    assert main(["generate", "parallel", "--A", "1", "--spread", spread, "--n", "3"]) == 0
+    p = parse_csv(capsys.readouterr().out.encode())
+    assert p.n == 6 and max(p.ys.values) > min(p.ys.values)
+
+
+SPAN_MAX = [(1.7e308, 0.0), (1.7e308, 1.0), (-1.7e308, 0.0)]
+
+
+def transform_span_max(tmp_path, capsys, angle):
+    csv = tmp_path / "pts.csv"
+    csv.write_text("".join(f"{x!r},{y!r}\n" for x, y in SPAN_MAX))
+    code = main(["transform", "--rotate", angle, "--input", str(csv)])
+    return code, capsys.readouterr()
+
+
+def test_transform_turns_points_whose_offsets_from_the_centroid_overflow(tmp_path, capsys):
+    # x - mean_x overflows a double for the first two points
+    code, captured = transform_span_max(tmp_path, capsys, "0")
+    assert code == 0, captured.err
+    for got, want in zip(parse_csv(captured.out.encode()).points(), SPAN_MAX):
+        assert all(abs(g - w) <= math.ulp(w) for g, w in zip(got, want))
+    code, captured = transform_span_max(tmp_path, capsys, "0.3")
+    assert code == 0, captured.err
+    assert parse_csv(captured.out.encode()).n == 3
+
+
+def test_transform_whose_moved_point_overflows_still_exits_2(tmp_path, capsys):
+    # a quarter turn takes the last point to y = -2.27e308
+    code, captured = transform_span_max(tmp_path, capsys, "1.5707963267948966")
+    assert code == 2
+    assert captured.err == ("error: transform: the options overflow a double "
+                            "(a coordinate came out non-finite)\n")
+    assert captured.out == ""
+
+
 @pytest.mark.parametrize("value", ["-inf", "-nan", "-Infinity"])
 @pytest.mark.parametrize("command, flag", [
     (["transform"], "--rotate"),

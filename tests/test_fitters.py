@@ -1,12 +1,14 @@
 import math
 import random
+import sys
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
+from objective_oracle import loop_d, loop_x, loop_y
 
 from linefit.diagnostics import ORDERING_EQUALITY, compare
-from linefit.errors import HorizontalDataError, VerticalDataError
+from linefit.errors import HorizontalDataError, InvalidSampleError, VerticalDataError
 from linefit.fitters import (
     ISOTROPIC,
     AllLinesThroughCentroid,
@@ -418,6 +420,112 @@ def test_fitted_objectives_beat_random_perturbations():
         assert ry.objective_min <= objective_y(p, ry.line.m + dm, ry.line.b + db) + 1e-12
         assert rx.objective_min <= objective_x(p, rx.line.mu + dm, rx.line.beta + db) + 1e-12
         assert rd.objective_min <= objective_d(p, theta + dm, c + db) + 1e-12
+
+
+def test_objectives_take_the_summary_in_place_of_the_sample():
+    p, s = THREE_POINTS, THREE_POINTS.summary
+    assert objective_y(s, 0.3, -0.2) == objective_y(p, 0.3, -0.2)
+    assert objective_x(s, 1.2, 0.4) == objective_x(p, 1.2, 0.4)
+    assert objective_d(s, 0.7, 0.1) == objective_d(p, 0.7, 0.1)
+
+
+def test_objective_y_on_vertical_data_is_the_y_spread_plus_the_miss():
+    p = PairedSample.from_xy((4.0, 4.0, 4.0, 4.0), (0.0, 1.0, 2.0, 6.0))
+    assert objective_y(p, 0.5, 1.0) == pytest.approx(loop_y(p, 0.5, 1.0), rel=1e-15)
+
+
+def test_a_steep_turn_of_a_narrow_sample_stays_finite():
+    # mu = 3.3e154, so (2*mu - mu)^2 overflows a double; the objective does not
+    p = PairedSample.from_xy((0.0, 2e5), (0.0, 6e-150))
+    mu, beta = fit_x(p).line
+    want = loop_x(p, 2.0 * mu, beta)
+    assert objective_x(p, 2.0 * mu, beta) == pytest.approx(want, rel=1e-12)
+
+
+def test_objectives_of_overflowing_statistics_raise_as_the_fits_do():
+    p = PairedSample.from_points([(1e200, 1.0), (2e200, 2.0), (3e200, 4.0)])
+    for objective in (objective_y, objective_x, objective_d):
+        with pytest.raises(InvalidSampleError, match="magnitude"):
+            objective(p, 1.0, 0.0)
+
+
+@st.composite
+def far_scaled_samples(draw):
+    """Near-collinear points at offsets up to 1.6e9, each axis scaled by 2^k, |k| <= 40.
+
+    The unit values sit on a grid of 1/1000, so every statistic is a normal
+    double: subnormal variances lose digits in every closed form (ROADMAP
+    item 1), which this property does not measure.
+    """
+    n = draw(st.integers(min_value=2, max_value=20))
+    unit = st.integers(min_value=-1000, max_value=1000).map(lambda i: i / 1000)
+    offset = st.one_of(st.just(0.0), st.floats(min_value=-1.6e9, max_value=1.6e9))
+    ts = draw(st.lists(unit, min_size=n, max_size=n))
+    wiggle = draw(st.lists(unit, min_size=n, max_size=n))
+    slope = 3.0 * draw(unit)
+    noise = draw(st.sampled_from([0.0, 1e-12, 1e-6, 1e-2, 1.0]))
+    ox, oy = draw(offset), draw(offset)
+    kx, ky = draw(st.integers(-40, 40)), draw(st.integers(-40, 40))
+    return PairedSample.from_xy(
+        [math.ldexp(ox + t, kx) for t in ts],
+        [math.ldexp(oy + slope * t + noise * w, ky) for t, w in zip(ts, wiggle)],
+    )
+
+
+def fitted_objectives(p):
+    """(objective, loop, parameters, objective_min) of each fit that exists."""
+    fits = []
+    for fit, objective, loop in ((fit_y, objective_y, loop_y), (fit_x, objective_x, loop_x)):
+        try:
+            report = fit(p)
+        except (VerticalDataError, HorizontalDataError):
+            continue
+        fits.append((objective, loop, *report.line, report.objective_min))
+    report = fit_d_report(p)
+    if isinstance(report.line, UniqueLine):
+        fits.append((objective_d, loop_d, *report.line.line, report.objective_min))
+    return fits
+
+
+@given(far_scaled_samples(), st.floats(min_value=-1.0, max_value=1.0),
+       st.floats(min_value=-2.0, max_value=2.0))
+@settings(max_examples=300)
+def test_closed_form_objectives_match_the_point_loop(p, turn, shift):
+    s = p.summary
+    xs, ys = max(map(abs, p.xs.values)), max(map(abs, p.ys.values))
+    for objective, loop, a, c, minimum in fitted_objectives(p):
+        # move the fitted line; size bounds the positions that each residual
+        # is a difference of, and scale is the objective's spread terms
+        if objective is objective_d:
+            a, c = a + turn, c + shift * math.sqrt(s.var_x + s.var_y)
+            size, scale = abs(c) + xs + ys, s.var_x + s.var_y
+        elif objective is objective_y:
+            a, c = a * (1.0 + turn), c + shift * math.sqrt(s.var_y)
+            size, scale = abs(c) + abs(a) * xs + ys, s.var_y + a * a * s.var_x
+        else:
+            a, c = a * (1.0 + turn), c + shift * math.sqrt(s.var_x)
+            size, scale = abs(c) + abs(a) * ys + xs, s.var_x + a * a * s.var_y
+        got, want = objective(p, a, c), loop(p, a, c)
+        # each residual is known to a few ulps of its positions; beyond that
+        # the two agree relative to the scale
+        k = 4.0 * sys.float_info.epsilon * size
+        assert abs(got - want) <= 1e-9 * (scale + want) + 2.0 * k * math.sqrt(want) + k * k
+        assert got >= minimum
+
+
+@given(far_scaled_samples())
+@example(PairedSample.from_xy((0.0, 2.0**-13, -(2.0**-13)), (0.0, -(2.0**40), 2.0**40)))
+@settings(max_examples=300)
+def test_objectives_at_the_fitted_line_are_their_minimum(p):
+    # the example's major axis is at -pi/2, which the fitted line reads as pi/2
+    s = p.summary
+    for objective, _, a, c, minimum in fitted_objectives(p):
+        if objective is objective_d:
+            # c is formed from the major axis, the miss from sin and cos of theta
+            miss = 4.0 * math.ulp(abs(s.mean_x) + abs(s.mean_y))
+            assert minimum <= objective(p, a, c) <= minimum + miss * miss
+        else:
+            assert objective(p, a, c) == minimum
 
 
 # --- cross-method invariants --------------------------------------------------------

@@ -3,8 +3,9 @@ import random
 
 import pytest
 from grid_oracle import DEFAULT_GRID, PLANAR_GRID, GridSpec, grid_min_d, grid_min_x, grid_min_y
+from objective_oracle import loop_d
 
-from linefit.fitters import fit_d_report, fit_x, fit_y, objective_d
+from linefit.fitters import fit_d_report, fit_x, fit_y
 from linefit.generators import CircleSpec, gen_circle
 from linefit.stats import PairedSample, summarize
 
@@ -40,7 +41,7 @@ def test_angle_search_objective_is_flat_on_circle_data():
     for k in range(720):
         theta = -math.pi / 2 + k * math.pi / 720
         c = s.mean_x * math.sin(theta) - s.mean_y * math.cos(theta)
-        values.append(objective_d(p, theta, c))
+        values.append(loop_d(p, theta, c))
     assert max(values) - min(values) < 1e-12
 
 

@@ -4,14 +4,16 @@
 
 For each side, in a subprocess, it runs `fit --json --svg` and
 `transform --rotate 0.3` on every corpus input, and the three `generate`
-shapes, plus one `generate` whose options overflow.  The corpus is a perfbench-style 1e5-point noisy line (seed 11) and
-small inputs at the edges of the line forms and of the CSV grammar, valid and
-not.  Every side after the first is compared with the first, output by
-output: the table (stdout), stderr, the exit code and the JSON and SVG files.  Each prints `same` or `different`;
-a differing JSON names the key paths whose text differs, and a differing
-stdout or SVG names its differing rows or element classes.  For the SVG's
-fit paths it also gives how far apart the paths' ends are once each is
-clipped to the 800x600 viewport.  The exit status is 1 when anything differs.
+shapes, plus one `generate` whose options overflow and a ladder whose rung
+variance does.  The corpus is a perfbench-style 1e5-point noisy line (seed
+11) and small inputs at the edges of the line forms and of the CSV grammar,
+valid and not.  Every side after the first is compared with the first,
+output by output: the table (stdout), stderr, the exit code and the JSON and
+SVG files.  Each prints `same` or `different`; a differing JSON names the
+key paths whose text differs, and a differing stdout or SVG names its
+differing rows or element classes.  For the SVG's fit paths it also gives
+how far apart the paths' ends are once each is clipped to the 800x600
+viewport.  The exit status is 1 when anything differs.
 """
 
 from __future__ import annotations
@@ -46,12 +48,14 @@ SMALL = {
     "non-utf8": b"0.5,1.0\n1.5,\xff2.5\n3.0,2.0\n",
     "gate-miss": b"0,0\n1,0\n2,1\n3,1\n0,5\n",  # case IV, 2*cov^2 < var_x*|var_x - var_y|
     "collinear": b"0,0\n1,2\n2,4\n",
+    "span-max": b"1.7e308,0\n1.7e308,1\n-1.7e308,0\n",  # x - mean_x overflows
 }
 GENERATE = {
     "circle": ["circle", "--n", "12"],
     "parallel": ["parallel", "--M", "2", "--B", "40", "--seed", "7"],
     "noisy-line": ["noisy-line", "--slope", "0.5", "--n", "50", "--seed", "3"],
     "overflow": ["noisy-line", "--slope", "1e308"],
+    "wide-ladder": ["parallel", "--A", "1", "--spread", "8e307", "--n", "3"],  # var overflows
 }
 MAX_PATHS = 8
 FIT_PATH = re.compile(r'class="(fit-\w)" d="M (\S+) (\S+) L (\S+) (\S+)"')
