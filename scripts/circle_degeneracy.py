@@ -15,7 +15,6 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from linefit import (  # noqa: E402
     AllLinesThroughCentroid,
-    CircleSpec,
     fit_d,
     fit_x,
     fit_y,
@@ -25,7 +24,7 @@ from linefit import (  # noqa: E402
 )
 
 for n in (3, 4, 7, 12, 30):
-    points = gen_circle(CircleSpec(n=n, phase=0.37))
+    points = gen_circle(n=n, phase=0.37)
     s = summarize(points)
     ry = fit_y(points).line
     rx = fit_x(points).line

@@ -18,11 +18,10 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from linefit import (  # noqa: E402
     Sample,
-    SlantedLadder,
     fit_d_report,
     fit_x,
     fit_y,
-    gen_parallel,
+    gen_slanted_ladder,
 )
 from linefit.svg import render_svg  # noqa: E402
 
@@ -30,7 +29,7 @@ out = Path(sys.argv[1]) if len(sys.argv) > 1 else Path("ladder.svg")
 
 rng = random.Random(7)
 rungs = Sample(tuple(rng.uniform(-60.0, 60.0) for _ in range(25)))
-points = gen_parallel(SlantedLadder(slope=2.0, offset=40.0, rungs=rungs))
+points = gen_slanted_ladder(slope=2.0, offset=40.0, rungs=rungs)
 
 ry = fit_y(points)
 rx = fit_x(points)

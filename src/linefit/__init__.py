@@ -6,10 +6,10 @@ that is invariant under rotations of the data and the only one that never
 fails on degenerate input; when the statistics are isotropic it reports the
 whole family of lines through the centroid instead of picking one.
 
-Every record (points, lines, samples, reports, dataset specifications) is an
-immutable named tuple whose constructor checks its fields; ``_make`` and
-``_replace`` build the tuple directly and skip those checks.  A record equals
-any tuple of the same values, whatever its type, and hashes as that tuple.
+Every record (points, lines, samples, reports) is an immutable named tuple
+whose constructor checks its fields; ``_make`` and ``_replace`` build the
+tuple directly and skip those checks.  A record equals any tuple of the same
+values, whatever its type, and hashes as that tuple.
 """
 
 from .diagnostics import ComparisonReport, compare
@@ -64,8 +64,7 @@ from .transforms import (
 
 __version__ = "0.1.0"
 
-_GENERATORS = {"CircleSpec", "NoisyLineSpec", "SlantedLadder", "VerticalLadder",
-               "gen_circle", "gen_noisy_line", "gen_parallel"}
+_GENERATORS = {"gen_circle", "gen_noisy_line", "gen_slanted_ladder", "gen_vertical_ladder"}
 
 
 def __getattr__(name):

@@ -448,40 +448,33 @@ def _overflowed(command: str) -> int:
 def _cmd_generate(args) -> int:
     import random
 
-    from .generators import (CircleSpec, NoisyLineSpec, SlantedLadder, VerticalLadder,
-                             gen_circle, gen_noisy_line, gen_parallel)
+    from .generators import gen_circle, gen_noisy_line, gen_slanted_ladder, gen_vertical_ladder
 
     try:
         if args.shape == "circle":
-            generate, spec = gen_circle, CircleSpec(
-                n=args.n, phase=args.alpha, radius=args.radius, center=Point(*args.center)
-            )
-        elif args.shape == "parallel":
+            generate, params = gen_circle, (args.n, args.alpha, args.radius, Point(*args.center))
+        elif args.shape == "noisy-line":
+            generate, params = gen_noisy_line, (args.slope, args.intercept, args.n, args.seed,
+                                                (-args.span, args.span), args.noise)
+        else:
             rng = random.Random(args.seed)
             rungs = Sample(tuple(rng.uniform(-args.spread, args.spread)
                                  for _ in range(args.n)))
             if args.A is not None:
                 if args.M is not None or args.B is not None:
                     raise GenerationError("--A excludes --M/--B")
-                generate, spec = gen_parallel, VerticalLadder(args.A, rungs)
+                generate, params = gen_vertical_ladder, (args.A, rungs)
+            elif args.M is None or args.B is None:
+                raise GenerationError("a ladder needs either --A (vertical) or both --M and --B")
             else:
-                if args.M is None or args.B is None:
-                    raise GenerationError(
-                        "a ladder needs either --A (vertical) or both --M and --B"
-                    )
-                generate, spec = gen_parallel, SlantedLadder(args.M, args.B, rungs)
-        else:
-            generate, spec = gen_noisy_line, NoisyLineSpec(
-                slope=args.slope, intercept=args.intercept, n=args.n, seed=args.seed,
-                x_span=(-args.span, args.span), noise=args.noise,
-            )
+                generate, params = gen_slanted_ladder, (args.M, args.B, rungs)
+        try:
+            points = generate(*params)
+        except InvalidSampleError:  # its arguments passed their checks: a point is not finite
+            return _overflowed(f"generate {args.shape}")
     except LineFitError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
-    try:
-        points = generate(spec)
-    except InvalidSampleError:  # a valid spec has enough points: one is not finite
-        return _overflowed(f"generate {args.shape}")
     sys.stdout.write(render_csv(points))
     return EXIT_OK
 

@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 
-from .fitters import ISOTROPIC, _major_axis, _stats, resolve_case
+from .fitters import ISOTROPIC, _cs_gap, _major_axis, _stats, resolve_case
 from .stats import PairedSample, SummaryStats
 
 __all__ = [
@@ -76,7 +76,7 @@ def compare(data: PairedSample | SummaryStats) -> ComparisonReport:
         u, v = _major_axis(s)
         tan_theta = _finite(v / u) if u != 0.0 else None
 
-    cs_gap = s.var_x * s.var_y - s.cov_xy**2
+    cs_gap = _cs_gap(s)
     collinear = cs_gap <= collinearity_tolerance(s)
 
     if m is None or m_x is None:

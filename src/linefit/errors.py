@@ -30,7 +30,7 @@ class HorizontalDataError(LineFitError, ValueError):
 
 
 class GenerationError(LineFitError, ValueError):
-    """A dataset specification is invalid."""
+    """A dataset generator was given an invalid argument."""
 
 
 class CsvParseError(LineFitError, ValueError):

@@ -103,6 +103,12 @@ def _stats(data: PairedSample | SummaryStats) -> SummaryStats:
     return data if isinstance(data, SummaryStats) else data.summary
 
 
+def _cs_gap(s: SummaryStats) -> float:
+    """var_x*var_y - cov^2, the Cauchy-Schwarz gap: 0.0 exactly on collinear
+    data, where summarize gives cov^2 = var_x*var_y."""
+    return s.var_x * s.var_y - s.cov_xy * s.cov_xy
+
+
 def iso_tolerance(s: SummaryStats) -> float:
     """Threshold for var_x = var_y and cov = 0, relative to the total variance."""
     return 1e-12 * (s.var_x + s.var_y)
@@ -119,7 +125,7 @@ def fit_y(data: PairedSample | SummaryStats) -> FitReport:
         )
     m = s.cov_xy / s.var_x
     b = s.mean_y - m * s.mean_x
-    objective = max(0.0, (s.var_x * s.var_y - s.cov_xy**2) / s.var_x)
+    objective = max(0.0, _cs_gap(s) / s.var_x)
     return FitReport(SlopeInterceptLine(m, b), objective)
 
 
@@ -133,7 +139,7 @@ def fit_x(data: PairedSample | SummaryStats) -> FitReport:
         )
     mu = s.cov_xy / s.var_y
     beta = s.mean_x - mu * s.mean_y
-    objective = max(0.0, (s.var_x * s.var_y - s.cov_xy**2) / s.var_y)
+    objective = max(0.0, _cs_gap(s) / s.var_y)
     return FitReport(InverseSlopeLine(mu, beta), objective)
 
 
@@ -196,7 +202,7 @@ def _min_objective_d(s: SummaryStats) -> float:
     # (S - sqrt((var_x-var_y)^2 + 4 cov^2)) / 2, rationalized so collinear
     # data lands at exactly the Cauchy-Schwarz gap scale instead of
     # cancelling two O(S) terms.
-    gap = max(0.0, s.var_x * s.var_y - s.cov_xy**2)
+    gap = max(0.0, _cs_gap(s))
     total = s.var_x + s.var_y
     spread = math.hypot(s.var_x - s.var_y, 2.0 * s.cov_xy)
     if total + spread == 0.0:

@@ -62,9 +62,6 @@ class SlopeInterceptLine(namedtuple("SlopeInterceptLine", "m b")):
         _require_finite("SlopeInterceptLine", m, b)
         return super().__new__(cls, m, b)
 
-    def y_at(self, x: float) -> float:
-        return self.m * x + self.b
-
 
 class InverseSlopeLine(namedtuple("InverseSlopeLine", "mu beta")):
     """x = mu*y + beta."""
@@ -75,9 +72,6 @@ class InverseSlopeLine(namedtuple("InverseSlopeLine", "mu beta")):
         mu, beta = float(mu), float(beta)
         _require_finite("InverseSlopeLine", mu, beta)
         return super().__new__(cls, mu, beta)
-
-    def x_at(self, y: float) -> float:
-        return self.mu * y + self.beta
 
 
 class NormalLine(namedtuple("NormalLine", "theta c")):

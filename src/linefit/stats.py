@@ -167,13 +167,15 @@ def _checked(n: int, mean_x: float, mean_y: float,
              var_x: float, var_y: float, cov_xy: float) -> SummaryStats:
     """``SummaryStats`` of moments that carry rounding error, kept to what a
     genuine sample satisfies: a variance that rounded below 0.0 is 0.0, and
-    |cov_xy| is at most sqrt(var_x)*sqrt(var_y), which rounding on collinear
-    data can exceed.  Raises :class:`InvalidSampleError` when the statistics
-    overflow."""
+    cov_xy*cov_xy is at most var_x*var_y, which rounding on collinear data can
+    exceed; |cov_xy| is then cut to sqrt(var_x)*sqrt(var_y).  That bound can
+    round an ulp below an exact cov_xy = var_x = var_y, so a cov_xy whose
+    square is within var_x*var_y stays, unless that square underflows.  Raises
+    :class:`InvalidSampleError` when the statistics overflow."""
     finite = all(map(math.isfinite, (mean_x, mean_y, var_x, var_y, cov_xy)))
     var_x, var_y = max(0.0, var_x), max(0.0, var_y)
     bound = math.sqrt(var_x) * math.sqrt(var_y)
-    if abs(cov_xy) > bound:
+    if abs(cov_xy) > bound and not 0.0 < cov_xy * cov_xy <= var_x * var_y:
         cov_xy = math.copysign(bound, cov_xy)
     # the fit objectives and diagnostics square cov_xy and multiply var_x by
     # var_y, so those have to stay finite too

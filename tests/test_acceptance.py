@@ -27,13 +27,7 @@ from linefit.fitters import (
     fit_x,
     fit_y,
 )
-from linefit.generators import (
-    CircleSpec,
-    SlantedLadder,
-    VerticalLadder,
-    gen_circle,
-    gen_parallel,
-)
+from linefit.generators import gen_circle, gen_slanted_ladder, gen_vertical_ladder
 from linefit.geometry import Point
 from linefit.stats import PairedSample, Sample, summarize
 from linefit.transforms import Rotation, Translation, invariance_report
@@ -109,7 +103,7 @@ def test_criterion_4_circle_degeneracy():
     rng = random.Random(404)
     for n in range(3, 31):
         for _ in range(5):
-            p = gen_circle(CircleSpec(n=n, phase=rng.uniform(0.0, 2.0 * math.pi)))
+            p = gen_circle(n=n, phase=rng.uniform(0.0, 2.0 * math.pi))
             ry = fit_y(p)
             assert abs(ry.line.m) < 1e-10 and abs(ry.line.b) < 1e-10
             rx = fit_x(p)
@@ -130,7 +124,7 @@ def test_criterion_5_parallel_ladder_phase_transition():
         wide_gap = k % 2 == 0
         factor = rng.uniform(2.0, 6.0)
         half_gap = math.sqrt(var_t * factor) if wide_gap else math.sqrt(var_t / factor)
-        p = gen_parallel(VerticalLadder(half_gap, rungs))
+        p = gen_vertical_ladder(half_gap, rungs)
         fit = fit_d(p)
         assert isinstance(fit, UniqueLine)
         t_mean = sum(ts) / len(ts)
@@ -148,7 +142,7 @@ def test_criterion_5_parallel_ladder_phase_transition():
     ts = Sample(tuple(rng.uniform(-35.0, 35.0) for _ in range(40)))
     var_t = summarize(PairedSample(ts, ts)).var_x
     assert var_t > threshold
-    p = gen_parallel(SlantedLadder(slope, offset, ts))
+    p = gen_slanted_ladder(slope, offset, ts)
     fd = fit_d(p)
     assert isinstance(fd, UniqueLine)
     assert abs(math.tan(fd.line.theta) - slope) < 1e-9

@@ -24,7 +24,7 @@ from linefit.cli import (
 )
 from linefit.errors import CsvParseError, InsufficientDataError
 from linefit.fitters import fit_d, fit_d_report, fit_x, fit_y
-from linefit.generators import CircleSpec, gen_circle
+from linefit.generators import gen_circle
 from linefit.stats import PairedSample, summarize
 from linefit.svg import _Frame, render_svg
 
@@ -341,7 +341,7 @@ def test_run_svg_structure(tmp_path):
 
 def write_circle(tmp_path, n):
     csv = tmp_path / "circle.csv"
-    csv.write_text(render_csv(gen_circle(CircleSpec(n=n))))
+    csv.write_text(render_csv(gen_circle(n=n)))
     return csv
 
 
@@ -733,6 +733,16 @@ def test_a_vertical_ladder_whose_rung_variance_leaves_the_doubles_prints(capsys,
     assert main(["generate", "parallel", "--A", "1", "--spread", spread, "--n", "3"]) == 0
     p = parse_csv(capsys.readouterr().out.encode())
     assert p.n == 6 and max(p.ys.values) > min(p.ys.values)
+
+
+@pytest.mark.parametrize("offset, spread", [("1e-20", "30"), ("1", "8e307")])
+def test_a_slanted_ladder_whose_offset_is_lost_to_rounding_is_an_error(capsys, offset, spread):
+    # each lower point would round onto its upper partner: one line, not two
+    argv = ["generate", "parallel", "--M", "1", "--B", offset, "--spread", spread, "--n", "3"]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"error: offset {float(offset)!r} is lost to rounding")
+    assert captured.out == ""
 
 
 SPAN_MAX = [(1.7e308, 0.0), (1.7e308, 1.0), (-1.7e308, 0.0)]

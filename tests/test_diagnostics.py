@@ -14,7 +14,7 @@ from linefit.diagnostics import (
 )
 from linefit.errors import InvalidSampleError
 from linefit.fitters import fit_d, fit_y
-from linefit.generators import CircleSpec, NoisyLineSpec, gen_circle, gen_noisy_line
+from linefit.generators import gen_circle, gen_noisy_line
 from linefit.stats import PairedSample, summarize
 
 THREE_POINTS = PairedSample.from_points([(0, 0), (1, 0), (2, 1)])
@@ -69,7 +69,7 @@ def test_collinear_report_is_all_equalities():
 
 
 def test_circle_report_has_no_comparable_slopes():
-    rep = compare(gen_circle(CircleSpec(n=9, phase=0.77)))
+    rep = compare(gen_circle(n=9, phase=0.77))
     assert abs(rep.m) < 1e-12
     assert rep.m_x is None  # its formula divides by the (zero) covariance
     assert rep.tan_theta == TAN_THETA_ALL
@@ -173,9 +173,7 @@ def test_collinearity_flag_tracks_generator_noise():
     exact = PairedSample.from_xy(xs, tuple(1.3 * x + 0.2 for x in xs))
     assert compare(exact).collinear
     for noise in (1e-4, 1e-3):
-        noisy = gen_noisy_line(
-            NoisyLineSpec(slope=1.3, intercept=0.2, n=12, seed=3, noise=noise)
-        )
+        noisy = gen_noisy_line(slope=1.3, intercept=0.2, n=12, seed=3, noise=noise)
         assert not compare(noisy).collinear
 
 

@@ -24,7 +24,7 @@ from linefit.fitters import (
     objective_y,
     resolve_case,
 )
-from linefit.generators import CircleSpec, gen_circle
+from linefit.generators import gen_circle
 from linefit.geometry import inverse_slope_to_normal, slope_to_normal
 from linefit.stats import PairedSample, SummaryStats, summarize
 from linefit.transforms import Translation, invariance_report, line_discrepancy
@@ -322,7 +322,7 @@ def test_fit_d_three_points():
 
 
 def test_fit_d_circle_is_degenerate():
-    fit = fit_d(gen_circle(CircleSpec(n=4)))
+    fit = fit_d(gen_circle(n=4))
     assert isinstance(fit, AllLinesThroughCentroid)
     assert abs(fit.centroid.x) < 1e-12
     assert abs(fit.centroid.y) < 1e-12
@@ -375,6 +375,22 @@ def test_objective_zero_on_collinear_data():
     assert objective_d(p, fit.line.theta, fit.line.c) < 1e-28
 
 
+@given(st.lists(st.integers(-1000, 1000), min_size=2, max_size=20),
+       st.one_of(st.just(0.0), st.floats(min_value=-1.6e9, max_value=1.6e9)),
+       st.sampled_from([1.0, -1.0, 2.0, 0.5, -4.0]))
+@example([0] * 5 + [8] + [0] * 7, 0.0, 1.0)
+@settings(max_examples=300)
+def test_exactly_collinear_data_has_zero_minima_and_gap(ts, offset, slope):
+    # a power-of-two slope scales every offset from the centroid exactly, so
+    # cov^2 = var_x*var_y holds in floating point and nothing is left over
+    xs = [offset + t / 8 for t in ts]
+    p = PairedSample.from_xy(xs, [slope * x for x in xs])
+    assume(max(xs) > min(xs))
+    for fit in (fit_y, fit_x, fit_d_report):
+        assert fit(p).objective_min == 0.0
+    assert compare(p).cs_gap == 0.0
+
+
 def test_objective_y_strictly_larger_off_minimum():
     report = fit_y(THREE_POINTS)
     base = report.objective_min
@@ -394,7 +410,7 @@ def test_objective_x_matches_direct_summation():
 
 
 def test_objective_d_flat_on_circle():
-    p = gen_circle(CircleSpec(n=8))
+    p = gen_circle(n=8)
     s = summarize(p)
     for theta in (0.0, math.pi / 6, math.pi / 3):
         c = s.mean_x * math.sin(theta) - s.mean_y * math.cos(theta)
@@ -402,7 +418,7 @@ def test_objective_d_flat_on_circle():
 
 
 def test_degenerate_report_objective_is_mean_variance():
-    report = fit_d_report(gen_circle(CircleSpec(n=6)))
+    report = fit_d_report(gen_circle(n=6))
     assert isinstance(report.line, AllLinesThroughCentroid)
     assert abs(report.objective_min - 0.5) < 1e-12
 
@@ -760,7 +776,7 @@ def test_vertical_data_has_no_tangent(x):
 def test_normal_form_is_the_reported_line():
     rng = random.Random(12)
     samples = [random_sample(rng) for _ in range(40)]
-    samples += [gen_circle(CircleSpec(n=n, phase=0.3)) for n in (3, 4, 9)]
+    samples += [gen_circle(n=n, phase=0.3) for n in (3, 4, 9)]
     samples += [
         PairedSample.from_xy((2.0, 2.0, 2.0), (0.0, 1.0, 5.0)),
         PairedSample.from_xy((0.0, 1.0, 5.0), (2.0, 2.0, 2.0)),
@@ -780,10 +796,10 @@ def test_normal_form_is_the_reported_line():
                 continue
             if method == "Y":
                 want = slope_to_normal(line)
-                on_line = [(x, line.y_at(x)) for x in (-1.0, 1.0)]
+                on_line = [(x, line.m * x + line.b) for x in (-1.0, 1.0)]
             elif method == "X":
                 want = inverse_slope_to_normal(line)
-                on_line = [(line.x_at(y), y) for y in (-1.0, 1.0)]
+                on_line = [(line.mu * y + line.beta, y) for y in (-1.0, 1.0)]
             else:
                 want = line.line
                 on_line = [(q.x, q.y) for q in map(want.point_at, (-1.0, 1.0))]

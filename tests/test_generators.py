@@ -6,13 +6,10 @@ import pytest
 from linefit.errors import GenerationError
 from linefit.fitters import AllLinesThroughCentroid, UniqueLine, fit_d, fit_x, fit_y
 from linefit.generators import (
-    CircleSpec,
-    NoisyLineSpec,
-    SlantedLadder,
-    VerticalLadder,
     gen_circle,
     gen_noisy_line,
-    gen_parallel,
+    gen_slanted_ladder,
+    gen_vertical_ladder,
 )
 from linefit.geometry import Point
 from linefit.stats import Sample, summarize
@@ -27,7 +24,7 @@ def rung_variance(ts):
 # --- vertical ladders -----------------------------------------------------------
 
 def test_wide_rung_ladder_stats_and_fit():
-    p = gen_parallel(VerticalLadder(1.0, Sample((0.0, 2.0, -2.0))))
+    p = gen_vertical_ladder(1.0, Sample((0.0, 2.0, -2.0)))
     assert p.n == 6
     s = summarize(p)
     assert abs(s.var_x - 1.0) < 1e-12
@@ -41,7 +38,7 @@ def test_wide_rung_ladder_stats_and_fit():
 
 
 def test_narrow_rung_ladder_fit_is_horizontal():
-    p = gen_parallel(VerticalLadder(10.0, Sample((0.0, 0.1, -0.1))))
+    p = gen_vertical_ladder(10.0, Sample((0.0, 0.1, -0.1)))
     fit = fit_d(p)
     assert isinstance(fit, UniqueLine)
     assert fit.line.theta == pytest.approx(0.0, abs=1e-12)
@@ -51,7 +48,7 @@ def test_narrow_rung_ladder_fit_is_horizontal():
 
 def test_vertical_ladder_y_and_x_fits_ignore_the_rung_spread():
     for rungs in ((0.0, 2.0, -2.0), (0.0, 0.1, -0.1)):
-        p = gen_parallel(VerticalLadder(3.0, Sample(rungs)))
+        p = gen_vertical_ladder(3.0, Sample(rungs))
         ry = fit_y(p)
         assert abs(ry.line.m) < 1e-12  # always the horizontal mean line
         rx = fit_x(p)
@@ -61,15 +58,15 @@ def test_vertical_ladder_y_and_x_fits_ignore_the_rung_spread():
 
 def test_vertical_ladder_requires_spread_and_gap():
     with pytest.raises(GenerationError):
-        VerticalLadder(0.0, Sample((0.0, 1.0)))
+        gen_vertical_ladder(0.0, Sample((0.0, 1.0)))
     with pytest.raises(GenerationError):
-        VerticalLadder(1.0, Sample((2.0, 2.0, 2.0)))
+        gen_vertical_ladder(1.0, Sample((2.0, 2.0, 2.0)))
 
 
 # --- slanted ladders ---------------------------------------------------------------
 
 def test_flat_ladder_vertical_fit_is_the_mid_line():
-    p = gen_parallel(SlantedLadder(0.0, 5.0, Sample((-3.0, 0.0, 4.0))))
+    p = gen_slanted_ladder(0.0, 5.0, Sample((-3.0, 0.0, 4.0)))
     report = fit_y(p)
     assert abs(report.line.m) < 1e-12
     assert abs(report.line.b) < 1e-12
@@ -81,7 +78,7 @@ def test_slanted_ladder_stats_match_closed_forms():
         m = rng.uniform(-3.0, 3.0)
         b = rng.uniform(0.5, 20.0)
         ts = tuple(rng.uniform(-10.0, 10.0) for _ in range(rng.randint(2, 12)))
-        p = gen_parallel(SlantedLadder(m, b, Sample(ts)))
+        p = gen_slanted_ladder(m, b, Sample(ts))
         s = summarize(p)
         vt = rung_variance(ts)
         tbar = sum(ts) / len(ts)
@@ -103,7 +100,7 @@ def test_ladder_pairs_are_perpendicular_to_the_lines():
         m = rng.uniform(-4.0, 4.0)
         b = rng.uniform(0.5, 10.0)
         ts = tuple(rng.uniform(-5.0, 5.0) for _ in range(6))
-        p = gen_parallel(SlantedLadder(m, b, Sample(ts)))
+        p = gen_slanted_ladder(m, b, Sample(ts))
         pts = p.points()
         n = len(ts)
         for i in range(n):
@@ -114,7 +111,7 @@ def test_ladder_pairs_are_perpendicular_to_the_lines():
 
 def test_spread_out_slanted_ladder_fit_has_the_ladder_slope():
     ts = Sample(tuple(float(t) for t in range(-30, 31, 3)))
-    p = gen_parallel(SlantedLadder(2.0, 40.0, ts))
+    p = gen_slanted_ladder(2.0, 40.0, ts)
     fit = fit_d(p)
     assert isinstance(fit, UniqueLine)
     assert abs(math.tan(fit.line.theta) - 2.0) < 1e-9
@@ -124,16 +121,26 @@ def test_clustered_slanted_ladder_fit_is_perpendicular_to_the_ladder():
     # rung spread far below offset^2/(slope^2+1)^2: the data look like two
     # clusters, so the fitted line runs through them, across the ladder
     ts = Sample((0.0, 0.2, -0.2, 0.1))
-    p = gen_parallel(SlantedLadder(2.0, 40.0, ts))
+    p = gen_slanted_ladder(2.0, 40.0, ts)
     fit = fit_d(p)
     assert isinstance(fit, UniqueLine)
     assert abs(math.tan(fit.line.theta) - (-0.5)) < 1e-9
 
 
+def test_slanted_ladder_rejects_an_offset_lost_to_rounding():
+    for slope, offset, ts in ((1.0, 1e-20, (-3.0, 0.5, 7.0)), (1.0, 1.0, (8e307, -8e307))):
+        with pytest.raises(GenerationError, match=f"offset {offset!r} is lost"):
+            gen_slanted_ladder(slope, offset, Sample(ts))
+    with pytest.raises(GenerationError, match="offset must be positive"):
+        gen_slanted_ladder(1.0, 0.0, Sample((0.0, 1.0)))
+    with pytest.raises(GenerationError, match="slope must be finite"):
+        gen_slanted_ladder(math.inf, 1.0, Sample((0.0, 1.0)))
+
+
 # --- circles -------------------------------------------------------------------------
 
 def test_four_circle_points_land_on_the_axes():
-    p = gen_circle(CircleSpec(n=4))
+    p = gen_circle(n=4)
     expected = [(0.0, 1.0), (-1.0, 0.0), (0.0, -1.0), (1.0, 0.0)]
     for (gx, gy), (wx, wy) in zip(p.points(), expected):
         assert abs(gx - wx) < 1e-12
@@ -144,7 +151,7 @@ def test_circle_statistics_for_every_size_and_phase():
     rng = random.Random(4)
     for n in range(3, 31):
         for _ in range(10):
-            s = summarize(gen_circle(CircleSpec(n=n, phase=rng.uniform(0.0, 2 * math.pi))))
+            s = summarize(gen_circle(n=n, phase=rng.uniform(0.0, 2 * math.pi)))
             assert abs(s.mean_x) < 1e-12
             assert abs(s.mean_y) < 1e-12
             assert abs(s.var_x - 0.5) < 1e-12
@@ -153,7 +160,7 @@ def test_circle_statistics_for_every_size_and_phase():
 
 
 def test_seven_point_circle_stats():
-    s = summarize(gen_circle(CircleSpec(n=7)))
+    s = summarize(gen_circle(n=7))
     assert abs(s.var_x - 0.5) < 1e-12
     assert abs(s.var_y - 0.5) < 1e-12
     assert abs(s.cov_xy) < 1e-12
@@ -161,7 +168,7 @@ def test_seven_point_circle_stats():
 
 def test_all_fits_degrade_on_circles():
     for n in (3, 8, 13):
-        p = gen_circle(CircleSpec(n=n, phase=0.456))
+        p = gen_circle(n=n, phase=0.456)
         ry = fit_y(p)
         assert abs(ry.line.m) < 1e-10 and abs(ry.line.b) < 1e-10
         rx = fit_x(p)
@@ -171,7 +178,7 @@ def test_all_fits_degrade_on_circles():
 
 
 def test_scaled_and_shifted_circle():
-    s = summarize(gen_circle(CircleSpec(n=12, radius=3.0, center=Point(5.0, -2.0))))
+    s = summarize(gen_circle(n=12, radius=3.0, center=Point(5.0, -2.0)))
     assert abs(s.mean_x - 5.0) < 1e-12
     assert abs(s.mean_y - (-2.0)) < 1e-12
     assert abs(s.var_x - 4.5) < 1e-11  # radius^2 / 2
@@ -180,21 +187,20 @@ def test_scaled_and_shifted_circle():
 
 def test_circle_rejects_small_n():
     with pytest.raises(GenerationError):
-        CircleSpec(n=2)
+        gen_circle(n=2)
 
 
 # --- noisy lines ------------------------------------------------------------------------
 
 def test_noisy_line_is_deterministic_per_seed():
-    spec = NoisyLineSpec(slope=1.5, intercept=-0.5, n=20, seed=77)
-    assert gen_noisy_line(spec).points() == gen_noisy_line(spec).points()
-    other = NoisyLineSpec(slope=1.5, intercept=-0.5, n=20, seed=78)
-    assert gen_noisy_line(other).points() != gen_noisy_line(spec).points()
+    first = gen_noisy_line(slope=1.5, intercept=-0.5, n=20, seed=77)
+    assert gen_noisy_line(slope=1.5, intercept=-0.5, n=20, seed=77).points() == first.points()
+    other = gen_noisy_line(slope=1.5, intercept=-0.5, n=20, seed=78)
+    assert other.points() != first.points()
 
 
 def test_noisy_line_perturbations_are_bounded():
-    spec = NoisyLineSpec(slope=-2.0, intercept=3.0, n=50, seed=5, noise=0.25)
-    p = gen_noisy_line(spec)
+    p = gen_noisy_line(slope=-2.0, intercept=3.0, n=50, seed=5, noise=0.25)
     for x, y in p.points():
         assert abs(y - (-2.0 * x + 3.0)) <= 0.25
         assert -10.0 <= x <= 10.0
@@ -202,8 +208,8 @@ def test_noisy_line_perturbations_are_bounded():
 
 def test_noisy_line_rejects_bad_specs():
     with pytest.raises(GenerationError):
-        NoisyLineSpec(slope=1.0, intercept=0.0, n=1, seed=0)
+        gen_noisy_line(slope=1.0, intercept=0.0, n=1, seed=0)
     with pytest.raises(GenerationError):
-        NoisyLineSpec(slope=1.0, intercept=0.0, n=5, seed=0, noise=-0.1)
+        gen_noisy_line(slope=1.0, intercept=0.0, n=5, seed=0, noise=-0.1)
     with pytest.raises(GenerationError):
-        NoisyLineSpec(slope=1.0, intercept=0.0, n=5, seed=0, x_span=(3.0, 3.0))
+        gen_noisy_line(slope=1.0, intercept=0.0, n=5, seed=0, x_span=(3.0, 3.0))

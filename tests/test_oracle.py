@@ -6,7 +6,7 @@ from grid_oracle import DEFAULT_GRID, PLANAR_GRID, GridSpec, grid_min_d, grid_mi
 from objective_oracle import loop_d
 
 from linefit.fitters import fit_d_report, fit_x, fit_y
-from linefit.generators import CircleSpec, gen_circle
+from linefit.generators import gen_circle
 from linefit.stats import PairedSample, summarize
 
 THREE_POINTS = PairedSample.from_points([(0, 0), (1, 0), (2, 1)])
@@ -35,7 +35,7 @@ def test_angle_search_on_reference_points():
 
 
 def test_angle_search_objective_is_flat_on_circle_data():
-    p = gen_circle(CircleSpec(n=8))
+    p = gen_circle(n=8)
     s = summarize(p)
     values = []
     for k in range(720):

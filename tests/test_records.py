@@ -8,22 +8,18 @@ import pytest
 
 from linefit import (
     AllLinesThroughCentroid,
-    CircleSpec,
     FitReport,
     InvarianceReport,
     InverseSlopeLine,
-    NoisyLineSpec,
     NormalLine,
     PairedSample,
     Point,
     Rotation,
     Sample,
-    SlantedLadder,
     SlopeInterceptLine,
     SummaryStats,
     Translation,
     UniqueLine,
-    VerticalLadder,
     compare,
 )
 from linefit.cli import RunConfig
@@ -63,16 +59,6 @@ RECORDS = [
      "InvarianceReport(motion=Translation(u=1, v=2), status='ok', "
      "line_from_transformed_data=NormalLine(theta=0.5, c=1.0), "
      "expected_if_invariant=NormalLine(theta=0.5, c=1.0), discrepancy=0.0)", None),
-    (VerticalLadder(1.5, S), "VerticalLadder(half_gap=1.5, rungs=Sample(values=(0.0, 1.0, 3.0)))",
-     (0.0, S)),
-    (SlantedLadder(2.0, 1.0, S),
-     "SlantedLadder(slope=2.0, offset=1.0, rungs=Sample(values=(0.0, 1.0, 3.0)))",
-     (math.inf, 1.0, S)),
-    (CircleSpec(5), "CircleSpec(n=5, phase=0.0, radius=1.0, center=Point(x=0.0, y=0.0))",
-     (2, 0.0, 1.0, Point(0, 0))),
-    (NoisyLineSpec(1.0, 0.0, 5, 0),
-     "NoisyLineSpec(slope=1.0, intercept=0.0, n=5, seed=0, x_span=(-10.0, 10.0), noise=0.1)",
-     (1.0, 0.0, 1, 0, (-10.0, 10.0), 0.1)),
     (RunConfig("-"),
      "RunConfig(input='-', methods=('Y', 'X', 'D'), output_json=None, output_svg=None)",
      ("-", (), None, None)),

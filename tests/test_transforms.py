@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 
 from linefit.fitters import AllLinesThroughCentroid, UniqueLine, fit_d, fit_x, fit_y
-from linefit.generators import CircleSpec, gen_circle
+from linefit.generators import gen_circle
 from linefit.geometry import NormalLine, Point
 from linefit.stats import PairedSample, summarize
 from linefit.transforms import (
@@ -201,7 +201,7 @@ def test_perpendicular_fit_is_rotation_invariant_generally():
 
 
 def test_rotating_a_degenerate_sample_keeps_the_family():
-    p = gen_circle(CircleSpec(n=5, phase=0.3))
+    p = gen_circle(n=5, phase=0.3)
     report = invariance_report(p, Rotation(0.8, Point(2.0, 1.0)), "D")
     assert report.status == STATUS_OK
     assert isinstance(report.line_from_transformed_data, AllLinesThroughCentroid)

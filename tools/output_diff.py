@@ -4,10 +4,10 @@
 
 For each side, in a subprocess, it runs `fit --json --svg` and
 `transform --rotate 0.3` on every corpus input, and the three `generate`
-shapes, plus one `generate` whose options overflow and a ladder whose rung
-variance does.  The corpus is a perfbench-style 1e5-point noisy line (seed
-11) and small inputs at the edges of the line forms and of the CSV grammar,
-valid and not.  Every side after the first is compared with the first,
+shapes, plus one `generate` whose options overflow, a ladder whose rung
+variance does and a ladder whose offset is lost to rounding.  The corpus
+is a perfbench-style 1e5-point noisy line (seed 11) and small inputs at the
+edges of the line forms and of the CSV grammar, valid and not.  Every side after the first is compared with the first,
 output by output: the table (stdout), stderr, the exit code and the JSON and
 SVG files.  Each prints `same` or `different`; a differing JSON names the
 key paths whose text differs, and a differing stdout or SVG names its
@@ -49,6 +49,7 @@ SMALL = {
     "gate-miss": b"0,0\n1,0\n2,1\n3,1\n0,5\n",  # case IV, 2*cov^2 < var_x*|var_x - var_y|
     "collinear": b"0,0\n1,2\n2,4\n",
     "span-max": b"1.7e308,0\n1.7e308,1\n-1.7e308,0\n",  # x - mean_x overflows
+    "y-equals-x": b"0,0\n" * 5 + b"1,1\n" + b"0,0\n" * 7,  # cov = var exactly
 }
 GENERATE = {
     "circle": ["circle", "--n", "12"],
@@ -56,6 +57,7 @@ GENERATE = {
     "noisy-line": ["noisy-line", "--slope", "0.5", "--n", "50", "--seed", "3"],
     "overflow": ["noisy-line", "--slope", "1e308"],
     "wide-ladder": ["parallel", "--A", "1", "--spread", "8e307", "--n", "3"],  # var overflows
+    "lost-offset": ["parallel", "--M", "1", "--B", "1e-20", "--n", "3"],  # lower = upper
 }
 MAX_PATHS = 8
 FIT_PATH = re.compile(r'class="(fit-\w)" d="M (\S+) (\S+) L (\S+) (\S+)"')
