@@ -9,6 +9,12 @@ Subcommands:
 * ``transform`` apply a rigid motion to a CSV point set and print the moved
                 CSV, for shell-level invariance experiments.
 
+From ``_FORK_MIN_POINTS`` (10,000) points up, ``parse_csv`` and
+``render_csv`` run half of their float conversion in a forked child
+(``_halves``).  The point count decides it, where ``os.fork`` exists, the
+process may run on two CPUs and it runs a single thread; no option does.
+The results and errors are those of one process.
+
 Exit codes: 0 success (at least one requested fit produced a result),
 1 stdout was closed before the output was written, 2 input error or an
 unwritable output path, 3 every requested fit failed its precondition.
@@ -18,10 +24,12 @@ from __future__ import annotations
 
 import argparse
 import json
+import marshal
 import math
 import os
 import re
 import sys
+import threading
 from collections import namedtuple
 from itertools import chain, repeat
 
@@ -70,13 +78,16 @@ class RunConfig(namedtuple("RunConfig", "input methods output_json output_svg"))
 # CSV
 
 def parse_csv(data: bytes, *, echo: bool = False):
-    """Parse UTF-8 `x,y` lines, LF or CRLF, into a sample.
+    """Parse UTF-8 `x,y` lines into a sample.
 
-    Blank lines may appear anywhere, and the first non-blank line may be the
-    header `x,y`, with whitespace around its fields.  Fields are finite Python
-    float literals with optional surrounding whitespace; at least two pairs
-    are needed.  Other input raises :class:`CsvParseError`, which names the
-    first bad 1-based line, or :class:`InsufficientDataError`.
+    A line ends at any break ``str.splitlines`` reads: LF, CRLF, CR, VT, FF,
+    U+001C to U+001E (the file, group and record separators), NEL (U+0085),
+    U+2028 and U+2029.  Blank lines may appear anywhere, and the first
+    non-blank line may be the header `x,y`, with whitespace around its fields.
+    Fields are finite Python float literals with optional surrounding
+    whitespace; at least two pairs are needed.  Other input raises
+    :class:`CsvParseError`, which names the first bad 1-based line, or
+    :class:`InsufficientDataError`.
 
     With ``echo=True`` the result is ``(sample, points_json)``.  If every field
     is a JSON float literal (RFC 8259 section 6: a fraction or an exponent) and
@@ -90,17 +101,26 @@ def parse_csv(data: bytes, *, echo: bool = False):
     header = bool(rows) and [f.strip() for f in rows[0].split(",")] == ["x", "y"]
     if header:
         del rows[0]
-    if set(map(str.count, rows, repeat(","))) != {1}:
-        _explain(data, header)
     try:
-        values, spelled = _values(",".join(rows))
+        (values, spelled), (tail, tail_spelled) = _halves(
+            lambda s: _row_values(rows[s]), len(rows))
+        values += tail
+        del tail  # the halves' lists go before the sample's columns are built
         # the Sample check is the one finiteness pass, and it counts the points
         sample = PairedSample.from_xy(values[0::2], values[1::2])
     except ValueError:
         _explain(data, header)
     if not echo:
         return sample
-    return sample, "[[" + "],[".join(rows) + "]]" if spelled else None
+    return sample, "[[" + "],[".join(rows) + "]]" if spelled and tail_spelled else None
+
+
+def _row_values(rows: list[str]) -> tuple[list[float], bool]:
+    """The fields of rows that hold one comma each, as by :func:`_values`;
+    ValueError on any other row, or on no rows."""
+    if set(map(str.count, rows, repeat(","))) != {1}:
+        raise ValueError("not one comma per row")
+    return _values(",".join(rows))
 
 
 def _reject(token: str):
@@ -146,10 +166,78 @@ def _explain(data: bytes, header: bool) -> None:
 
 
 def render_csv(p: PairedSample) -> str:
-    # 17 significant digits round-trip any double exactly; one format call
-    # over the interleaved coordinates builds no string per point
-    xy = tuple(chain.from_iterable(zip(p.xs.values, p.ys.values)))
-    return ("x,y\n" + "%.17g,%.17g\n" * p.n) % xy
+    xs, ys = p.xs.values, p.ys.values
+
+    def rows(s: slice) -> str:
+        # 17 significant digits round-trip any double exactly; one format call
+        # over the interleaved coordinates builds no string per point
+        xy = tuple(chain.from_iterable(zip(xs[s], ys[s])))
+        return ("%.17g,%.17g\n" * (len(xy) // 2)) % xy
+
+    return "x,y\n%s%s" % _halves(rows, p.n)
+
+
+# Below this many points a fork costs more than the half it takes off this
+# process saves (BENCH_two_process_convert.json holds the measurement).
+_FORK_MIN_POINTS = 10_000
+
+
+def _cpus() -> int:
+    """How many CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _halves(fn, n: int) -> tuple:
+    """``(fn(slice(0, n // 2)), fn(slice(n // 2, n)))``, the second half
+    computed in a forked child while this process computes the first.
+
+    It forks only for at least ``_FORK_MIN_POINTS`` points, where ``os.fork``
+    exists, when this process may run on two CPUs (on one, the child only
+    adds its cost) and when it runs a single thread; else it computes both
+    halves here.  The child returns its result through a pipe as ``marshal``
+    bytes, which keep every double bit for bit, and ends with ``os._exit``, so
+    it flushes no inherited stdio buffer and runs no ``atexit`` handler.  If
+    the child fails in any way, this process computes the second half itself,
+    so every result and every exception is the one the serial code gives.
+    """
+    first, second = slice(0, n // 2), slice(n // 2, n)
+    if (n < _FORK_MIN_POINTS or not hasattr(os, "fork") or _cpus() < 2
+            or threading.active_count() != 1):
+        return fn(first), fn(second)
+    r, w = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:  # no process to spare: compute both halves here
+        os.close(r)
+        os.close(w)
+        return fn(first), fn(second)
+    if pid == 0:
+        status = 1
+        try:
+            os.close(r)
+            with open(w, "wb") as pipe:
+                pipe.write(marshal.dumps(fn(second)))
+            status = 0
+        finally:
+            os._exit(status)
+    os.close(w)
+    try:
+        with open(r, "rb") as pipe:  # closed before the wait: a blocked child sees EPIPE
+            head = fn(first)
+            blob = pipe.read()
+    finally:
+        try:
+            status = os.waitpid(pid, 0)[1]
+        except ChildProcessError:  # an ignored SIGCHLD reaped it: its status is lost
+            status = -1
+    if status == 0:
+        try:
+            return head, marshal.loads(blob)
+        except (EOFError, ValueError, TypeError):
+            pass
+    return head, fn(second)
 
 
 # ---------------------------------------------------------------------------

@@ -1,19 +1,24 @@
 import contextlib
 import io
 import json
+import marshal
 import math
 import os
 import random
+import signal
 import subprocess
 import sys
+import threading
 import xml.etree.ElementTree as ET
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
 import linefit
+import linefit.cli as cli
 from linefit.cli import (
     RunConfig,
     main,
@@ -149,7 +154,9 @@ def csv_inputs(draw):
         rows.insert(draw(st.integers(0, len(rows))), draw(_irregular))
     if draw(st.booleans()):
         rows.insert(0, "x,y")
-    eol = draw(st.sampled_from(["\n", "\r\n"]))
+    # every line break str.splitlines reads
+    eol = draw(st.sampled_from(["\n", "\r\n", "\r", "\v", "\f", "\x1c", "\x1d", "\x1e",
+                                "\x85", "\u2028", "\u2029"]))
     data = (eol.join(rows) + (eol if draw(st.booleans()) else "")).encode()
     if draw(st.integers(0, 9)) == 0:
         i = draw(st.integers(0, len(data)))
@@ -180,6 +187,141 @@ def test_parse_csv_agrees_with_the_line_parser(data):
 def test_csv_round_trip():
     p = PairedSample.from_points([(0.1, -0.7), (2.5, 3.25), (1 / 3, 1e-17)])
     assert parse_csv(render_csv(p).encode()).points() == p.points()
+
+
+# --- the two-process conversion ------------------------------------------------------
+
+def _big_csv(n: int = cli._FORK_MIN_POINTS + 1, tail: str | None = None) -> bytes:
+    """A header and n repr rows, with ``tail`` in place of the last but one."""
+    rng = random.Random(n)
+    rows = [f"{rng.uniform(-9, 9)!r},{rng.uniform(-1e9, 1e9)!r}" for _ in range(n)]
+    if tail is not None:
+        rows[-2] = tail
+    return ("x,y\n" + "\n".join(rows) + "\n").encode()
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """The pids that os.fork returned to this process, which may run on two
+    CPUs whatever the machine has."""
+    fork, pids = os.fork, []
+
+    def spy():
+        pid = fork()
+        pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", spy)
+    monkeypatch.setattr(cli, "_cpus", lambda: 2)
+    return pids
+
+
+def _conversions(data: bytes):
+    """Hex points, echo and rendered CSV of ``data``, or parse_csv's error."""
+    try:
+        sample, points_json = parse_csv(data, echo=True)
+    except (CsvParseError, InsufficientDataError) as exc:
+        return type(exc), getattr(exc, "line", None), str(exc)
+    return _hex_points(sample.points()), points_json, render_csv(sample)
+
+
+def _no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.parametrize("tail", [
+    None, "1.5,abc", "1.5,2.5,3.5", "nan,1.0", "1e400,0.5", "3,2.5", " 1.5,2.5",
+], ids=["repr", "bad-number", "three-fields", "nan", "overflow", "integer", "padded"])
+def test_the_forked_half_converts_bit_for_bit_as_in_process(monkeypatch, forks, tail):
+    # the odd field lies in the second half only, which the child converts
+    data = _big_csv(tail=tail)
+    forked = _conversions(data)
+    assert forks and forks[0] > 0
+    _no_child_left()
+    monkeypatch.delattr(os, "fork")
+    assert forked == _conversions(data)
+    if tail is None:
+        assert forked[1] is not None  # the echo survives the split
+    elif tail in ("3,2.5", " 1.5,2.5"):
+        assert forked[1] is None
+    else:
+        assert forked[1] == len(data.splitlines()) - 1  # the line of the bad row
+
+
+@pytest.mark.parametrize("failure", ["raise", "exit", "kill", "short-blob", "bad-blob"])
+def test_a_failed_child_leaves_the_result_unchanged(monkeypatch, forks, failure):
+    data = _big_csv()
+    expected = _conversions(data)
+    forks.clear()
+
+    def dumps(value):  # runs in the child only
+        blob = marshal.dumps(value)
+        if failure == "raise":
+            raise MemoryError
+        if failure == "exit":
+            os._exit(3)
+        if failure == "kill":
+            os.kill(os.getpid(), signal.SIGKILL)
+        return blob[:-5] if failure == "short-blob" else b"\xff" + blob
+
+    monkeypatch.setattr(cli, "marshal", SimpleNamespace(dumps=dumps, loads=marshal.loads))
+    assert _conversions(data) == expected
+    assert len(forks) == 2  # parse_csv's and render_csv's
+    _no_child_left()
+
+
+def test_a_child_reaped_by_an_ignored_sigchld_leaves_the_result_unchanged(forks):
+    # with SIGCHLD ignored the kernel reaps every child, so waitpid finds none
+    data = _big_csv()
+    expected = _conversions(data)
+    previous = signal.signal(signal.SIGCHLD, signal.SIG_IGN)
+    try:
+        assert _conversions(data) == expected
+    finally:
+        signal.signal(signal.SIGCHLD, previous)
+    assert len(forks) == 4
+    _no_child_left()
+
+
+def test_a_raising_first_half_still_reaps_the_child(forks):
+    def fn(s):
+        if s.start == 0:  # the first half, computed in this process
+            raise KeyError("first")
+        return "x" * 10**6  # more than a pipe holds: the child blocks writing
+
+    with pytest.raises(KeyError):
+        cli._halves(fn, cli._FORK_MIN_POINTS)
+    assert forks
+    _no_child_left()
+
+
+def test_small_inputs_one_cpu_and_threads_convert_in_process(monkeypatch, forks):
+    _conversions(_big_csv(cli._FORK_MIN_POINTS - 1))
+    with monkeypatch.context() as m:
+        m.setattr(cli, "_cpus", lambda: 1)
+        _conversions(_big_csv())
+    done = threading.Event()
+    waiting = threading.Thread(target=done.wait)
+    waiting.start()
+    try:
+        _conversions(_big_csv())
+    finally:
+        done.set()
+        waiting.join(timeout=10)
+    assert not waiting.is_alive()
+    assert forks == []
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="no CPU affinity")
+def test_a_process_pinned_to_one_cpu_may_run_on_one():
+    cpus = os.sched_getaffinity(0)
+    os.sched_setaffinity(0, {min(cpus)})
+    try:
+        assert cli._cpus() == 1
+    finally:
+        os.sched_setaffinity(0, cpus)
+    assert cli._cpus() == len(cpus)
 
 
 # --- JSON serialization --------------------------------------------------------------

@@ -6,14 +6,17 @@ For each side, in a subprocess, it runs `fit --json --svg` and
 `transform --rotate 0.3` on every corpus input, and the three `generate`
 shapes, plus one `generate` whose options overflow, a ladder whose rung
 variance does and a ladder whose offset is lost to rounding.  The corpus
-is a perfbench-style 1e5-point noisy line (seed 11) and small inputs at the
-edges of the line forms and of the CSV grammar, valid and not.  Every side after the first is compared with the first,
-output by output: the table (stdout), stderr, the exit code and the JSON and
-SVG files.  Each prints `same` or `different`; a differing JSON names the
-key paths whose text differs, and a differing stdout or SVG names its
-differing rows or element classes.  For the SVG's fit paths it also gives
-how far apart the paths' ends are once each is clipped to the 800x600
-viewport.  The exit status is 1 when anything differs.
+is a perfbench-style 1e5-point noisy line (seed 11), two copies of it with
+one odd row in the second half of the lines, which a forked child converts
+(`1.5,abc`, an input error, and an integer field, which turns the JSON
+points into reprs), and small inputs at the edges of the line forms and of
+the CSV grammar, valid and not.  Every side after the first is compared
+with the first, output by output: the table (stdout), stderr, the exit code
+and the JSON and SVG files.  Each prints `same` or `different`; a differing
+JSON names the key paths whose text differs, and a differing stdout or SVG
+names its differing rows or element classes.  For the SVG's fit paths it
+also gives how far apart the paths' ends are once each is clipped to the
+800x600 viewport.  The exit status is 1 when anything differs.
 """
 
 from __future__ import annotations
@@ -68,6 +71,12 @@ def corpus(work: Path) -> list[tuple[str, str, list[str], Path | None]]:
     big = work / "noisy-1e5.csv"
     write_csv(big, *noisy_line(rng_for(11, "cli-report-100k"), 100_000))
     inputs = {"noisy-1e5": big}
+    rows = big.read_bytes().splitlines(keepends=True)
+    odd = 3 * len(rows) // 4
+    for name, row in (("noisy-1e5-bad-tail", b"1.5,abc\n"),
+                      ("noisy-1e5-int-tail", b"7," + rows[odd].split(b",")[1])):
+        inputs[name] = work / f"{name}.csv"
+        inputs[name].write_bytes(b"".join(rows[:odd] + [row] + rows[odd + 1:]))
     for name, data in SMALL.items():
         inputs[name] = work / f"{name}.csv"
         inputs[name].write_bytes(data)
@@ -172,7 +181,7 @@ def main() -> int:
                 for out in sorted(set(want) | set(got)):
                     verdict = describe(out, want.get(out, b""), got.get(out, b""))
                     differ |= verdict != "same"
-                    print(f"{name} vs {base[0]}  {input_name:<13} {command:<24} "
+                    print(f"{name} vs {base[0]}  {input_name:<18} {command:<24} "
                           f"{out:<6} {verdict}")
     return 1 if differ else 0
 

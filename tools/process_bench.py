@@ -65,7 +65,7 @@ def main() -> int:
                     help="a side to measure: its name and its src/ directory")
     ap.add_argument("--n", type=int, nargs="+", default=[1000, 100000, 1000000])
     ap.add_argument("--command", choices=sorted(COMMANDS), nargs="+",
-                    default=["fit --json --svg", "fit --json"])
+                    default=["fit --json --svg", "fit --json", "fit", "transform --rotate 0.3"])
     ap.add_argument("--reps", type=int, default=3)
     ap.add_argument("--seed", type=int, default=1)
     ap.add_argument("--out", type=Path, help="write the JSON result here (default: stdout)")
