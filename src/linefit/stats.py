@@ -15,6 +15,7 @@ suite.
 from __future__ import annotations
 
 import math
+import sys
 from collections import namedtuple
 from collections.abc import Iterable, Sequence
 from functools import cached_property
@@ -170,12 +171,13 @@ def _checked(n: int, mean_x: float, mean_y: float,
     cov_xy*cov_xy is at most var_x*var_y, which rounding on collinear data can
     exceed; |cov_xy| is then cut to sqrt(var_x)*sqrt(var_y).  That bound can
     round an ulp below an exact cov_xy = var_x = var_y, so a cov_xy whose
-    square is within var_x*var_y stays, unless that square underflows.  Raises
+    square is within var_x*var_y stays, unless that square is subnormal or
+    zero: subnormal products keep too few bits to tell.  Raises
     :class:`InvalidSampleError` when the statistics overflow."""
     finite = all(map(math.isfinite, (mean_x, mean_y, var_x, var_y, cov_xy)))
     var_x, var_y = max(0.0, var_x), max(0.0, var_y)
     bound = math.sqrt(var_x) * math.sqrt(var_y)
-    if abs(cov_xy) > bound and not 0.0 < cov_xy * cov_xy <= var_x * var_y:
+    if abs(cov_xy) > bound and not sys.float_info.min <= cov_xy * cov_xy <= var_x * var_y:
         cov_xy = math.copysign(bound, cov_xy)
     # the fit objectives and diagnostics square cov_xy and multiply var_x by
     # var_y, so those have to stay finite too

@@ -6,15 +6,20 @@ offsets.  Line styles follow the usual convention here: dotted for the
 vertical-offset fit, dashed for the horizontal-offset fit, solid for the
 perpendicular fit.  A fitted line is drawn longer than the figure's diagonal
 and the viewport clips it (SVG 1.1 section 14.3).  A degenerate perpendicular
-fit is drawn as a marked centroid with a note, not as a line.
+fit is drawn as a marked centroid with a note, not as a line.  From 10,000
+points up a forked child formats the second half of the data-point markers
+(:mod:`linefit.halves`); the bytes are those of one process.
 """
 
 from __future__ import annotations
 
 import math
 from collections.abc import Sequence
+from itertools import chain, repeat
+from operator import add, mul, sub
 
 from .fitters import FitReport
+from .halves import _halves
 from .stats import PairedSample
 
 __all__ = ["render_svg"]
@@ -28,6 +33,7 @@ _STYLES = {
     "X": ('stroke="#d62728" stroke-dasharray="12 8"', "horizontal-offset fit (dashed)"),
     "D": ('stroke="#000000"', "perpendicular fit (solid)"),
 }
+_MARKER = '\n<circle class="data-point" cx="%.2f" cy="%.2f" r="3" fill="#444444"/>'
 
 
 class _Frame:
@@ -101,10 +107,15 @@ def render_svg(p: PairedSample, fits: Sequence[tuple[str, FitReport]]) -> str:
             f'<text x="12" y="{20 + 18 * legend_row}" font-size="13">'
             f"{method}: {label}</text>"
         )
-    parts += [
-        '<circle class="data-point" cx="%.2f" cy="%.2f" r="3" fill="#444444"/>'
-        % frame.to_pixel(x, y)
-        for x, y in zip(p.xs.values, p.ys.values)
-    ]
-    parts.append("</svg>")
-    return "\n".join(parts)
+    xs, ys = p.xs.values, p.ys.values
+
+    def markers(s: slice) -> str:
+        # to_pixel's operations in its order, so its bits; one format call
+        # over the interleaved columns builds no string per point
+        scale = repeat(frame.scale)
+        px = map(add, repeat(0.5 * WIDTH), map(mul, map(sub, xs[s], repeat(frame.cx)), scale))
+        py = map(sub, repeat(0.5 * HEIGHT), map(mul, map(sub, ys[s], repeat(frame.cy)), scale))
+        xy = tuple(chain.from_iterable(zip(px, py)))
+        return (_MARKER * (len(xy) // 2)) % xy
+
+    return "%s%s%s\n</svg>" % ("\n".join(parts), *_halves(markers, p.n))

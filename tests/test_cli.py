@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 
 import linefit
 import linefit.cli as cli
+from linefit import halves
 from linefit.cli import (
     RunConfig,
     main,
@@ -28,7 +29,7 @@ from linefit.cli import (
     run,
 )
 from linefit.errors import CsvParseError, InsufficientDataError
-from linefit.fitters import fit_d, fit_d_report, fit_x, fit_y
+from linefit.fitters import FitReport, fit_d, fit_d_report, fit_x, fit_y
 from linefit.generators import gen_circle
 from linefit.stats import PairedSample, summarize
 from linefit.svg import _Frame, render_svg
@@ -191,7 +192,7 @@ def test_csv_round_trip():
 
 # --- the two-process conversion ------------------------------------------------------
 
-def _big_csv(n: int = cli._FORK_MIN_POINTS + 1, tail: str | None = None) -> bytes:
+def _big_csv(n: int = halves._FORK_MIN_POINTS + 1, tail: str | None = None) -> bytes:
     """A header and n repr rows, with ``tail`` in place of the last but one."""
     rng = random.Random(n)
     rows = [f"{rng.uniform(-9, 9)!r},{rng.uniform(-1e9, 1e9)!r}" for _ in range(n)]
@@ -212,7 +213,7 @@ def forks(monkeypatch):
         return pid
 
     monkeypatch.setattr(os, "fork", spy)
-    monkeypatch.setattr(cli, "_cpus", lambda: 2)
+    monkeypatch.setattr(halves, "_cpus", lambda: 2)
     return pids
 
 
@@ -249,13 +250,12 @@ def test_the_forked_half_converts_bit_for_bit_as_in_process(monkeypatch, forks, 
         assert forked[1] == len(data.splitlines()) - 1  # the line of the bad row
 
 
-@pytest.mark.parametrize("failure", ["raise", "exit", "kill", "short-blob", "bad-blob"])
-def test_a_failed_child_leaves_the_result_unchanged(monkeypatch, forks, failure):
-    data = _big_csv()
-    expected = _conversions(data)
-    forks.clear()
+_FAILURES = ["raise", "exit", "kill", "short-blob", "bad-blob"]
 
-    def dumps(value):  # runs in the child only
+
+def _failing_marshal(failure: str):
+    """A ``marshal`` whose ``dumps``, which only the child calls, fails as named."""
+    def dumps(value):
         blob = marshal.dumps(value)
         if failure == "raise":
             raise MemoryError
@@ -265,7 +265,15 @@ def test_a_failed_child_leaves_the_result_unchanged(monkeypatch, forks, failure)
             os.kill(os.getpid(), signal.SIGKILL)
         return blob[:-5] if failure == "short-blob" else b"\xff" + blob
 
-    monkeypatch.setattr(cli, "marshal", SimpleNamespace(dumps=dumps, loads=marshal.loads))
+    return SimpleNamespace(dumps=dumps, loads=marshal.loads)
+
+
+@pytest.mark.parametrize("failure", _FAILURES)
+def test_a_failed_child_leaves_the_result_unchanged(monkeypatch, forks, failure):
+    data = _big_csv()
+    expected = _conversions(data)
+    forks.clear()
+    monkeypatch.setattr(halves, "marshal", _failing_marshal(failure))
     assert _conversions(data) == expected
     assert len(forks) == 2  # parse_csv's and render_csv's
     _no_child_left()
@@ -291,15 +299,72 @@ def test_a_raising_first_half_still_reaps_the_child(forks):
         return "x" * 10**6  # more than a pipe holds: the child blocks writing
 
     with pytest.raises(KeyError):
-        cli._halves(fn, cli._FORK_MIN_POINTS)
+        halves._halves(fn, halves._FORK_MIN_POINTS)
     assert forks
     _no_child_left()
 
 
+def _figure(p: PairedSample) -> str:
+    """The SVG of ``p`` and of the fits that succeed, as `linefit fit --svg` draws it."""
+    fits = cli._fit_all(p.summary, ("Y", "X", "D"))
+    return render_svg(p, [(m, r) for m, r in fits.items() if isinstance(r, FitReport)])
+
+
+_BIG_FIGURES = {
+    "repr": lambda n: parse_csv(_big_csv(n)),
+    # the frame's 1.0 floor; every fit but D's degenerate family fails
+    "identical": lambda n: PairedSample.from_points([(2.5, -1.5)] * n),
+    "degenerate-d": lambda n: gen_circle(n),  # isotropic: D draws the centroid marker
+}
+
+
+@pytest.mark.parametrize("shape", list(_BIG_FIGURES))
+def test_the_forked_markers_render_bit_for_bit_as_in_process(monkeypatch, forks, shape):
+    p = _BIG_FIGURES[shape](halves._FORK_MIN_POINTS + 1)
+    forks.clear()
+    forked = _figure(p)
+    assert len(forks) == 1 and forks[0] > 0
+    _no_child_left()
+    monkeypatch.delattr(os, "fork")
+    assert forked == _figure(p)
+    markers = [line for line in forked.splitlines() if 'class="data-point"' in line]
+    assert len(markers) == p.n
+    assert ('class="centroid-marker"' in forked) == (shape != "repr")
+    if shape == "identical":
+        assert all('cx="400.00" cy="300.00"' in line for line in markers)
+
+
+@pytest.mark.parametrize("failure", _FAILURES)
+def test_a_failed_child_leaves_the_markers_unchanged(monkeypatch, forks, failure):
+    p = parse_csv(_big_csv())
+    expected = _figure(p)
+    forks.clear()
+    monkeypatch.setattr(halves, "marshal", _failing_marshal(failure))
+    assert _figure(p) == expected
+    assert len(forks) == 1
+    _no_child_left()
+
+
+def _reference_markers(p: PairedSample) -> list[str]:
+    """The data-point markers of ``p`` by one ``_Frame.to_pixel`` call per point."""
+    frame = _Frame(p)
+    return [f'<circle class="data-point" cx="{px:.2f}" cy="{py:.2f}" r="3" fill="#444444"/>'
+            for px, py in (frame.to_pixel(x, y) for x, y in p.points())]
+
+
+def test_the_forked_markers_match_the_per_point_reference(forks):
+    p = parse_csv(_big_csv())
+    forks.clear()
+    rendered = render_svg(p, []).splitlines()
+    assert forks
+    _no_child_left()
+    assert [line for line in rendered if 'class="data-point"' in line] == _reference_markers(p)
+
+
 def test_small_inputs_one_cpu_and_threads_convert_in_process(monkeypatch, forks):
-    _conversions(_big_csv(cli._FORK_MIN_POINTS - 1))
+    _conversions(_big_csv(halves._FORK_MIN_POINTS - 1))
     with monkeypatch.context() as m:
-        m.setattr(cli, "_cpus", lambda: 1)
+        m.setattr(halves, "_cpus", lambda: 1)
         _conversions(_big_csv())
     done = threading.Event()
     waiting = threading.Thread(target=done.wait)
@@ -318,10 +383,10 @@ def test_a_process_pinned_to_one_cpu_may_run_on_one():
     cpus = os.sched_getaffinity(0)
     os.sched_setaffinity(0, {min(cpus)})
     try:
-        assert cli._cpus() == 1
+        assert halves._cpus() == 1
     finally:
         os.sched_setaffinity(0, cpus)
-    assert cli._cpus() == len(cpus)
+    assert halves._cpus() == len(cpus)
 
 
 # --- JSON serialization --------------------------------------------------------------
@@ -615,6 +680,18 @@ def test_collinear_points_with_a_far_first_point_fit(tmp_path):
     assert json.loads(out_json.read_text())["comparison"]["collinear"] is True
 
 
+def test_collinear_points_with_a_subnormal_variance_fit(tmp_path):
+    # var_y = 3.3e-315: cov_xy^2 and var_x*var_y round to subnormals, which
+    # once let summarize keep a cov_xy that SummaryStats then rejected
+    out_json = tmp_path / "r.json"
+    r = run_cli(["fit", "--json", str(out_json)], stdin_text="0,0\n1,1.1471147311908207e-157\n")
+    assert r.returncode == 0, r.stderr
+    assert "Traceback" not in r.stderr
+    report = json.loads(out_json.read_text())
+    assert report["comparison"]["collinear"] is True
+    assert [fit["objective_min"] for fit in report["fits"].values()] == [0.0, 0.0, 0.0]
+
+
 @pytest.mark.parametrize("rows, nulls", [
     # var_x is subnormal, so var_y/var_x overflows
     ("0,0\n1e-160,1\n", {"ratio_bound"}),
@@ -675,13 +752,7 @@ def test_run_summarizes_once(tmp_path, summarize_calls):
 ))
 def test_render_svg_data_points_match_per_point_reference(points):
     p = PairedSample.from_points(points)
-    frame = _Frame(p)
-    expected = []
-    for x, y in points:
-        px, py = frame.to_pixel(x, y)
-        expected.append(
-            f'<circle class="data-point" cx="{px:.2f}" cy="{py:.2f}" r="3" fill="#444444"/>'
-        )
+    expected = _reference_markers(p)
     rendered = render_svg(p, []).splitlines()
     assert [line for line in rendered if 'class="data-point"' in line] == expected
 

@@ -2,7 +2,7 @@ import math
 import random
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from linefit.diagnostics import (
@@ -134,6 +134,8 @@ ULPS_4 = 1.0 + 2.0**-50
     st.tuples(st.floats(-1e15, 1e15), st.floats(-1e15, 1e15)),
     st.tuples(st.integers(-400, 400), st.integers(-400, 400)),
 )
+# var_y = 3.3e-315 is subnormal: cov_xy^2 and var_x*var_y round to subnormals
+@example([(0.0, 0.0), (1.0, 1.1471147311908207e-157)], 0.0, False, (0.0, 0.0), (0, 0))
 def test_slope_ordering_holds_at_adversarial_magnitudes(zs, k, flip, offset, scale):
     # correlation 1 - 10^-k, up to 1 - 1e-14, on offsets to 1e15 and scales 2^+-400
     rho = math.copysign(1.0 - 10.0**-k, -1.0 if flip else 1.0)

@@ -9,8 +9,10 @@ variance does and a ladder whose offset is lost to rounding.  The corpus
 is a perfbench-style 1e5-point noisy line (seed 11), two copies of it with
 one odd row in the second half of the lines, which a forked child converts
 (`1.5,abc`, an input error, and an integer field, which turns the JSON
-points into reprs), and small inputs at the edges of the line forms and of
-the CSV grammar, valid and not.  Every side after the first is compared
+points into reprs), one point repeated 10,001 times, a degenerate figure
+above the fork threshold (Y and X fail, D draws the centroid and every
+marker sits at the centre), and small inputs at the edges of the line forms
+and of the CSV grammar, valid and not.  Every side after the first is compared
 with the first, output by output: the table (stdout), stderr, the exit code
 and the JSON and SVG files.  Each prints `same` or `different`; a differing
 JSON names the key paths whose text differs, and a differing stdout or SVG
@@ -77,6 +79,8 @@ def corpus(work: Path) -> list[tuple[str, str, list[str], Path | None]]:
                       ("noisy-1e5-int-tail", b"7," + rows[odd].split(b",")[1])):
         inputs[name] = work / f"{name}.csv"
         inputs[name].write_bytes(b"".join(rows[:odd] + [row] + rows[odd + 1:]))
+    inputs["same-point-10001"] = work / "same-point-10001.csv"
+    inputs["same-point-10001"].write_bytes(b"2.5,-1.5\n" * 10_001)
     for name, data in SMALL.items():
         inputs[name] = work / f"{name}.csv"
         inputs[name].write_bytes(data)
