@@ -16,13 +16,8 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
-from linefit import (  # noqa: E402
-    Sample,
-    fit_d_report,
-    fit_x,
-    fit_y,
-    gen_slanted_ladder,
-)
+from linefit import Sample, gen_slanted_ladder  # noqa: E402
+from linefit.cli import report  # noqa: E402
 from linefit.svg import render_svg  # noqa: E402
 
 out = Path(sys.argv[1]) if len(sys.argv) > 1 else Path("ladder.svg")
@@ -31,17 +26,12 @@ rng = random.Random(7)
 rungs = Sample(tuple(rng.uniform(-60.0, 60.0) for _ in range(25)))
 points = gen_slanted_ladder(slope=2.0, offset=40.0, rungs=rungs)
 
-ry = fit_y(points)
-rx = fit_x(points)
-rd = fit_d_report(points)
+fits = report(points.summary, ("Y", "X", "D"))["fits"]
 
 print(f"ladder slope 2.0, offset 40.0, {points.n} points")
-print(f"  Y slope: {ry.line.m:.6f}   (too shallow)")
-print(f"  X slope: {1.0 / rx.line.mu:.6f}   (too steep)")
-print(f"  D slope: {math.tan(rd.line.line.theta):.6f}   (the mid-line)")
+print(f"  Y slope: {fits['y']['m']:.6f}   (too shallow)")
+print(f"  X slope: {1.0 / fits['x']['mu']:.6f}   (too steep)")
+print(f"  D slope: {math.tan(fits['d']['normal_form']['theta']):.6f}   (the mid-line)")
 
-out.write_text(
-    render_svg(points, [("Y", ry), ("X", rx), ("D", rd)]),
-    encoding="utf-8",
-)
+out.write_text(render_svg(points, fits), encoding="utf-8")
 print(f"wrote {out}")

@@ -2,8 +2,9 @@
 
 Subcommands:
 
-* ``fit``       read points (file or stdin), run the requested fits, print a
-                table, optionally write a JSON report and an SVG figure.
+* ``fit``       read points (file or stdin), print the :func:`report` document
+                of the requested fits as a table, optionally write it as a
+                JSON report and draw it as an SVG figure.
 * ``generate``  emit a benchmark dataset (circle | parallel | noisy-line) as
                 CSV on stdout, ready to pipe into ``fit``.
 * ``transform`` apply a rigid motion to a CSV point set and print the moved
@@ -41,13 +42,13 @@ from .errors import (
     LineFitError,
 )
 from .fitters import FitReport, UniqueLine, fit_d_report, fit_x, fit_y
-from .geometry import Point, normal_to_slope
+from .geometry import NormalLine, Point, normal_to_slope
 from .halves import _halves
 from .stats import PairedSample, Sample, SummaryStats
 from .svg import render_svg
 from .transforms import Rotation, Translation, apply_motion_points
 
-__all__ = ["RunConfig", "parse_csv", "run", "main"]
+__all__ = ["RunConfig", "parse_csv", "report", "run", "main"]
 
 EXIT_OK = 0
 EXIT_BROKEN_PIPE = 1
@@ -195,23 +196,26 @@ def render_json(report: dict, points_json: str | None = None) -> str:
 
 
 # ---------------------------------------------------------------------------
-# fitting orchestration
+# the report document
 
-def _fit_all(s: SummaryStats, methods):
-    """Each method's FitReport, or the LineFitError its precondition raised."""
+def report(s: SummaryStats, methods) -> dict:
+    """The run's one document, in O(1): ``stats``, ``fits`` (keyed by lower-case
+    method) and ``comparison``, as the table, the JSON and the SVG render it."""
     fitters = {"Y": fit_y, "X": fit_x, "D": fit_d_report}  # per call: sees rebound globals
-    results: dict[str, FitReport | LineFitError] = {}
+    fits = {}
     for m in methods:
         try:
-            results[m] = fitters[m](s)
+            outcome = fitters[m](s)
         except LineFitError as exc:
-            results[m] = exc
-    return results
+            fits[m.lower()] = {"status": "precondition-failed", "error": str(exc)}
+        else:
+            fits[m.lower()] = _fit_json(outcome)
+    comparison = diagnostics.compare(s)._asdict()
+    comparison["case"] = comparison.pop("case_tag")
+    return {"stats": s._asdict(), "fits": fits, "comparison": comparison}
 
 
-def _fit_json(outcome: FitReport | LineFitError) -> dict:
-    if not isinstance(outcome, FitReport):
-        return {"status": "precondition-failed", "error": str(outcome)}
+def _fit_json(outcome: FitReport) -> dict:
     line, nf = outcome.line, outcome.normal_form
     if nf is None:
         return {
@@ -230,63 +234,58 @@ def _fit_json(outcome: FitReport | LineFitError) -> dict:
     return body
 
 
-def _comparison_json(cmp: diagnostics.ComparisonReport) -> dict:
-    body = cmp._asdict()
-    body["case"] = body.pop("case_tag")
-    return body
+def _any_fitted(fits: dict) -> bool:
+    return any(fit["status"] != "precondition-failed" for fit in fits.values())
 
 
 def _g6(v: float | None) -> str:
     return "-" if v is None else format(v, ".6g")
 
 
-def _table_lines(s: SummaryStats, results: dict, cmp: diagnostics.ComparisonReport) -> list[str]:
-    lines: list[str] = []
+def _table_lines(doc: dict) -> list[str]:
+    """The printed table of a :func:`report` document."""
     header = f"{'method':<8}{'slope':>14}{'intercept':>14}{'theta':>14}{'c':>14}{'objective':>14}"
-    lines.append(header)
-    lines.append("-" * len(header))
-    for method, report in results.items():
-        if not isinstance(report, FitReport):
-            lines.append(f"{method:<8}({report})")
+    lines = [header, "-" * len(header)]
+    for key, fit in doc["fits"].items():
+        method = key.upper()
+        if fit["status"] == "precondition-failed":
+            lines.append(f"{method:<8}({fit['error']})")
             continue
-        line, nf = report.line, report.normal_form
-        if nf is None:
+        if fit["status"] == "all_lines_through_centroid":
+            x, y = fit["centroid"]
             lines.append(
                 f"{method:<8}degenerate: every line through centroid "
-                f"({_g6(line.centroid.x)}, {_g6(line.centroid.y)}), "
-                f"objective {_g6(line.objective)}"
+                f"({_g6(x)}, {_g6(y)}), objective {_g6(fit['objective'])}"
             )
             continue
-        if method != "D":
-            slope, intercept = line
-        else:
+        nf = fit["normal_form"]
+        if key == "d":
             try:
-                slope, intercept = normal_to_slope(nf)
+                slope, intercept = normal_to_slope(NormalLine(**nf))
             except LineFitError:
                 slope, intercept = None, None
+        else:
+            slope, intercept = (fit["m"], fit["b"]) if key == "y" else (fit["mu"], fit["beta"])
         lines.append(
             f"{method:<8}{_g6(slope):>14}{_g6(intercept):>14}"
-            f"{_g6(nf.theta):>14}{_g6(nf.c):>14}{_g6(report.objective_min):>14}"
+            f"{_g6(nf['theta']):>14}{_g6(nf['c']):>14}{_g6(fit['objective_min']):>14}"
         )
-    if any(isinstance(r, FitReport) for r in results.values()):
-        lines.append("")
-        lines.append(
-            f"n={s.n}  centroid=({_g6(s.mean_x)}, {_g6(s.mean_y)})  "
-            f"var(x)={_g6(s.var_x)}  var(y)={_g6(s.var_y)}  "
-            f"cov(x,y)={_g6(s.cov_xy)}"
-        )
-    tan = cmp.tan_theta if isinstance(cmp.tan_theta, str) else _g6(cmp.tan_theta)
+    if _any_fitted(doc["fits"]):
+        lines += ["", "n={n}  centroid=({mean_x:.6g}, {mean_y:.6g})  var(x)={var_x:.6g}  "
+                      "var(y)={var_y:.6g}  cov(x,y)={cov_xy:.6g}".format_map(doc["stats"])]
+    cmp = doc["comparison"]
+    tan = cmp["tan_theta"] if isinstance(cmp["tan_theta"], str) else _g6(cmp["tan_theta"])
     lines.append(
-        f"slopes: m={_g6(cmp.m)}  bound={_g6(cmp.ratio_bound)}  "
-        f"m_x={_g6(cmp.m_x)}  tan(theta)={tan}"
+        f"slopes: m={_g6(cmp['m'])}  bound={_g6(cmp['ratio_bound'])}  "
+        f"m_x={_g6(cmp['m_x'])}  tan(theta)={tan}"
     )
     lines.append(
-        f"orderings: |m|<=bound<=|m_x| {cmp.ordering_e}; "
-        f"|m|<=|tan|<=|m_x| {cmp.ordering_f}  "
-        f"(case {cmp.case_tag}, collinear={str(cmp.collinear).lower()}, "
-        f"cs_gap={_g6(cmp.cs_gap)})"
+        f"orderings: |m|<=bound<=|m_x| {cmp['ordering_e']}; "
+        f"|m|<=|tan|<=|m_x| {cmp['ordering_f']}  "
+        f"(case {cmp['case']}, collinear={str(cmp['collinear']).lower()}, "
+        f"cs_gap={_g6(cmp['cs_gap'])})"
     )
-    if isinstance(results.get("X"), FitReport):
+    if doc["fits"].get("x", {}).get("status") == "ok":
         lines.append("note: X slope/intercept are mu and beta in x = mu*y + beta")
     return lines
 
@@ -317,32 +316,24 @@ def run(config: RunConfig, out=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
 
-    results = _fit_all(s, config.methods)
-    cmp = diagnostics.compare(s)
-
-    for line in _table_lines(s, results, cmp):
+    doc = report(s, config.methods)
+    for line in _table_lines(doc):
         print(line, file=out)
 
     try:
         if config.output_json is not None:
             # without the input's own text, points go out as shortest reprs
-            report = {} if points_json is not None else {"points": points.points()}
-            report["stats"] = s._asdict()
-            report["fits"] = {m.lower(): _fit_json(results[m]) for m in config.methods}
-            report["comparison"] = _comparison_json(cmp)
-            _write_text(config.output_json, render_json(report, points_json))
+            points_key = {} if points_json is not None else {"points": points.points()}
+            _write_text(config.output_json, render_json({**points_key, **doc}, points_json))
         if config.output_svg is not None:
-            fitted = [(m, r) for m, r in results.items() if isinstance(r, FitReport)]
-            _write_text(config.output_svg, render_svg(points, fitted))
+            _write_text(config.output_svg, render_svg(points, doc["fits"]))
     except BrokenPipeError:
         raise  # the reader left: exit 1 in main, as for stdout
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
 
-    if any(isinstance(r, FitReport) for r in results.values()):
-        return EXIT_OK
-    return EXIT_NO_METHOD_SUCCEEDED
+    return EXIT_OK if _any_fitted(doc["fits"]) else EXIT_NO_METHOD_SUCCEEDED
 
 
 # ---------------------------------------------------------------------------

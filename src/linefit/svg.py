@@ -1,4 +1,7 @@
-"""SVG rendering of a point set and its fitted lines.
+"""SVG rendering of a point set and the fits of its report document.
+
+The lines come from the ``fits`` block of :func:`linefit.cli.report`, the
+document that the table and the JSON report render too.
 
 Fixed 800x600 viewport, equal-aspect scaling with a 5% margin.  Equal aspect
 is mandatory: stretching one axis would visually misrepresent perpendicular
@@ -14,11 +17,10 @@ points up a forked child formats the second half of the data-point markers
 from __future__ import annotations
 
 import math
-from collections.abc import Sequence
 from itertools import chain, repeat
 from operator import add, mul, sub
 
-from .fitters import FitReport
+from .geometry import NormalLine
 from .halves import _halves
 from .stats import PairedSample
 
@@ -65,8 +67,8 @@ def _fmt(v: float) -> str:
     return f"{v:.2f}"
 
 
-def render_svg(p: PairedSample, fits: Sequence[tuple[str, FitReport]]) -> str:
-    """Build the SVG document of the sample and its (method, report) fits."""
+def render_svg(p: PairedSample, fits: dict) -> str:
+    """The SVG of the sample and of the fits that succeeded in a report's ``fits``."""
     frame = _Frame(p)
     parts = [
         '<?xml version="1.0" encoding="UTF-8"?>',
@@ -75,11 +77,11 @@ def render_svg(p: PairedSample, fits: Sequence[tuple[str, FitReport]]) -> str:
         f'viewBox="0 0 {WIDTH:.0f} {HEIGHT:.0f}">',
         f'<rect width="{WIDTH:.0f}" height="{HEIGHT:.0f}" fill="#ffffff"/>',
     ]
-    for legend_row, (method, report) in enumerate(fits):
+    drawn = [(k.upper(), fit) for k, fit in fits.items() if fit["status"] != "precondition-failed"]
+    for legend_row, (method, fit) in enumerate(drawn):
         style, label = _STYLES[method]
-        if report.normal_form is None:
-            centroid = report.line.centroid
-            cx, cy = frame.to_pixel(centroid.x, centroid.y)
+        if fit["status"] == "all_lines_through_centroid":
+            cx, cy = frame.to_pixel(*fit["centroid"])
             parts.append(
                 f'<circle class="centroid-marker" cx="{_fmt(cx)}" cy="{_fmt(cy)}" '
                 f'r="7" fill="none" stroke="#000000" stroke-width="2"/>'
@@ -92,7 +94,7 @@ def render_svg(p: PairedSample, fits: Sequence[tuple[str, FitReport]]) -> str:
         else:
             # a visible point lies no farther from the foot of the frame centre
             # than from the centre itself: within half a diagonal, < half below
-            nf = report.normal_form
+            nf = NormalLine(**fit["normal_form"])
             t = frame.cx * math.cos(nf.theta) + frame.cy * math.sin(nf.theta)
             half = (WIDTH + HEIGHT) / frame.scale
             a, b = nf.point_at(t - half), nf.point_at(t + half)

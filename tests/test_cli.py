@@ -8,14 +8,17 @@ import random
 import signal
 import subprocess
 import sys
+import tempfile
 import threading
 import xml.etree.ElementTree as ET
+from itertools import combinations
 from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from test_svg import samples
 
 import linefit
 import linefit.cli as cli
@@ -29,7 +32,7 @@ from linefit.cli import (
     run,
 )
 from linefit.errors import CsvParseError, InsufficientDataError
-from linefit.fitters import FitReport, fit_d, fit_d_report, fit_x, fit_y
+from linefit.fitters import fit_d, fit_d_report, fit_x, fit_y
 from linefit.generators import gen_circle
 from linefit.stats import PairedSample, summarize
 from linefit.svg import _Frame, render_svg
@@ -306,8 +309,7 @@ def test_a_raising_first_half_still_reaps_the_child(forks):
 
 def _figure(p: PairedSample) -> str:
     """The SVG of ``p`` and of the fits that succeed, as `linefit fit --svg` draws it."""
-    fits = cli._fit_all(p.summary, ("Y", "X", "D"))
-    return render_svg(p, [(m, r) for m, r in fits.items() if isinstance(r, FitReport)])
+    return render_svg(p, cli.report(p.summary, ("Y", "X", "D"))["fits"])
 
 
 _BIG_FIGURES = {
@@ -355,7 +357,7 @@ def _reference_markers(p: PairedSample) -> list[str]:
 def test_the_forked_markers_match_the_per_point_reference(forks):
     p = parse_csv(_big_csv())
     forks.clear()
-    rendered = render_svg(p, []).splitlines()
+    rendered = render_svg(p, {}).splitlines()
     assert forks
     _no_child_left()
     assert [line for line in rendered if 'class="data-point"' in line] == _reference_markers(p)
@@ -728,15 +730,30 @@ def test_flat_x_line_has_the_normal_form_of_y_and_d():
 def test_svg_frame_does_not_depend_on_the_units(scale):
     shape = [(0.0, 0.0), (3.0, 1.0), (1.0, 2.0), (2.0, 3.0)]
     def markers(points):
-        return [line for line in render_svg(PairedSample.from_points(points), []).splitlines()
+        return [line for line in render_svg(PairedSample.from_points(points), {}).splitlines()
                 if 'class="data-point"' in line]
     assert markers([(x * scale, y * scale) for x, y in shape]) == markers(shape)
 
 
 def test_svg_draws_identical_points_at_the_centre():
-    for line in render_svg(PairedSample.from_points([(2.5, -1.5)] * 3), []).splitlines():
+    for line in render_svg(PairedSample.from_points([(2.5, -1.5)] * 3), {}).splitlines():
         if 'class="data-point"' in line:
             assert 'cx="400.00" cy="300.00"' in line
+
+
+@settings(max_examples=200, deadline=None)
+@given(samples(), st.sampled_from([c for k in (1, 2, 3) for c in combinations("YXD", k)]))
+def test_the_table_is_a_function_of_the_json_document(p, methods):
+    with tempfile.TemporaryDirectory() as tmp:
+        csv, doc_path = Path(tmp) / "pts.csv", Path(tmp) / "r.json"
+        csv.write_text(render_csv(p))
+        out = io.StringIO()
+        code = run(RunConfig(input=csv, methods=methods, output_json=doc_path), out=out)
+        doc = json.loads(doc_path.read_text())
+    assert list(doc["fits"]) == [m.lower() for m in methods]
+    assert cli._table_lines(doc) == out.getvalue().splitlines()
+    every_fit_failed = all(fit["status"] == "precondition-failed" for fit in doc["fits"].values())
+    assert code == (3 if every_fit_failed else 0)
 
 
 def test_run_summarizes_once(tmp_path, summarize_calls):
@@ -753,7 +770,7 @@ def test_run_summarizes_once(tmp_path, summarize_calls):
 def test_render_svg_data_points_match_per_point_reference(points):
     p = PairedSample.from_points(points)
     expected = _reference_markers(p)
-    rendered = render_svg(p, []).splitlines()
+    rendered = render_svg(p, {}).splitlines()
     assert [line for line in rendered if 'class="data-point"' in line] == expected
 
 

@@ -13,6 +13,7 @@ from types import SimpleNamespace
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import linefit.cli as cli
 from linefit.errors import LineFitError
 from linefit.fitters import fit_d_report, fit_x, fit_y
 from linefit.geometry import NormalLine
@@ -69,7 +70,8 @@ def _clip_to_viewport(x0, y0, x1, y1):
 
 
 def _fits(p: PairedSample):
-    """The (method, report) rows of the methods that fit, as `linefit fit` passes them."""
+    """The (method, report) rows of the methods that fit, from the fitters
+    themselves: the reference for the paths drawn from the report document."""
     rows = []
     for method, fit in (("Y", fit_y), ("X", fit_x), ("D", fit_d_report)):
         try:
@@ -101,7 +103,8 @@ def test_fit_paths_match_the_slab_clipper_inside_the_viewport(p):
     fits = _fits(p)
     frame = _Frame(p)
     drawn = {}
-    for m, *coords in _PATH.findall(render_svg(p, fits)):
+    document_fits = cli.report(p.summary, ("Y", "X", "D"))["fits"]
+    for m, *coords in _PATH.findall(render_svg(p, document_fits)):
         drawn.setdefault(m.upper(), []).append([float(v) for v in coords])
     for method, report in fits:
         lines = report.normal_form is not None

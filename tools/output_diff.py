@@ -12,7 +12,11 @@ one odd row in the second half of the lines, which a forked child converts
 points into reprs), one point repeated 10,001 times, a degenerate figure
 above the fork threshold (Y and X fail, D draws the centroid and every
 marker sits at the centre), and small inputs at the edges of the line forms
-and of the CSV grammar, valid and not.  Every side after the first is compared
+and of the CSV grammar, valid and not.  Each small input also runs
+`fit --method y`, `--method x` and `--method d`, each with `--json --svg`,
+and one bare `fit` (the table alone, no JSON echo): one-method tables and
+documents, exit 3 from each precondition, and legends that skip a failed fit.
+Every side after the first is compared
 with the first, output by output: the table (stdout), stderr, the exit code
 and the JSON and SVG files.  Each prints `same` or `different`; a differing
 JSON names the key paths whose text differs, and a differing stdout or SVG
@@ -41,6 +45,7 @@ from inputs import noisy_line, rng_for, write_csv  # noqa: E402
 SMALL = {
     "three": b"0,0\n1,0\n2,1\n",
     "vertical": b"2,0\n2,1\n2,5\n",
+    "horizontal": b"0,2\n1,2\n5,2\n",
     "isotropic": b"1,0\n0,1\n-1,0\n0,-1\n",
     "steep-y": b"1,2\n1.0000000000000002,0\n",
     "flat-x": b"2,1\n0,1.0000000000000002\n",
@@ -88,6 +93,11 @@ def corpus(work: Path) -> list[tuple[str, str, list[str], Path | None]]:
     for name, path in inputs.items():
         runs.append((name, "fit --json --svg", ["fit", "--json", "r.json", "--svg", "r.svg"], path))
         runs.append((name, "transform --rotate 0.3", ["transform", "--rotate", "0.3"], path))
+        if name in SMALL:
+            for m in "yxd":
+                runs.append((name, f"fit --method {m} --json --svg",
+                             ["fit", "--method", m, "--json", "r.json", "--svg", "r.svg"], path))
+            runs.append((name, "fit", ["fit"], path))
     for name, argv in GENERATE.items():
         runs.append(("-", f"generate {name}", ["generate", *argv], None))
     return runs
@@ -185,7 +195,7 @@ def main() -> int:
                 for out in sorted(set(want) | set(got)):
                     verdict = describe(out, want.get(out, b""), got.get(out, b""))
                     differ |= verdict != "same"
-                    print(f"{name} vs {base[0]}  {input_name:<18} {command:<24} "
+                    print(f"{name} vs {base[0]}  {input_name:<18} {command:<28} "
                           f"{out:<6} {verdict}")
     return 1 if differ else 0
 
