@@ -16,14 +16,14 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
-from linefit import Sample, gen_slanted_ladder  # noqa: E402
+from linefit import gen_slanted_ladder  # noqa: E402
 from linefit.cli import report  # noqa: E402
 from linefit.svg import render_svg  # noqa: E402
 
 out = Path(sys.argv[1]) if len(sys.argv) > 1 else Path("ladder.svg")
 
 rng = random.Random(7)
-rungs = Sample(tuple(rng.uniform(-60.0, 60.0) for _ in range(25)))
+rungs = [rng.uniform(-60.0, 60.0) for _ in range(25)]
 points = gen_slanted_ladder(slope=2.0, offset=40.0, rungs=rungs)
 
 fits = report(points.summary, ("Y", "X", "D"))["fits"]

@@ -6,10 +6,10 @@ that is invariant under rotations of the data and the only one that never
 fails on degenerate input; when the statistics are isotropic it reports the
 whole family of lines through the centroid instead of picking one.
 
-Every record (points, lines, samples, reports) is an immutable named tuple
-whose constructor checks its fields; ``_make`` and ``_replace`` build the
-tuple directly and skip those checks.  A record equals any tuple of the same
-values, whatever its type, and hashes as that tuple.
+Every record (points, lines, the sample of two float tuples, reports) is an
+immutable named tuple whose constructor checks its fields; ``_make`` and
+``_replace`` build the tuple directly and skip those checks.  A record equals
+any tuple of the same values, whatever its type, and hashes as that tuple.
 """
 
 from .diagnostics import ComparisonReport, compare
@@ -50,7 +50,7 @@ from .geometry import (
     normal_to_slope,
     slope_to_normal,
 )
-from .stats import PairedSample, Sample, SummaryStats, mean, summarize
+from .stats import PairedSample, SummaryStats, mean, summarize
 from .transforms import (
     InvarianceReport,
     RigidMotion,

@@ -44,7 +44,7 @@ from .errors import (
 from .fitters import FitReport, UniqueLine, fit_d_report, fit_x, fit_y
 from .geometry import NormalLine, Point, normal_to_slope
 from .halves import _halves
-from .stats import PairedSample, Sample, SummaryStats
+from .stats import PairedSample, SummaryStats
 from .svg import render_svg
 from .transforms import Rotation, Translation, apply_motion_points
 
@@ -107,7 +107,7 @@ def parse_csv(data: bytes, *, echo: bool = False):
             lambda s: _row_values(rows[s]), len(rows))
         values += tail
         del tail  # the halves' lists go before the sample's columns are built
-        # the Sample check is the one finiteness pass, and it counts the points
+        # the PairedSample check is the one finiteness pass, and it counts the points
         sample = PairedSample.from_xy(values[0::2], values[1::2])
     except ValueError:
         _explain(data, header)
@@ -167,12 +167,10 @@ def _explain(data: bytes, header: bool) -> None:
 
 
 def render_csv(p: PairedSample) -> str:
-    xs, ys = p.xs.values, p.ys.values
-
     def rows(s: slice) -> str:
         # 17 significant digits round-trip any double exactly; one format call
         # over the interleaved coordinates builds no string per point
-        xy = tuple(chain.from_iterable(zip(xs[s], ys[s])))
+        xy = tuple(chain.from_iterable(zip(p.xs[s], p.ys[s])))
         return ("%.17g,%.17g\n" * (len(xy) // 2)) % xy
 
     return "x,y\n%s%s" % _halves(rows, p.n)
@@ -362,6 +360,17 @@ def _half_width(text: str) -> float:
     return h
 
 
+def _above(low, parse=_finite):
+    """The option type ``parse`` that takes only values above ``low``."""
+    def above(text: str):
+        v = parse(text)
+        if not v > low:
+            raise argparse.ArgumentTypeError(f"expected a number above {low}, got {text!r}")
+        return v
+    above.__name__ = parse.__name__  # argparse's "invalid int value" names it
+    return above
+
+
 def _pair(text: str) -> tuple[float, float]:
     """An 'A,B' option value of two finite numbers; argparse reports a bad one."""
     try:
@@ -414,10 +423,10 @@ def _build_parser() -> argparse.ArgumentParser:
     ladder = gsub.add_parser(
         "parallel", help="symmetric rungs between two parallel lines"
     )
-    ladder.add_argument("--A", type=_finite, help="half gap of a vertical ladder")
+    ladder.add_argument("--A", type=_above(0), help="half gap of a vertical ladder")
     ladder.add_argument("--M", type=_finite, help="slope of a slanted ladder")
-    ladder.add_argument("--B", type=_finite, help="intercept offset of a slanted ladder")
-    ladder.add_argument("--n", type=int, default=25, help="rungs per line")
+    ladder.add_argument("--B", type=_above(0), help="intercept offset of a slanted ladder")
+    ladder.add_argument("--n", type=_above(1, int), default=25, help="rungs per line")
     ladder.add_argument("--seed", type=int, default=0)
     ladder.add_argument(
         "--spread", type=_half_width, default=30.0, help="rung positions span [-spread, spread]"
@@ -429,7 +438,8 @@ def _build_parser() -> argparse.ArgumentParser:
     noisy.add_argument("--n", type=int, default=30)
     noisy.add_argument("--seed", type=int, default=0)
     noisy.add_argument("--noise", type=_half_width, default=0.1)
-    noisy.add_argument("--span", type=_half_width, default=10.0, help="x in [-span, span]")
+    noisy.add_argument("--span", type=_above(0, _half_width), default=10.0,
+                       help="x in [-span, span]")
 
     tr = sub.add_parser("transform", help="rigidly move a CSV point set")
     tr.add_argument("--input", default="-", help="CSV file path ('-' = stdin)")
@@ -474,8 +484,7 @@ def _cmd_generate(args) -> int:
                                                 (-args.span, args.span), args.noise)
         else:
             rng = random.Random(args.seed)
-            rungs = Sample(tuple(rng.uniform(-args.spread, args.spread)
-                                 for _ in range(args.n)))
+            rungs = [rng.uniform(-args.spread, args.spread) for _ in range(args.n)]
             if args.A is not None:
                 if args.M is not None or args.B is not None:
                     raise GenerationError("--A excludes --M/--B")

@@ -9,27 +9,33 @@ Two constructions make good stress tests for the three fits:
   center").
 
 A seeded noisy-line generator is included for reproducible randomized tests.
-Each generator checks its own arguments and raises :class:`GenerationError`
-for a bad one.
+Ladder rungs are a plain sequence of at least two numbers.  Each generator
+checks its own arguments and raises :class:`GenerationError` for a bad one.
 """
 
 from __future__ import annotations
 
 import math
 import random
+from collections.abc import Sequence
 
 from .errors import GenerationError
 from .geometry import Point
-from .stats import PairedSample, Sample
+from .stats import PairedSample
 from .transforms import Translation, apply_motion_points
 
 __all__ = ["gen_vertical_ladder", "gen_slanted_ladder", "gen_circle", "gen_noisy_line"]
 
 
-def gen_vertical_ladder(half_gap: float, rungs: Sample) -> PairedSample:
+def _check_rungs(rungs: Sequence[float]) -> None:
+    if len(rungs) < 2:
+        raise GenerationError(f"a ladder needs at least 2 rungs, got {len(rungs)}")
+
+
+def gen_vertical_ladder(half_gap: float, rungs: Sequence[float]) -> PairedSample:
     """Rungs between the vertical lines x = half_gap and x = -half_gap.
 
-    ``rungs`` are the y positions, a ``Sample``; they must actually spread out
+    ``rungs`` are the y positions, at least two; they must actually spread out
     (var(rungs) > 0).  The 2n points are (half_gap, t) for each rung t, then
     their partners (-half_gap, t).  The perpendicular fit returns the vertical
     mid-line x = 0 when var(rungs) > half_gap^2, the horizontal line
@@ -38,20 +44,21 @@ def gen_vertical_ladder(half_gap: float, rungs: Sample) -> PairedSample:
     """
     if not (half_gap > 0.0):
         raise GenerationError(f"half_gap must be positive, got {half_gap!r}")
-    ts = rungs.values
-    if max(ts) == min(ts):  # var(rungs) = 0, without forming it
+    _check_rungs(rungs)
+    if max(rungs) == min(rungs):  # var(rungs) = 0, without forming it
         raise GenerationError("ladder rungs must have positive variance")
-    return PairedSample.from_xy([half_gap] * len(ts) + [-half_gap] * len(ts), ts + ts)
+    n = len(rungs)
+    return PairedSample.from_xy([half_gap] * n + [-half_gap] * n, [*rungs, *rungs])
 
 
-def gen_slanted_ladder(slope: float, offset: float, rungs: Sample) -> PairedSample:
+def gen_slanted_ladder(slope: float, offset: float, rungs: Sequence[float]) -> PairedSample:
     """Rungs between y = slope*x + offset and y = slope*x - offset.
 
-    ``rungs`` are the x positions of the points on the upper line; the 2n
-    points are those, then their lower-line partners, each placed so that the
-    segment joining the pair is perpendicular to both lines.  This is the
-    vertical ladder rotated: the half gap becomes offset/sqrt(slope^2+1) and
-    the rung spread along the lines becomes (slope^2+1)*var(rungs), so the
+    ``rungs`` are the x positions of the points on the upper line, at least
+    two; the 2n points are those, then their lower-line partners, each placed
+    so that the segment joining the pair is perpendicular to both lines.  This
+    is the vertical ladder rotated: the half gap becomes offset/sqrt(slope^2+1)
+    and the rung spread along the lines becomes (slope^2+1)*var(rungs), so the
     perpendicular fit draws the mid-line exactly when
     var(rungs) > offset^2/(slope^2+1)^2.  An offset so small next to the rungs
     that a lower point rounds onto its upper partner is an error.
@@ -60,12 +67,12 @@ def gen_slanted_ladder(slope: float, offset: float, rungs: Sample) -> PairedSamp
         raise GenerationError(f"offset must be positive, got {offset!r}")
     if not math.isfinite(slope):
         raise GenerationError(f"slope must be finite, got {slope!r}")
-    ts = rungs.values
+    _check_rungs(rungs)
     den = slope * slope + 1.0
     dx = 2.0 * slope * offset / den
     lower_shift = (slope * slope - 1.0) * offset / den
-    upper = [(t, slope * t + offset) for t in ts]
-    lower = [(t + dx, slope * t + lower_shift) for t in ts]
+    upper = [(t, slope * t + offset) for t in rungs]
+    lower = [(t + dx, slope * t + lower_shift) for t in rungs]
     points = PairedSample.from_points(upper + lower)
     if any(map(tuple.__eq__, upper, lower)):
         raise GenerationError(

@@ -149,12 +149,14 @@ def slope_to_normal(line: SlopeInterceptLine) -> NormalLine:
 def inverse_slope_to_normal(line: InverseSlopeLine) -> NormalLine:
     """Mirror of :func:`slope_to_normal`: theta = pi/2 - arctan(mu), c = beta/sqrt(1 + mu^2).
 
-    mu = 0 gives the vertical line exactly.  c is not beta*sin(theta), whose
-    rounded angle misses near-horizontal lines.
+    theta is atan2(s, s*mu), s the sign of mu: rounded once, in [-pi/2, pi/2];
+    pi/2 - arctan(mu) would cancel a small angle's digits.  mu = 0 gives the
+    vertical line exactly.  c is not beta*sin(theta), whose rounded angle
+    misses near-horizontal lines.
     """
-    return NormalLine.canonical(
-        _HALF_PI - math.atan(line.mu), line.beta / math.hypot(1.0, line.mu)
-    )
+    s = math.copysign(1.0, line.mu)
+    return NormalLine.canonical(math.atan2(s, s * line.mu),
+                                s * line.beta / math.hypot(1.0, line.mu))
 
 
 def normal_to_inverse_slope(line: NormalLine) -> InverseSlopeLine:

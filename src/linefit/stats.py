@@ -1,8 +1,9 @@
-"""Means, variances and covariances of paired coordinate samples.
+"""Paired coordinate samples and their means, variances and covariances.
 
-Every fitting routine in this package consumes the ``SummaryStats`` produced
-here; once a sample is summarized the raw coordinates are never needed again,
-and a ``PairedSample`` caches its summary, so it is computed at most once.
+A ``PairedSample`` holds two float tuples, converted and checked once.  Every
+fitting routine consumes the ``SummaryStats`` produced here; once a sample is
+summarized the raw coordinates are never needed again, and a ``PairedSample``
+caches its summary, so it is computed at most once.
 Accumulation is one left-to-right pass over the offsets from the centroid,
 which comes from correctly rounded sums (the "corrected two-pass" algorithm
 of Chan, Golub & LeVeque, 1983): wherever the points sit, the offsets are
@@ -19,11 +20,11 @@ import sys
 from collections import namedtuple
 from collections.abc import Iterable, Sequence
 from functools import cached_property
+from operator import itemgetter
 
 from .errors import InvalidSampleError, SampleMismatchError
 
 __all__ = [
-    "Sample",
     "PairedSample",
     "SummaryStats",
     "mean",
@@ -36,59 +37,41 @@ def _immutable(self, name: str, value) -> None:
     raise AttributeError(f"cannot set {name!r}: a {type(self).__name__} is immutable")
 
 
-class Sample(namedtuple("Sample", "values")):
-    """An immutable vector of at least two finite coordinates."""
-
-    __slots__ = ()
-
-    def __new__(cls, values: Iterable[float]):
-        vals = tuple(map(float, values))
-        if len(vals) < 2:
-            raise InvalidSampleError(
-                f"a sample needs at least 2 values, got {len(vals)}"
-            )
-        if not all(map(math.isfinite, vals)):
-            i, v = next((i, v) for i, v in enumerate(vals) if not math.isfinite(v))
-            raise InvalidSampleError(
-                f"sample value at index {i} is not finite: {v!r}"
-            )
-        return super().__new__(cls, vals)
-
-    @property
-    def n(self) -> int:
-        return len(self.values)
-
-
 class PairedSample(namedtuple("PairedSample", "xs ys")):
-    """Two equal-length coordinate vectors describing points (x_i, y_i).
+    """Points (x_i, y_i) as equal-length tuples ``xs``, ``ys`` of at least two finite floats.
 
     No ``__slots__``: the cached ``summary`` lives in the instance dict.
     """
 
     __setattr__ = _immutable
 
-    def __new__(cls, xs: Sample, ys: Sample):
-        if xs.n != ys.n:
-            raise SampleMismatchError(
-                f"x and y samples differ in length: {xs.n} vs {ys.n}"
-            )
+    def __new__(cls, xs: Iterable[float], ys: Iterable[float]):
+        xs, ys = tuple(map(float, xs)), tuple(map(float, ys))
+        for vals in (xs, ys):
+            if len(vals) < 2:
+                raise InvalidSampleError(f"a sample needs at least 2 values, got {len(vals)}")
+            if not all(map(math.isfinite, vals)):
+                i, v = next((i, v) for i, v in enumerate(vals) if not math.isfinite(v))
+                raise InvalidSampleError(f"sample value at index {i} is not finite: {v!r}")
+        if len(xs) != len(ys):
+            raise SampleMismatchError(f"x and y samples differ in length: {len(xs)} vs {len(ys)}")
         return super().__new__(cls, xs, ys)
 
     @classmethod
     def from_points(cls, points: Iterable[Sequence[float]]) -> "PairedSample":
         pts = list(points)
-        return cls(Sample(tuple(p[0] for p in pts)), Sample(tuple(p[1] for p in pts)))
+        return cls(map(itemgetter(0), pts), map(itemgetter(1), pts))
 
     @classmethod
     def from_xy(cls, xs: Iterable[float], ys: Iterable[float]) -> "PairedSample":
-        return cls(Sample(tuple(xs)), Sample(tuple(ys)))
+        return cls(xs, ys)
 
     @property
     def n(self) -> int:
-        return self.xs.n
+        return len(self.xs)
 
     def points(self) -> tuple[tuple[float, float], ...]:
-        return tuple(zip(self.xs.values, self.ys.values))
+        return tuple(zip(self.xs, self.ys))
 
     def centroid(self) -> tuple[float, float]:
         """The mean point from correctly rounded sums: the same on every Python."""
@@ -125,12 +108,14 @@ class SummaryStats(namedtuple("SummaryStats", "n mean_x mean_y var_x var_y cov_x
         return super().__new__(cls, n, mean_x, mean_y, var_x, var_y, cov_xy)
 
 
-def mean(s: Sample) -> float:
-    """``math.fsum(values) / n``, the ``mean_x`` of :func:`summarize`."""
-    values, n = s.values, s.n
-    # rounding the sum, then the quotient, can move a constant off itself
-    if all(map(values[0].__eq__, values)):
-        return values[0]
+def mean(values: Sequence[float]) -> float:
+    """``math.fsum(values) / n`` of a column, the ``mean_x`` of :func:`summarize`."""
+    n = len(values)
+    # rounding the sum, then the quotient, can move a constant off itself; a float's
+    # __eq__ takes an int too, where int.__eq__(float) is the truthy NotImplemented
+    first = float(values[0])
+    if all(map(first.__eq__, values)):
+        return first
     try:
         return math.fsum(values) / n
     except OverflowError:  # a power-of-two scale 2**-k <= 1/n is exact and in range
@@ -146,11 +131,10 @@ def summarize(p: PairedSample) -> SummaryStats:
     every call (``p.summary`` keeps one).  Raises :class:`InvalidSampleError`
     when the statistics overflow.
     """
-    xs, ys = p.xs.values, p.ys.values
-    n = len(xs)
+    n = p.n
     mean_x, mean_y = p.centroid()
     sx = sy = sxx = syy = sxy = 0.0
-    for x, y in zip(xs, ys):
+    for x, y in zip(p.xs, p.ys):
         dx = x - mean_x
         dy = y - mean_y
         sx += dx

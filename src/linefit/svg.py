@@ -42,8 +42,7 @@ class _Frame:
     """Data-to-pixel mapping with equal aspect and a margin."""
 
     def __init__(self, p: PairedSample):
-        xs, ys = p.xs.values, p.ys.values
-        x_lo, x_hi, y_lo, y_hi = min(xs), max(xs), min(ys), max(ys)
+        x_lo, x_hi, y_lo, y_hi = min(p.xs), max(p.xs), min(p.ys), max(p.ys)
         self.cx = 0.5 * (x_hi + x_lo)
         self.cy = 0.5 * (y_hi + y_lo)
         span_x = x_hi - x_lo
@@ -109,14 +108,13 @@ def render_svg(p: PairedSample, fits: dict) -> str:
             f'<text x="12" y="{20 + 18 * legend_row}" font-size="13">'
             f"{method}: {label}</text>"
         )
-    xs, ys = p.xs.values, p.ys.values
 
     def markers(s: slice) -> str:
         # to_pixel's operations in its order, so its bits; one format call
         # over the interleaved columns builds no string per point
         scale = repeat(frame.scale)
-        px = map(add, repeat(0.5 * WIDTH), map(mul, map(sub, xs[s], repeat(frame.cx)), scale))
-        py = map(sub, repeat(0.5 * HEIGHT), map(mul, map(sub, ys[s], repeat(frame.cy)), scale))
+        px = map(add, repeat(0.5 * WIDTH), map(mul, map(sub, p.xs[s], repeat(frame.cx)), scale))
+        py = map(sub, repeat(0.5 * HEIGHT), map(mul, map(sub, p.ys[s], repeat(frame.cy)), scale))
         xy = tuple(chain.from_iterable(zip(px, py)))
         return (_MARKER * (len(xy) // 2)) % xy
 

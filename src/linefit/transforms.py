@@ -86,13 +86,11 @@ def apply_motion_points(p: PairedSample, g: RigidMotion) -> PairedSample:
     """Move every point of the sample; rotation defaults to the centroid."""
     g = _resolve_center(g, p)
     if isinstance(g, Translation):
-        return PairedSample.from_xy(
-            (x + g.u for x in p.xs.values), (y + g.v for y in p.ys.values)
-        )
+        return PairedSample.from_xy((x + g.u for x in p.xs), (y + g.v for y in p.ys))
     co, si = math.cos(g.phi), math.sin(g.phi)
     cx, cy = g.center.x, g.center.y
     xs, ys = [], []
-    for x, y in zip(p.xs.values, p.ys.values):
+    for x, y in zip(p.xs, p.ys):
         dx, dy = x - cx, y - cy
         xs.append(cx + dx * co - dy * si)
         ys.append(cy + dx * si + dy * co)
@@ -103,7 +101,7 @@ def apply_motion_points(p: PairedSample, g: RigidMotion) -> PairedSample:
     # an offset x - cx can overflow where every moved point is finite: turn
     # the half offsets, and add each turned half twice
     xs, ys = [], []
-    for x, y in zip(p.xs.values, p.ys.values):
+    for x, y in zip(p.xs, p.ys):
         hx, hy = x / 2 - cx / 2, y / 2 - cy / 2
         u, w = hx * co - hy * si, hx * si + hy * co
         xs.append(cx + u + u)

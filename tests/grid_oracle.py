@@ -121,8 +121,8 @@ def grid_min_d(p: PairedSample, spec: GridSpec = DEFAULT_GRID):
     Returns (theta, c, objective) with theta renormalized into (-pi/2, pi/2]
     and c from the centroid rule at that angle.
     """
-    xs = np.asarray(p.xs.values)
-    ys = np.asarray(p.ys.values)
+    xs = np.asarray(p.xs)
+    ys = np.asarray(p.ys)
     mx = float(np.mean(xs))
     my = float(np.mean(ys))
 
@@ -152,8 +152,8 @@ def grid_min_y(p: PairedSample, spec: GridSpec = PLANAR_GRID):
     The slope bracket |m| <= 10*(y span)/(x span) + 10 comfortably contains
     the optimum for any data the fit itself accepts.
     """
-    xs = np.asarray(p.xs.values)
-    ys = np.asarray(p.ys.values)
+    xs = np.asarray(p.xs)
+    ys = np.asarray(p.ys)
     m_half = _slope_bracket(float(ys.max() - ys.min()), float(xs.max() - xs.min()))
     my = float(np.mean(ys))
     b_half = m_half * (abs(float(np.mean(xs))) + 1.0) + 10.0
@@ -164,8 +164,8 @@ def grid_min_y(p: PairedSample, spec: GridSpec = PLANAR_GRID):
 
 def grid_min_x(p: PairedSample, spec: GridSpec = PLANAR_GRID):
     """Grid-minimize the mean squared horizontal offset over (mu, beta)."""
-    xs = np.asarray(p.xs.values)
-    ys = np.asarray(p.ys.values)
+    xs = np.asarray(p.xs)
+    ys = np.asarray(p.ys)
     mu_half = _slope_bracket(float(xs.max() - xs.min()), float(ys.max() - ys.min()))
     mx = float(np.mean(xs))
     beta_half = mu_half * (abs(float(np.mean(ys))) + 1.0) + 10.0

@@ -29,7 +29,7 @@ from linefit.fitters import (
 )
 from linefit.generators import gen_circle, gen_slanted_ladder, gen_vertical_ladder
 from linefit.geometry import Point
-from linefit.stats import PairedSample, Sample, summarize
+from linefit.stats import PairedSample, summarize
 from linefit.transforms import Rotation, Translation, invariance_report
 
 REPO = Path(__file__).resolve().parents[1]
@@ -119,12 +119,11 @@ def test_criterion_5_parallel_ladder_phase_transition():
     rng = random.Random(505)
     for k in range(20):
         ts = [rng.uniform(-5.0, 5.0) for _ in range(rng.randint(3, 12))]
-        rungs = Sample(tuple(ts))
-        var_t = summarize(PairedSample(rungs, rungs)).var_x
+        var_t = summarize(PairedSample(ts, ts)).var_x
         wide_gap = k % 2 == 0
         factor = rng.uniform(2.0, 6.0)
         half_gap = math.sqrt(var_t * factor) if wide_gap else math.sqrt(var_t / factor)
-        p = gen_vertical_ladder(half_gap, rungs)
+        p = gen_vertical_ladder(half_gap, ts)
         fit = fit_d(p)
         assert isinstance(fit, UniqueLine)
         t_mean = sum(ts) / len(ts)
@@ -139,7 +138,7 @@ def test_criterion_5_parallel_ladder_phase_transition():
 
     slope, offset = 2.0, 40.0
     threshold = offset**2 / (slope**2 + 1.0)  # 320
-    ts = Sample(tuple(rng.uniform(-35.0, 35.0) for _ in range(40)))
+    ts = [rng.uniform(-35.0, 35.0) for _ in range(40)]
     var_t = summarize(PairedSample(ts, ts)).var_x
     assert var_t > threshold
     p = gen_slanted_ladder(slope, offset, ts)
@@ -211,7 +210,7 @@ def test_criterion_8_identity_suite():
     rng = random.Random(808)
     for _ in range(500):
         p = random_sample(rng, 2, 30)
-        xs, ys = p.xs.values, p.ys.values
+        xs, ys = p.xs, p.ys
         n = len(xs)
         s = summarize(p)
         pair_var = sum(

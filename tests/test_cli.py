@@ -726,6 +726,17 @@ def test_flat_x_line_has_the_normal_form_of_y_and_d():
     _assert_normal_forms_agree(b"2,1\n0,1.0000000000000002\n", -1.0)
 
 
+@pytest.mark.parametrize("rows", [
+    b"2,1\n0,1.0000000000000002\n", b"1,2\n1.0000000000000002,0\n",
+    b"0,0\n1,1.1471147311908207e-157\n",
+], ids=["flat-x", "steep-y", "near-horizontal"])
+def test_the_three_normal_forms_share_one_angle(rows):
+    # pi/2 - atan(mu) read the X angle of flat-x and near-horizontal as 0
+    p = parse_csv(rows)
+    thetas = {fit(p).normal_form.theta for fit in (fit_y, fit_x, fit_d_report)}
+    assert len(thetas) == 1 and thetas != {0.0}
+
+
 @pytest.mark.parametrize("scale", [1e-12, 1.0, 1e12])
 def test_svg_frame_does_not_depend_on_the_units(scale):
     shape = [(0.0, 0.0), (3.0, 1.0), (1.0, 2.0), (2.0, 3.0)]
@@ -919,10 +930,19 @@ def test_non_finite_angle_is_a_usage_error(tmp_path, capsys, command, flag, valu
     (["circle", "--n", "5", "--radius", "inf"], "--radius", "expected a finite number"),
     (["circle", "--n", "5", "--center", "inf,0"], "--center",
      "expected two finite numbers 'A,B'"),
+    (["parallel", "--A", "0"], "--A", "expected a number above 0, got '0'"),
+    (["parallel", "--A", "-1"], "--A", "expected a number above 0, got '-1'"),
+    (["parallel", "--M", "1", "--B", "0"], "--B", "expected a number above 0, got '0'"),
+    (["noisy-line", "--slope", "1", "--span", "0"], "--span",
+     "expected a number above 0, got '0'"),
+    (["parallel", "--A", "1", "--n", "1"], "--n", "expected a number above 1, got '1'"),
+    (["parallel", "--A", "1", "--n", "x"], "--n", "invalid int value: 'x'"),
 ])
 def test_non_finite_generate_option_is_a_usage_error_that_names_it(capsys, args, flag,
                                                                    message):
-    # each used to fail later, naming an internal sample: "sample value at index 0"
+    # the non-finite ones used to fail later, naming an internal sample:
+    # "sample value at index 0"; the others named a generator's argument
+    # ("half_gap", "offset", "x_span") or a sample of values
     with pytest.raises(SystemExit) as exc:
         main(["generate"] + args)
     assert exc.value.code == 2
@@ -953,8 +973,12 @@ def test_overflowing_options_name_the_command_not_a_sample(tmp_path, capsys, com
 
 
 def test_too_few_rungs_keep_their_own_message(capsys):
-    assert main(["generate", "parallel", "--A", "1", "--n", "0"]) == 2
-    assert capsys.readouterr().err == "error: a sample needs at least 2 values, got 0\n"
+    with pytest.raises(SystemExit) as exc:
+        main(["generate", "parallel", "--A", "1", "--n", "0"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.err.endswith("error: argument --n: expected a number above 1, got '0'\n")
+    assert captured.out == ""
 
 
 @pytest.mark.parametrize("spread", ["8e307", "1e-170"])
@@ -962,7 +986,7 @@ def test_a_vertical_ladder_whose_rung_variance_leaves_the_doubles_prints(capsys,
     # the rungs spread out, though their variance overflows or underflows
     assert main(["generate", "parallel", "--A", "1", "--spread", spread, "--n", "3"]) == 0
     p = parse_csv(capsys.readouterr().out.encode())
-    assert p.n == 6 and max(p.ys.values) > min(p.ys.values)
+    assert p.n == 6 and max(p.ys) > min(p.ys)
 
 
 @pytest.mark.parametrize("offset, spread", [("1e-20", "30"), ("1", "8e307")])

@@ -42,8 +42,8 @@ SMALL_UNITS = PairedSample.from_points(
 @pytest.mark.parametrize("k", [-60, -20, 0, 20, 60])
 def test_verdicts_do_not_depend_on_the_units(k):
     scaled = PairedSample.from_xy(
-        [x * 2.0**k for x in SMALL_UNITS.xs.values],
-        [y * 2.0**k for y in SMALL_UNITS.ys.values],
+        [x * 2.0**k for x in SMALL_UNITS.xs],
+        [y * 2.0**k for y in SMALL_UNITS.ys],
     )
     rep, ref = compare(scaled), compare(SMALL_UNITS)
     assert rep.case_tag == "I"

@@ -404,7 +404,7 @@ def test_objective_x_matches_direct_summation():
     p = random_sample(rng, 12)
     mu, beta = 0.8, -0.3
     direct = sum(
-        (mu * y + beta - x) ** 2 for x, y in zip(p.xs.values, p.ys.values)
+        (mu * y + beta - x) ** 2 for x, y in zip(p.xs, p.ys)
     ) / p.n
     assert abs(objective_x(p, mu, beta) - direct) <= 1e-12 * (direct + 1.0)
 
@@ -508,7 +508,7 @@ def fitted_objectives(p):
 @settings(max_examples=300)
 def test_closed_form_objectives_match_the_point_loop(p, turn, shift):
     s = p.summary
-    xs, ys = max(map(abs, p.xs.values)), max(map(abs, p.ys.values))
+    xs, ys = max(map(abs, p.xs)), max(map(abs, p.ys))
     for objective, loop, a, c, minimum in fitted_objectives(p):
         # move the fitted line; size bounds the positions that each residual
         # is a difference of, and scale is the objective's spread terms

@@ -12,7 +12,7 @@ from linefit.generators import (
     gen_vertical_ladder,
 )
 from linefit.geometry import Point
-from linefit.stats import Sample, summarize
+from linefit.stats import summarize
 
 
 def rung_variance(ts):
@@ -24,7 +24,7 @@ def rung_variance(ts):
 # --- vertical ladders -----------------------------------------------------------
 
 def test_wide_rung_ladder_stats_and_fit():
-    p = gen_vertical_ladder(1.0, Sample((0.0, 2.0, -2.0)))
+    p = gen_vertical_ladder(1.0, (0.0, 2.0, -2.0))
     assert p.n == 6
     s = summarize(p)
     assert abs(s.var_x - 1.0) < 1e-12
@@ -38,7 +38,7 @@ def test_wide_rung_ladder_stats_and_fit():
 
 
 def test_narrow_rung_ladder_fit_is_horizontal():
-    p = gen_vertical_ladder(10.0, Sample((0.0, 0.1, -0.1)))
+    p = gen_vertical_ladder(10.0, (0.0, 0.1, -0.1))
     fit = fit_d(p)
     assert isinstance(fit, UniqueLine)
     assert fit.line.theta == pytest.approx(0.0, abs=1e-12)
@@ -48,7 +48,7 @@ def test_narrow_rung_ladder_fit_is_horizontal():
 
 def test_vertical_ladder_y_and_x_fits_ignore_the_rung_spread():
     for rungs in ((0.0, 2.0, -2.0), (0.0, 0.1, -0.1)):
-        p = gen_vertical_ladder(3.0, Sample(rungs))
+        p = gen_vertical_ladder(3.0, rungs)
         ry = fit_y(p)
         assert abs(ry.line.m) < 1e-12  # always the horizontal mean line
         rx = fit_x(p)
@@ -58,15 +58,32 @@ def test_vertical_ladder_y_and_x_fits_ignore_the_rung_spread():
 
 def test_vertical_ladder_requires_spread_and_gap():
     with pytest.raises(GenerationError):
-        gen_vertical_ladder(0.0, Sample((0.0, 1.0)))
+        gen_vertical_ladder(0.0, (0.0, 1.0))
     with pytest.raises(GenerationError):
-        gen_vertical_ladder(1.0, Sample((2.0, 2.0, 2.0)))
+        gen_vertical_ladder(1.0, (2.0, 2.0, 2.0))
+
+
+@pytest.mark.parametrize("rungs", [(), (1.0,), [3]])
+def test_ladders_need_two_rungs(rungs):
+    # max(()) would otherwise end in a traceback
+    message = f"^a ladder needs at least 2 rungs, got {len(rungs)}$"
+    with pytest.raises(GenerationError, match=message):
+        gen_vertical_ladder(1.0, rungs)
+    with pytest.raises(GenerationError, match=message):
+        gen_slanted_ladder(2.0, 40.0, rungs)
+
+
+def test_ladders_take_any_sequence_of_numbers():
+    want = gen_vertical_ladder(1.0, (0.0, 2.0, -2.0))
+    assert gen_vertical_ladder(1, [0, 2, -2]) == want
+    assert gen_vertical_ladder(1.0, range(3)) == gen_vertical_ladder(1.0, (0.0, 1.0, 2.0))
+    assert gen_slanted_ladder(2, 40, range(3)) == gen_slanted_ladder(2.0, 40.0, (0.0, 1.0, 2.0))
 
 
 # --- slanted ladders ---------------------------------------------------------------
 
 def test_flat_ladder_vertical_fit_is_the_mid_line():
-    p = gen_slanted_ladder(0.0, 5.0, Sample((-3.0, 0.0, 4.0)))
+    p = gen_slanted_ladder(0.0, 5.0, (-3.0, 0.0, 4.0))
     report = fit_y(p)
     assert abs(report.line.m) < 1e-12
     assert abs(report.line.b) < 1e-12
@@ -78,7 +95,7 @@ def test_slanted_ladder_stats_match_closed_forms():
         m = rng.uniform(-3.0, 3.0)
         b = rng.uniform(0.5, 20.0)
         ts = tuple(rng.uniform(-10.0, 10.0) for _ in range(rng.randint(2, 12)))
-        p = gen_slanted_ladder(m, b, Sample(ts))
+        p = gen_slanted_ladder(m, b, ts)
         s = summarize(p)
         vt = rung_variance(ts)
         tbar = sum(ts) / len(ts)
@@ -100,7 +117,7 @@ def test_ladder_pairs_are_perpendicular_to_the_lines():
         m = rng.uniform(-4.0, 4.0)
         b = rng.uniform(0.5, 10.0)
         ts = tuple(rng.uniform(-5.0, 5.0) for _ in range(6))
-        p = gen_slanted_ladder(m, b, Sample(ts))
+        p = gen_slanted_ladder(m, b, ts)
         pts = p.points()
         n = len(ts)
         for i in range(n):
@@ -110,7 +127,7 @@ def test_ladder_pairs_are_perpendicular_to_the_lines():
 
 
 def test_spread_out_slanted_ladder_fit_has_the_ladder_slope():
-    ts = Sample(tuple(float(t) for t in range(-30, 31, 3)))
+    ts = tuple(float(t) for t in range(-30, 31, 3))
     p = gen_slanted_ladder(2.0, 40.0, ts)
     fit = fit_d(p)
     assert isinstance(fit, UniqueLine)
@@ -120,7 +137,7 @@ def test_spread_out_slanted_ladder_fit_has_the_ladder_slope():
 def test_clustered_slanted_ladder_fit_is_perpendicular_to_the_ladder():
     # rung spread far below offset^2/(slope^2+1)^2: the data look like two
     # clusters, so the fitted line runs through them, across the ladder
-    ts = Sample((0.0, 0.2, -0.2, 0.1))
+    ts = (0.0, 0.2, -0.2, 0.1)
     p = gen_slanted_ladder(2.0, 40.0, ts)
     fit = fit_d(p)
     assert isinstance(fit, UniqueLine)
@@ -130,11 +147,11 @@ def test_clustered_slanted_ladder_fit_is_perpendicular_to_the_ladder():
 def test_slanted_ladder_rejects_an_offset_lost_to_rounding():
     for slope, offset, ts in ((1.0, 1e-20, (-3.0, 0.5, 7.0)), (1.0, 1.0, (8e307, -8e307))):
         with pytest.raises(GenerationError, match=f"offset {offset!r} is lost"):
-            gen_slanted_ladder(slope, offset, Sample(ts))
+            gen_slanted_ladder(slope, offset, ts)
     with pytest.raises(GenerationError, match="offset must be positive"):
-        gen_slanted_ladder(1.0, 0.0, Sample((0.0, 1.0)))
+        gen_slanted_ladder(1.0, 0.0, (0.0, 1.0))
     with pytest.raises(GenerationError, match="slope must be finite"):
-        gen_slanted_ladder(math.inf, 1.0, Sample((0.0, 1.0)))
+        gen_slanted_ladder(math.inf, 1.0, (0.0, 1.0))
 
 
 # --- circles -------------------------------------------------------------------------

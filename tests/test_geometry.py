@@ -165,6 +165,21 @@ def test_inverse_slope_normal_round_trip(mu, beta):
     assert abs(back.beta - beta) <= 1e-12 * (abs(beta) + 1.0)
 
 
+def test_inverse_slope_angle_keeps_its_digits_at_every_power_of_two():
+    # arctan(2^-k) is pi/2 - arctan(2^k); formed as that difference, the angle
+    # lost its digits once 2^k outgrew 1 and read 0 from 2^54 up
+    wrong = [k for k in range(-1000, 1001)
+             if inverse_slope_to_normal(InverseSlopeLine(2.0**k, 0.0)).theta
+             != math.atan(2.0**-k)]
+    assert wrong == []
+    # a negative mu keeps them too; an angle that rounds to -pi/2 is the
+    # vertical line at pi/2
+    wrong = [k for k in range(-1000, 1001)
+             if inverse_slope_to_normal(InverseSlopeLine(-(2.0**k), 1.0))
+             != NormalLine.canonical(-math.atan(2.0**-k), -1.0 / math.hypot(1.0, 2.0**k))]
+    assert wrong == []
+
+
 def test_vertical_line_has_inverse_slope_form():
     n = inverse_slope_to_normal(InverseSlopeLine(0.0, 4.5))
     assert n.theta == pytest.approx(math.pi / 2, rel=1e-15)

@@ -15,7 +15,6 @@ from linefit import (
     PairedSample,
     Point,
     Rotation,
-    Sample,
     SlopeInterceptLine,
     SummaryStats,
     Translation,
@@ -25,7 +24,6 @@ from linefit import (
 from linefit.cli import RunConfig
 from linefit.fitters import OrthogonalCase
 
-S = Sample((0.0, 1.0, 3.0))
 P = PairedSample.from_xy((0, 1, 2), (0, 1, 3))
 
 # (record, its repr, fields that its constructor rejects or None if it checks none)
@@ -34,9 +32,7 @@ RECORDS = [
     (SlopeInterceptLine(0.5, -1), "SlopeInterceptLine(m=0.5, b=-1.0)", (math.nan, 0.0)),
     (InverseSlopeLine(2, 0.25), "InverseSlopeLine(mu=2.0, beta=0.25)", (math.inf, 0.0)),
     (NormalLine(0.5, 1), "NormalLine(theta=0.5, c=1.0)", (2.0, 1.0)),
-    (S, "Sample(values=(0.0, 1.0, 3.0))", ((1.0,),)),
-    (P, "PairedSample(xs=Sample(values=(0.0, 1.0, 2.0)), ys=Sample(values=(0.0, 1.0, 3.0)))",
-     (Sample((0, 1)), S)),
+    (P, "PairedSample(xs=(0.0, 1.0, 2.0), ys=(0.0, 1.0, 3.0))", ((0.0, 1.0), (0.0, 1.0, 3.0))),
     (SummaryStats(3, 1.0, 2.0, 0.5, 2.0, 0.75),
      "SummaryStats(n=3, mean_x=1.0, mean_y=2.0, var_x=0.5, var_y=2.0, cov_xy=0.75)",
      (3, 0.0, 0.0, -1.0, 1.0, 0.0)),

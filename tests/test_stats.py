@@ -14,7 +14,6 @@ from linefit.fitters import UniqueLine, fit_d_report, fit_x, fit_y
 from linefit.geometry import inverse_slope_to_normal, slope_to_normal
 from linefit.stats import (
     PairedSample,
-    Sample,
     SummaryStats,
     mean,
     summarize,
@@ -73,9 +72,9 @@ def two_pass_moments(xs, ys):
     )
 
 
-def lone_variance(s):
-    """The var_x of a lone sample, paired with zeros as the y."""
-    return summarize(PairedSample(s, Sample((0.0,) * s.n))).var_x
+def lone_variance(values):
+    """The var_x of a lone column, paired with zeros as the y."""
+    return summarize(PairedSample(values, (0.0,) * len(values))).var_x
 
 
 def sequential_mean(values):
@@ -100,38 +99,80 @@ def paired_samples(draw, min_size=2, max_size=30):
 
 # --- construction ----------------------------------------------------------
 
+BUILDERS = {
+    "new": PairedSample,
+    "from_xy": PairedSample.from_xy,
+    "from_points": lambda xs, ys: PairedSample.from_points(zip(xs, ys)),
+}
+
+
 def test_sample_rejects_short_input():
-    with pytest.raises(InvalidSampleError):
-        Sample((1.0,))
+    for build in BUILDERS.values():
+        for xs, ys in (((1.0,), (1.0,)), ((), ())):
+            with pytest.raises(InvalidSampleError,
+                               match=f"^a sample needs at least 2 values, got {len(xs)}$"):
+                build(xs, ys)
+    # each column is checked on its own, before the lengths are compared
+    with pytest.raises(InvalidSampleError, match="^a sample needs at least 2 values, got 1$"):
+        PairedSample((1.0, 2.0), (1.0,))
+    with pytest.raises(InvalidSampleError, match="^a sample needs at least 2 values, got 1$"):
+        PairedSample.from_xy((1.0,), (1.0, 2.0, 3.0))
 
 
 @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
 def test_sample_rejects_non_finite(bad):
-    with pytest.raises(InvalidSampleError, match="index 1"):
-        Sample((1.0, bad))
+    message = f"^sample value at index 1 is not finite: {bad!r}$"
+    for build in BUILDERS.values():
+        with pytest.raises(InvalidSampleError, match=message):
+            build((1.0, bad, 2.0), (0.0, 1.0, 2.0))
+        with pytest.raises(InvalidSampleError, match=message):
+            build((0.0, 1.0, 2.0), (1.0, bad, 2.0))
+    # the x column is checked first
+    with pytest.raises(InvalidSampleError, match="index 2"):
+        PairedSample((1.0, 2.0, bad), (bad, 1.0, 2.0))
 
 
 def test_paired_sample_rejects_length_mismatch():
-    with pytest.raises(SampleMismatchError):
-        PairedSample(Sample((1.0, 2.0)), Sample((1.0, 2.0, 3.0)))
+    message = "^x and y samples differ in length: 2 vs 3$"
+    with pytest.raises(SampleMismatchError, match=message):
+        PairedSample((1.0, 2.0), (1.0, 2.0, 3.0))
+    with pytest.raises(SampleMismatchError, match=message):
+        PairedSample.from_xy([1.0, 2.0], (y for y in (1.0, 2.0, 3.0)))
+    # a non-finite value is reported before the mismatch
+    with pytest.raises(InvalidSampleError, match="index 0"):
+        PairedSample.from_xy((math.nan, 2.0), (1.0, 2.0, 3.0))
+
+
+def test_every_builder_stores_int_input_as_float_tuples():
+    for build in BUILDERS.values():
+        p = build([0, 1, 2], range(3, 6))
+        assert p == ((0.0, 1.0, 2.0), (3.0, 4.0, 5.0)) and p.n == 3
+        assert all(type(v) is float for v in p.xs + p.ys)
+        assert type(p.xs) is tuple and type(p.ys) is tuple
 
 
 # --- mean -------------------------------------------------------------------
 
 def test_mean_of_unit_spike():
-    assert mean(Sample((1.0, 0.0, 0.0))) == pytest.approx(1.0 / 3.0, rel=1e-15)
+    assert mean((1.0, 0.0, 0.0)) == pytest.approx(1.0 / 3.0, rel=1e-15)
 
 
 def test_mean_of_constant_sample():
     for k in (7.25, 0.1, 0.7, 123.456):
         for n in (3, 5, 9, 10):
-            assert mean(Sample((k,) * n)) == k
+            assert mean((k,) * n) == k
+
+
+def test_mean_of_mixed_ints_and_floats():
+    # int.__eq__(float) is NotImplemented, which is truthy: no constant here
+    assert mean((1, 2.0)) == 1.5
+    assert mean([2, 2.0, 2]) == 2.0 and type(mean([2, 2])) is float
 
 
 def test_mean_matches_sequential_oracle():
     rng = random.Random(20)
     values = [rng.uniform(-1.0, 1.0) for _ in range(20)]
-    got = mean(Sample(tuple(values)))
+    got = mean(values)
     want = sequential_mean(values)
     assert abs(got - want) <= 1e-14 * abs(want)
 
@@ -140,19 +181,19 @@ def test_mean_matches_sequential_oracle():
 
 def test_variance_of_unit_spike():
     # 1/3 mean, 1/3 mean square: 1/3 - 1/9 = 2/9
-    assert lone_variance(Sample((1.0, 0.0, 0.0))) == pytest.approx(2.0 / 9.0, rel=1e-15)
+    assert lone_variance((1.0, 0.0, 0.0)) == pytest.approx(2.0 / 9.0, rel=1e-15)
 
 
 def test_variance_of_constant_sample_is_exactly_zero():
     for k in (0.1, 1.0 / 3.0, 0.7, 12345.678):
         for n in (2, 3, 7, 50):
-            assert lone_variance(Sample((k,) * n)) == 0.0
+            assert lone_variance((k,) * n) == 0.0
 
 
 def test_variance_matches_pairwise_difference_oracle():
     rng = random.Random(7)
     values = [rng.uniform(-10.0, 10.0) for _ in range(10)]
-    got = lone_variance(Sample(tuple(values)))
+    got = lone_variance(values)
     want = pairwise_variance(values)
     assert abs(got - want) <= 1e-12 * want
 
@@ -267,7 +308,7 @@ def test_a_one_ulp_step_at_1e155_fits():
 
 
 def test_lone_sample_views_accept_a_variance_whose_square_overflows():
-    s = Sample((1e100, -1e100))
+    s = (1e100, -1e100)
     assert mean(s) == 0.0
     assert lone_variance(s) == pytest.approx(1e200, rel=1e-15)
 
@@ -335,7 +376,7 @@ def far_paired_samples(draw):
 @settings(max_examples=300)
 def test_summarize_matches_a_two_pass_oracle_far_from_the_origin(p):
     s = summarize(p)
-    var_x, var_y, cov_xy = two_pass_moments(p.xs.values, p.ys.values)
+    var_x, var_y, cov_xy = two_pass_moments(p.xs, p.ys)
     tol = 1e-12 * (var_x + var_y)
     assert abs(s.var_x - var_x) <= tol
     assert abs(s.var_y - var_y) <= tol
@@ -358,7 +399,7 @@ def test_cached_summary_leaves_equality_hash_and_copies_alone():
     assert p == q and hash(p) == hash(q)
     assert p._asdict() == fields
     assert PairedSample(**p._asdict()) == q
-    moved = PairedSample(p.xs, Sample((0.0, 1.0, 2.0)))
+    moved = PairedSample(p.xs, (0.0, 1.0, 2.0))
     assert moved.summary == summarize(moved) != p.summary
     back = pickle.loads(pickle.dumps(p))
     assert back == p and hash(back) == hash(p)
@@ -378,8 +419,7 @@ def test_one_sample_is_summarized_once_across_fits(summarize_calls):
 
 @given(st.lists(finite_coords, min_size=2, max_size=30))
 def test_variance_nonnegative_and_zero_iff_constant(values):
-    s = Sample(tuple(values))
-    v = lone_variance(s)
+    v = lone_variance(values)
     assert v >= 0.0
     if max(values) == min(values):
         assert v == 0.0
@@ -390,7 +430,7 @@ def test_variance_nonnegative_and_zero_iff_constant(values):
 @given(paired_samples())
 @settings(max_examples=200)
 def test_covariance_three_ways(p):
-    xs, ys = p.xs.values, p.ys.values
+    xs, ys = p.xs, p.ys
     definition = summarize(p).cov_xy
     centered = centered_covariance(xs, ys)
     pairwise = pairwise_covariance(xs, ys)
@@ -423,7 +463,7 @@ def test_translation_leaves_spread_fields_unchanged(p, u, v):
     s = summarize(p)
     t = summarize(
         PairedSample.from_xy(
-            (x + u for x in p.xs.values), (y + v for y in p.ys.values)
+            (x + u for x in p.xs), (y + v for y in p.ys)
         )
     )
     # moving a coordinate rounds it by up to half an ulp of |x| + |u|, which

@@ -5,24 +5,26 @@
 For each side, in a subprocess, it runs `fit --json --svg` and
 `transform --rotate 0.3` on every corpus input, and the three `generate`
 shapes, plus one `generate` whose options overflow, a ladder whose rung
-variance does and a ladder whose offset is lost to rounding.  The corpus
-is a perfbench-style 1e5-point noisy line (seed 11), two copies of it with
-one odd row in the second half of the lines, which a forked child converts
-(`1.5,abc`, an input error, and an integer field, which turns the JSON
-points into reprs), one point repeated 10,001 times, a degenerate figure
+variance does, a ladder whose offset is lost to rounding, and four runs whose
+options are out of range (`--A 0`, `--B 0`, `--span 0` and one rung).  The
+corpus is a perfbench-style 1e5-point noisy line (seed 11), two copies of it
+with one odd row in the second half of the lines, which a forked child
+converts (`1.5,abc`, an input error, and an integer field, which turns the
+JSON points into reprs), one point repeated 10,001 times, a degenerate figure
 above the fork threshold (Y and X fail, D draws the centroid and every
 marker sits at the centre), and small inputs at the edges of the line forms
-and of the CSV grammar, valid and not.  Each small input also runs
-`fit --method y`, `--method x` and `--method d`, each with `--json --svg`,
-and one bare `fit` (the table alone, no JSON echo): one-method tables and
-documents, exit 3 from each precondition, and legends that skip a failed fit.
-Every side after the first is compared
-with the first, output by output: the table (stdout), stderr, the exit code
-and the JSON and SVG files.  Each prints `same` or `different`; a differing
-JSON names the key paths whose text differs, and a differing stdout or SVG
-names its differing rows or element classes.  For the SVG's fit paths it
-also gives how far apart the paths' ends are once each is clipped to the
-800x600 viewport.  The exit status is 1 when anything differs.
+(among them a near-horizontal pair, whose X angle is 1.1e-157) and of the CSV
+grammar, valid and not.  Each small input also runs `fit --method y`,
+`--method x` and `--method d`, each with `--json --svg`, and one bare `fit`
+(the table alone, no JSON echo): one-method tables and documents, exit 3
+from each precondition, and legends that skip a failed fit.  Every side
+after the first is compared with the first, output by output: the table
+(stdout), stderr, the exit code and the JSON and SVG files.  Each prints
+`same` or `different`; a differing JSON names the key paths whose text
+differs, and a differing stdout or SVG names its differing rows or element
+classes.  For the SVG's fit paths it also gives how far apart the paths'
+ends are once each is clipped to the 800x600 viewport.  The exit status is
+1 when anything differs.
 """
 
 from __future__ import annotations
@@ -60,6 +62,7 @@ SMALL = {
     "collinear": b"0,0\n1,2\n2,4\n",
     "span-max": b"1.7e308,0\n1.7e308,1\n-1.7e308,0\n",  # x - mean_x overflows
     "y-equals-x": b"0,0\n" * 5 + b"1,1\n" + b"0,0\n" * 7,  # cov = var exactly
+    "near-horizontal": b"0,0\n1,1.1471147311908207e-157\n",  # X mu = 8.7e156
 }
 GENERATE = {
     "circle": ["circle", "--n", "12"],
@@ -68,6 +71,10 @@ GENERATE = {
     "overflow": ["noisy-line", "--slope", "1e308"],
     "wide-ladder": ["parallel", "--A", "1", "--spread", "8e307", "--n", "3"],  # var overflows
     "lost-offset": ["parallel", "--M", "1", "--B", "1e-20", "--n", "3"],  # lower = upper
+    "zero-gap": ["parallel", "--A", "0"],
+    "zero-offset": ["parallel", "--M", "1", "--B", "0"],
+    "zero-span": ["noisy-line", "--slope", "1", "--span", "0"],
+    "one-rung": ["parallel", "--A", "1", "--n", "1"],
 }
 MAX_PATHS = 8
 FIT_PATH = re.compile(r'class="(fit-\w)" d="M (\S+) (\S+) L (\S+) (\S+)"')
