@@ -10,12 +10,12 @@ Subcommands:
 * ``transform`` apply a rigid motion to a CSV point set and print the moved
                 CSV, for shell-level invariance experiments.
 
-From ``_FORK_MIN_POINTS`` (10,000) points up, ``parse_csv`` and
-``render_csv``, and ``fit --svg``'s point markers, run half of their
-conversion in a forked child (:mod:`linefit.halves`).  The point count
-decides it, where ``os.fork`` exists, the process may run on two CPUs and it
-runs a single thread; no option does.  The results and errors are those of
-one process.
+From ``_FORK_MIN_POINTS`` (10,000) points up, ``parse_csv`` (its bytes split
+at a line feed), ``render_csv`` (for ``transform``, each half moves its own
+points) and ``fit --svg``'s point markers run half of their conversion in a
+forked child (:mod:`linefit.halves`).  The point count decides it, where
+``os.fork`` exists, the process may run on two CPUs and it runs a single
+thread; no option does.  The results and errors are those of one process.
 
 Exit codes: 0 success (at least one requested fit produced a result),
 1 stdout was closed before the output was written, 2 input error or an
@@ -43,10 +43,10 @@ from .errors import (
 )
 from .fitters import FitReport, UniqueLine, fit_d_report, fit_x, fit_y
 from .geometry import NormalLine, Point, normal_to_slope
-from .halves import _halves
+from .halves import _csv_rows, _halves
 from .stats import PairedSample, SummaryStats
 from .svg import render_svg
-from .transforms import Rotation, Translation, apply_motion_points
+from .transforms import Rotation, Translation, _moved, _resolve_center, apply_motion_points
 
 __all__ = ["RunConfig", "parse_csv", "report", "run", "main"]
 
@@ -95,33 +95,40 @@ def parse_csv(data: bytes, *, echo: bool = False):
     no data line holds a space or a tab, ``points_json`` is the JSON array of
     the points in the input's own digits, which read back exactly; else None.
     """
+    # the halves meet after a line feed: no UTF-8 sequence holds one, and it ends a line
+    cut = data.find(b"\n", len(data) // 2) + 1 or len(data)
     try:
-        rows = list(filter(str.strip, data.decode("utf-8").splitlines()))
-    except UnicodeDecodeError as exc:
-        raise CsvParseError(f"input is not UTF-8 text: {exc}") from exc
-    header = bool(rows) and [f.strip() for f in rows[0].split(",")] == ["x", "y"]
-    if header:
-        del rows[0]
-    try:
-        (values, spelled), (tail, tail_spelled) = _halves(
-            lambda s: _row_values(rows[s]), len(rows))
+        (values, header, text), (tail, late_header, tail_text) = _halves(
+            lambda s: _half_values(data[s], echo), _csv_rows(data), cut)
+        if late_header and (values or header):  # `x,y` is the header only as the first line
+            raise ValueError("a second header")
         values += tail
         del tail  # the halves' lists go before the sample's columns are built
         # the PairedSample check is the one finiteness pass, and it counts the points
         sample = PairedSample.from_xy(values[0::2], values[1::2])
     except ValueError:
-        _explain(data, header)
+        _explain(data)
     if not echo:
         return sample
-    return sample, "[[" + "],[".join(rows) + "]]" if spelled and tail_spelled else None
+    return sample, None if None in (text, tail_text) else (
+        "[[" + "],[".join(filter(None, (text, tail_text))) + "]]")
 
 
-def _row_values(rows: list[str]) -> tuple[list[float], bool]:
-    """The fields of rows that hold one comma each, as by :func:`_values`;
-    ValueError on any other row, or on no rows."""
-    if set(map(str.count, rows, repeat(","))) != {1}:
+def _half_values(data: bytes, echo: bool) -> tuple[list[float], bool, str | None]:
+    """The fields of the lines in ``data`` as by :func:`_values`, whether the first
+    non-blank line was the header, which it skips, and with ``echo`` the rows for
+    the JSON echo if it may splice them; ValueError on a row without one comma."""
+    rows = list(filter(str.strip, data.decode("utf-8").splitlines()))
+    header = bool(rows) and _is_header(rows[0])
+    del rows[:header]
+    if set(map(str.count, rows, repeat(","))) - {1}:
         raise ValueError("not one comma per row")
-    return _values(",".join(rows))
+    values, spelled = _values(",".join(rows))
+    return values, header, "],[".join(rows) if echo and spelled else None
+
+
+def _is_header(line: str) -> bool:
+    return [f.strip() for f in line.split(",")] == ["x", "y"]
 
 
 def _reject(token: str):
@@ -138,20 +145,23 @@ def _values(joined: str) -> tuple[list[float], bool]:
     """The joined fields as floats, and whether the JSON echo may splice them."""
     try:
         values = _FLOAT_LITERALS.decode("[" + joined + "]")
-        if set(map(type, values)) == {float}:
+        if set(map(type, values)) <= {float}:  # none, from no rows, or all floats
             return values, " " not in joined and "\t" not in joined
     except (ValueError, RecursionError):
         pass
     return list(map(float, map(str.strip, joined.split(",")))), False
 
 
-def _explain(data: bytes, header: bool) -> None:
-    """Raise the error of the first line of UTF-8 ``data`` that :func:`parse_csv`
-    cannot accept; never returns.  ``header`` says whether the first non-blank
-    line is the header."""
-    lines = enumerate(data.decode("utf-8").splitlines(), start=1)
+def _explain(data: bytes) -> None:
+    """Raise the error of the first line of ``data`` that :func:`parse_csv`
+    cannot accept; never returns."""
+    try:
+        lines = enumerate(data.decode("utf-8").splitlines(), start=1)
+    except UnicodeDecodeError as exc:
+        raise CsvParseError(f"input is not UTF-8 text: {exc}") from exc
     numbered = [(lineno, raw) for lineno, raw in lines if raw.strip()]
-    for lineno, raw in numbered[1:] if header else numbered:
+    header = bool(numbered) and _is_header(numbered[0][1])
+    for lineno, raw in numbered[header:]:
         fields = [f.strip() for f in raw.split(",")]
         if len(fields) != 2:
             raise CsvParseError(f"line {lineno}: expected 'x,y', got {raw!r}", line=lineno)
@@ -166,14 +176,24 @@ def _explain(data: bytes, header: bool) -> None:
     raise InsufficientDataError(f"need at least 2 data points, got {len(numbered) - header}")
 
 
-def render_csv(p: PairedSample) -> str:
-    def rows(s: slice) -> str:
+def render_csv(p: PairedSample, motions=()) -> str:
+    """CSV of ``p`` moved by ``motions`` (centres set) in turn as by apply_motion_points."""
+    def rows(s: slice) -> str | None:
+        xs, ys = p.xs[s], p.ys[s]
+        for g in motions:
+            xs, ys = _moved(xs, ys, g)
         # 17 significant digits round-trip any double exactly; one format call
         # over the interleaved coordinates builds no string per point
-        xy = tuple(chain.from_iterable(zip(p.xs[s], p.ys[s])))
-        return ("%.17g,%.17g\n" * (len(xy) // 2)) % xy
+        xy = tuple(chain.from_iterable(zip(xs, ys)))
+        text = ("%.17g,%.17g\n" * (len(xy) // 2)) % xy
+        return None if "n" in text else text  # only inf and nan spell an n
 
-    return "x,y\n%s%s" % _halves(rows, p.n)
+    head, tail = _halves(rows, p.n)
+    if None in (head, tail):  # a moved point is not finite: the half-offset fallback or the error
+        for g in motions:
+            p = apply_motion_points(p, g)
+        return render_csv(p)
+    return "x,y\n" + head + tail
 
 
 # ---------------------------------------------------------------------------
@@ -360,12 +380,13 @@ def _half_width(text: str) -> float:
     return h
 
 
-def _above(low, parse=_finite):
-    """The option type ``parse`` that takes only values above ``low``."""
+def _above(low, parse=_finite, *, or_equal=False):
+    """The option type ``parse`` that takes only values above ``low`` (or equal to it)."""
     def above(text: str):
         v = parse(text)
-        if not v > low:
-            raise argparse.ArgumentTypeError(f"expected a number above {low}, got {text!r}")
+        if not (v >= low if or_equal else v > low):
+            raise argparse.ArgumentTypeError(
+                f"expected a number {'of at least' if or_equal else 'above'} {low}, got {text!r}")
         return v
     above.__name__ = parse.__name__  # argparse's "invalid int value" names it
     return above
@@ -415,9 +436,9 @@ def _build_parser() -> argparse.ArgumentParser:
     gsub = gen.add_subparsers(dest="shape", required=True)
 
     circle = gsub.add_parser("circle", help="evenly spaced points on a circle")
-    circle.add_argument("--n", type=int, required=True)
+    circle.add_argument("--n", type=_above(2, int), required=True)
     circle.add_argument("--alpha", type=_finite, default=0.0, help="phase angle")
-    circle.add_argument("--radius", type=_finite, default=1.0)
+    circle.add_argument("--radius", type=_above(0), default=1.0)
     circle.add_argument("--center", type=_pair, default=(0.0, 0.0), metavar="X,Y")
 
     ladder = gsub.add_parser(
@@ -435,9 +456,9 @@ def _build_parser() -> argparse.ArgumentParser:
     noisy = gsub.add_parser("noisy-line", help="seeded noisy points along a line")
     noisy.add_argument("--slope", type=_finite, required=True)
     noisy.add_argument("--intercept", type=_finite, default=0.0)
-    noisy.add_argument("--n", type=int, default=30)
+    noisy.add_argument("--n", type=_above(1, int), default=30)
     noisy.add_argument("--seed", type=int, default=0)
-    noisy.add_argument("--noise", type=_half_width, default=0.1)
+    noisy.add_argument("--noise", type=_above(0, _half_width, or_equal=True), default=0.1)
     noisy.add_argument("--span", type=_above(0, _half_width), default=10.0,
                        help="x in [-span, span]")
 
@@ -505,19 +526,19 @@ def _cmd_generate(args) -> int:
 
 
 def _cmd_transform(args) -> int:
+    center = args.center and Point(*args.center)
+    motions = [] if args.rotate is None else [Rotation(args.rotate, center)]
+    if args.translate is not None:
+        motions.append(Translation(*args.translate))
     try:
         points = parse_csv(_read_input(args.input))
-        if args.rotate is not None:
-            center = None if args.center is None else Point(*args.center)
-            points = apply_motion_points(points, Rotation(args.rotate, center))
-        if args.translate is not None:
-            points = apply_motion_points(points, Translation(*args.translate))
+        text = render_csv(points, [_resolve_center(g, points) for g in motions])
     except InvalidSampleError:  # parse_csv raises none: a moved point is not finite
         return _overflowed("transform")
     except (LineFitError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
-    sys.stdout.write(render_csv(points))
+    sys.stdout.write(text)
     return EXIT_OK
 
 

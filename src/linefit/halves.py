@@ -19,11 +19,21 @@ def _cpus() -> int:
     return os.cpu_count() or 1
 
 
-def _halves(fn, n: int) -> tuple:
-    """``(fn(slice(0, n // 2)), fn(slice(n // 2, n)))``, the second half
-    computed in a forked child while this process computes the first.
+def _csv_rows(data: bytes) -> int:
+    """The rows of CSV ``data`` as the fork rule counts them: its line feeds
+    but one (a header's, or the last row's), counted in doubling windows only
+    until they pass the threshold, so that it reads O(threshold) rows."""
+    most, found, start, end = _FORK_MIN_POINTS + 1, 0, 0, _FORK_MIN_POINTS
+    while found < most and start < len(data):
+        found, start, end = found + data.count(b"\n", start, end), end, 2 * end
+    return found - 1
 
-    It forks only for at least ``_FORK_MIN_POINTS`` points, where ``os.fork``
+
+def _halves(fn, n: int, cut: int | None = None) -> tuple:
+    """``(fn(slice(0, cut)), fn(slice(cut, None)))``, ``cut`` by default
+    ``n // 2``, the second in a forked child while this process does the first.
+
+    It forks only for at least ``_FORK_MIN_POINTS`` points ``n``, where ``os.fork``
     exists, when this process may run on two CPUs (on one, the child only
     adds its cost) and when it runs a single thread; else it computes both
     halves here.  The child returns its result through a pipe as ``marshal``
@@ -32,7 +42,8 @@ def _halves(fn, n: int) -> tuple:
     the child fails in any way, this process computes the second half itself,
     so every result and every exception is the one the serial code gives.
     """
-    first, second = slice(0, n // 2), slice(n // 2, n)
+    cut = n // 2 if cut is None else cut
+    first, second = slice(0, cut), slice(cut, None)
     if (n < _FORK_MIN_POINTS or not hasattr(os, "fork") or _cpus() < 2
             or threading.active_count() != 1):
         return fn(first), fn(second)

@@ -15,7 +15,8 @@ R S R^T: in half-angle form t = (var_x + var_y)/2 stays fixed, the pair
 var_x = t + d, var_y = t - d.  No moved coordinate is formed, so data far
 from the origin keeps its digits: moving each point would round it to the
 ulp of its new position.  ``apply_motion_points`` moves the points
-themselves, for ``linefit transform`` and the generators.
+themselves, for the generators; ``linefit transform`` moves each half of its
+output with the same column kernel, ``_moved``.
 """
 
 from __future__ import annotations
@@ -72,34 +73,41 @@ def _resolve_center(g: RigidMotion, data: PairedSample | SummaryStats) -> RigidM
     return g
 
 
-def apply_motion_point(pt: Point, g: RigidMotion) -> Point:
+def _moved(xs, ys, g: RigidMotion) -> tuple[list[float], list[float]]:
+    """Columns ``xs``, ``ys`` moved by ``g``, whose centre is set: the formula of a
+    moved point, in a plain loop, the fastest Python form of it."""
     if isinstance(g, Translation):
-        return Point(pt.x + g.u, pt.y + g.v)
-    if g.center is None:
-        raise ValueError("a rotation without a sample needs an explicit center")
+        u, v = g
+        return [x + u for x in xs], [y + v for y in ys]
     co, si = math.cos(g.phi), math.sin(g.phi)
-    dx, dy = pt.x - g.center.x, pt.y - g.center.y
-    return Point(g.center.x + dx * co - dy * si, g.center.y + dx * si + dy * co)
+    cx, cy = g.center
+    mx, my = [], []
+    for x, y in zip(xs, ys):
+        dx, dy = x - cx, y - cy
+        mx.append(cx + dx * co - dy * si)
+        my.append(cy + dx * si + dy * co)
+    return mx, my
+
+
+def apply_motion_point(pt: Point, g: RigidMotion) -> Point:
+    if isinstance(g, Rotation) and g.center is None:
+        raise ValueError("a rotation without a sample needs an explicit center")
+    (x,), (y,) = _moved((pt.x,), (pt.y,), g)
+    return Point(x, y)
 
 
 def apply_motion_points(p: PairedSample, g: RigidMotion) -> PairedSample:
     """Move every point of the sample; rotation defaults to the centroid."""
     g = _resolve_center(g, p)
-    if isinstance(g, Translation):
-        return PairedSample.from_xy((x + g.u for x in p.xs), (y + g.v for y in p.ys))
-    co, si = math.cos(g.phi), math.sin(g.phi)
-    cx, cy = g.center.x, g.center.y
-    xs, ys = [], []
-    for x, y in zip(p.xs, p.ys):
-        dx, dy = x - cx, y - cy
-        xs.append(cx + dx * co - dy * si)
-        ys.append(cy + dx * si + dy * co)
     try:
-        return PairedSample.from_xy(xs, ys)
+        return PairedSample.from_xy(*_moved(p.xs, p.ys, g))
     except InvalidSampleError:
-        pass
+        if isinstance(g, Translation):
+            raise
     # an offset x - cx can overflow where every moved point is finite: turn
     # the half offsets, and add each turned half twice
+    co, si = math.cos(g.phi), math.sin(g.phi)
+    cx, cy = g.center.x, g.center.y
     xs, ys = [], []
     for x, y in zip(p.xs, p.ys):
         hx, hy = x / 2 - cx / 2, y / 2 - cy / 2

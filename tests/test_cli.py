@@ -34,8 +34,10 @@ from linefit.cli import (
 from linefit.errors import CsvParseError, InsufficientDataError
 from linefit.fitters import fit_d, fit_d_report, fit_x, fit_y
 from linefit.generators import gen_circle
+from linefit.geometry import Point
 from linefit.stats import PairedSample, summarize
 from linefit.svg import _Frame, render_svg
+from linefit.transforms import Rotation, Translation, apply_motion_points
 
 REPO = Path(__file__).resolve().parents[1]
 SRC = REPO / "src"
@@ -389,6 +391,175 @@ def test_a_process_pinned_to_one_cpu_may_run_on_one():
     finally:
         os.sched_setaffinity(0, cpus)
     assert halves._cpus() == len(cpus)
+
+
+# --- the byte split of parse_csv ------------------------------------------------------
+
+def _split_agrees(monkeypatch, data: bytes, forks: int):
+    """``data``'s conversions in ``forks`` forks, which must match those without one."""
+    with monkeypatch.context() as m:
+        m.setattr(halves, "_cpus", lambda: 2)
+        pids, fork = [], os.fork
+        m.setattr(os, "fork", lambda: pids.append(fork()) or pids[-1])
+        got = _conversions(data)
+    assert len(pids) == forks
+    _no_child_left()
+    with monkeypatch.context() as m:
+        m.delattr(os, "fork")
+        assert got == _conversions(data)
+    return got
+
+
+def _pad_to_middle(data: bytes, middle: int) -> bytes:
+    """``data`` with trailing spaces, a blank last line, so that its
+    ``len // 2`` is ``middle``."""
+    return data + b" " * (2 * middle - len(data))
+
+
+@pytest.mark.parametrize("shift", [0, 1, 2], ids=["on-cr", "on-lf", "after-lf"])
+def test_a_split_next_to_a_crlf_converts_as_in_process(monkeypatch, shift):
+    data = _big_csv().replace(b"\n", b"\r\n")
+    cr = data.index(b"\r\n", len(data) // 2 + 1)
+    padded = _pad_to_middle(data, cr + shift)
+    assert padded[len(padded) // 2:].startswith(b"\r\n"[shift:])
+    got = _split_agrees(monkeypatch, padded, 2)
+    assert got[1] is not None and got[2] == _conversions(_big_csv())[2]
+
+
+def test_a_run_of_blank_lines_across_the_split_converts_as_in_process(monkeypatch):
+    rows = _big_csv().splitlines(keepends=True)
+    half = len(rows) // 2
+    blank = b"\n \n\t\r\n\x0c\n" * 500  # whitespace-only lines on both sides of the middle
+    data = b"".join(rows[:half]) + blank + b"".join(rows[half:])
+    middle = len(data) // 2
+    assert data.find(blank) < middle < data.find(blank) + len(blank)
+    got = _split_agrees(monkeypatch, data, 2)
+    assert got[2] == _conversions(_big_csv())[2]
+
+
+@pytest.mark.parametrize("eol", ["\r", "\u2028"], ids=["cr", "u2028"])
+def test_input_without_a_line_feed_parses_in_one_process(monkeypatch, eol):
+    data = _big_csv().decode().replace("\n", eol).encode()
+    got = _split_agrees(monkeypatch, data, 1)  # render_csv's fork alone
+    assert got[2] == _conversions(_big_csv())[2]
+
+
+def test_no_line_feed_past_the_middle_leaves_the_child_no_rows(monkeypatch):
+    n = 2 * halves._FORK_MIN_POINTS + 2
+    rows = _big_csv(n).decode().splitlines()
+    half = len(rows) // 2
+    data = ("\n".join(rows[:half]) + "\n" + "\r".join(rows[half:])).encode()
+    assert b"\n" not in data[len(data) // 2:]
+    got = _split_agrees(monkeypatch, data, 2)
+    assert len(got[0]) == n
+
+
+@pytest.mark.parametrize("first, late, ok", [
+    (b"", b"x,y", True),  # the header follows blank lines only
+    (b" x , y ", b"", True),  # the header, then blank lines past the middle
+    (b"x,y", b"x,y", False),  # a second header is a bad row
+    (b"0.5,1.5", b"x,y", False),
+], ids=["blank-then-header", "header-then-blank", "two-headers", "row-then-header"])
+def test_a_first_half_without_data_rows_leaves_the_header_to_the_child(monkeypatch, first,
+                                                                       late, ok):
+    body = _big_csv().split(b"\n", 1)[1]
+    blank = b"\n" * (len(body) + 64)  # the blank lines reach past the middle
+    data = first + blank + (late + b"\n" if late else b"") + body
+    got = _split_agrees(monkeypatch, data, 2 if ok else 1)
+    if ok:
+        assert got[1] is not None and len(got[0]) == halves._FORK_MIN_POINTS + 1
+    else:
+        assert got[:2] == (CsvParseError, data.count(b"\n", 0, data.index(late + b"\n", 1)) + 1)
+
+
+@pytest.mark.parametrize("where", ["first", "second", "both"])
+def test_a_bad_row_in_either_half_names_its_line(monkeypatch, where):
+    rows = _big_csv().splitlines()
+    bad = {"first": [100], "second": [len(rows) - 100], "both": [100, len(rows) - 100]}[where]
+    for i in bad:
+        rows[i] = b"1.5;2.5"
+    got = _split_agrees(monkeypatch, b"\n".join(rows) + b"\n", 1)
+    assert got[:2] == (CsvParseError, bad[0] + 1)
+    assert got[2] == f"line {bad[0] + 1}: expected 'x,y', got '1.5;2.5'"
+
+
+# --- transform: the moved render halves -------------------------------------------------
+
+def _transform(capsys, path, motion):
+    code = main(["transform", "--input", str(path), *motion])
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def _moved_one_by_one(data: bytes, motions) -> str:
+    """The CSV of every point moved by ``apply_motion_points``, one motion after another."""
+    p = parse_csv(data)
+    for g in motions:
+        p = apply_motion_points(p, g)
+    return render_csv(p)
+
+
+_MOTIONS = {
+    "rotate": (["--rotate", "0.3"], [Rotation(0.3)]),
+    "translate": (["--translate", "1,-2"], [Translation(1.0, -2.0)]),
+    "both": (["--rotate", "0.3", "--translate", "1,-2"], [Rotation(0.3), Translation(1.0, -2.0)]),
+    "center": (["--rotate", "0.3", "--center", "1,-2"], [Rotation(0.3, Point(1.0, -2.0))]),
+}
+
+
+@pytest.mark.parametrize("motion", list(_MOTIONS))
+def test_the_forked_halves_move_the_points_as_apply_motion_points_does(monkeypatch, forks,
+                                                                     tmp_path, capsys, motion):
+    argv, motions = _MOTIONS[motion]
+    src = tmp_path / "in.csv"
+    src.write_bytes(_big_csv())
+    forks.clear()
+    forked = _transform(capsys, src, argv)
+    assert len(forks) == 2 and forks[0] > 0  # parse_csv's and render_csv's
+    _no_child_left()
+    assert forked == (0, _moved_one_by_one(src.read_bytes(), motions), "")
+    monkeypatch.delattr(os, "fork")
+    assert forked == _transform(capsys, src, argv)
+
+
+def _span_max_csv() -> bytes:
+    rows = [f"{x!r},{y!r}\n" for x, y in SPAN_MAX] * (halves._FORK_MIN_POINTS // 3 + 1)
+    return "".join(rows).encode()
+
+
+@pytest.mark.parametrize("angle, code", [("0.3", 0), ("1.5707963267948966", 2)],
+                         ids=["half-offsets", "overflow"])
+def test_a_non_finite_moved_half_takes_the_serial_path(monkeypatch, forks, tmp_path, capsys,
+                                                       angle, code):
+    # x - mean_x overflows: the halves see inf, and apply_motion_points turns the
+    # half offsets (exit 0), or a quarter turn overflows a moved point (exit 2)
+    src = tmp_path / "in.csv"
+    src.write_bytes(_span_max_csv())
+    forks.clear()
+    forked = _transform(capsys, src, ["--rotate", angle])
+    assert len(forks) == 3 - code // 2  # parse, the moved halves and, for exit 0, the render
+    _no_child_left()
+    if code == 0:
+        assert forked == (0, _moved_one_by_one(src.read_bytes(), [Rotation(0.3)]), "")
+    else:
+        assert forked == (2, "", "error: transform: the options overflow a double "
+                                 "(a coordinate came out non-finite)\n")
+    monkeypatch.delattr(os, "fork")
+    assert forked == _transform(capsys, src, ["--rotate", angle])
+
+
+@pytest.mark.parametrize("failure", _FAILURES)
+def test_a_failed_child_leaves_the_moved_points_unchanged(monkeypatch, forks, tmp_path, capsys,
+                                                         failure):
+    argv, motions = _MOTIONS["both"]
+    src = tmp_path / "in.csv"
+    src.write_bytes(_big_csv())
+    expected = (0, _moved_one_by_one(src.read_bytes(), motions), "")
+    forks.clear()
+    monkeypatch.setattr(halves, "marshal", _failing_marshal(failure))
+    assert _transform(capsys, src, argv) == expected
+    assert len(forks) == 2
+    _no_child_left()
 
 
 # --- JSON serialization --------------------------------------------------------------
@@ -937,18 +1108,34 @@ def test_non_finite_angle_is_a_usage_error(tmp_path, capsys, command, flag, valu
      "expected a number above 0, got '0'"),
     (["parallel", "--A", "1", "--n", "1"], "--n", "expected a number above 1, got '1'"),
     (["parallel", "--A", "1", "--n", "x"], "--n", "invalid int value: 'x'"),
+    (["circle", "--n", "5", "--radius", "0"], "--radius", "expected a number above 0, got '0'"),
+    (["circle", "--n", "2"], "--n", "expected a number above 2, got '2'"),
+    (["noisy-line", "--slope", "1", "--n", "1"], "--n", "expected a number above 1, got '1'"),
+    (["noisy-line", "--slope", "1", "--noise", "-1"], "--noise",
+     "expected a number of at least 0, got '-1'"),
 ])
 def test_non_finite_generate_option_is_a_usage_error_that_names_it(capsys, args, flag,
                                                                    message):
     # the non-finite ones used to fail later, naming an internal sample:
     # "sample value at index 0"; the others named a generator's argument
-    # ("half_gap", "offset", "x_span") or a sample of values
+    # ("half_gap", "offset", "x_span", "radius", "noise") or a sample of values
     with pytest.raises(SystemExit) as exc:
         main(["generate"] + args)
     assert exc.value.code == 2
     captured = capsys.readouterr()
     assert f"error: argument {flag}: {message}" in captured.err
     assert captured.out == ""
+
+
+@pytest.mark.parametrize("args, n", [
+    (["circle", "--n", "3"], 3),
+    (["noisy-line", "--slope", "1", "--n", "2"], 2),
+    (["noisy-line", "--slope", "1", "--n", "4", "--noise", "0"], 4),
+    (["noisy-line", "--slope", "1", "--n", "4", "--noise", "-0.0"], 4),
+])
+def test_generate_takes_the_bounds_of_its_options(capsys, args, n):
+    assert main(["generate", *args]) == 0
+    assert parse_csv(capsys.readouterr().out.encode()).n == n
 
 
 @pytest.mark.parametrize("command, rows", [

@@ -2,15 +2,20 @@
 
     python3 tools/output_diff.py --src parent=../old/src --src change=src
 
-For each side, in a subprocess, it runs `fit --json --svg` and
-`transform --rotate 0.3` on every corpus input, and the three `generate`
-shapes, plus one `generate` whose options overflow, a ladder whose rung
-variance does, a ladder whose offset is lost to rounding, and four runs whose
-options are out of range (`--A 0`, `--B 0`, `--span 0` and one rung).  The
-corpus is a perfbench-style 1e5-point noisy line (seed 11), two copies of it
-with one odd row in the second half of the lines, which a forked child
-converts (`1.5,abc`, an input error, and an integer field, which turns the
-JSON points into reprs), one point repeated 10,001 times, a degenerate figure
+For each side, in a subprocess, it runs `fit --json --svg` and four
+`transform`s (`--rotate 0.3`, `--translate 1,2`, both, and `--rotate 0.3
+--center 1,2`) on every corpus input, and the three `generate` shapes, plus
+one `generate` whose options overflow, a ladder whose rung variance does, a
+ladder whose offset is lost to rounding, and eight runs whose options are out
+of range (`--A 0`, `--B 0`, `--span 0`, one rung, `--radius 0`, a circle of
+two points, a noisy line of one and `--noise -1`).  The corpus is a
+perfbench-style 1e5-point noisy line (seed 11), two copies of it with one odd
+row in the second half of the lines, which a forked child converts
+(`1.5,abc`, an input error, and an integer field, which turns the JSON points
+into reprs), one point repeated 10,001 times, the three points whose offsets
+from the centroid overflow repeated to 10,001 rows (`--rotate 0.3` turns
+their half offsets; a quarter turn, run on these inputs alone, overflows a
+moved point and exits 2), a degenerate figure
 above the fork threshold (Y and X fail, D draws the centroid and every
 marker sits at the centre), and small inputs at the edges of the line forms
 (among them a near-horizontal pair, whose X angle is 1.1e-157) and of the CSV
@@ -75,7 +80,14 @@ GENERATE = {
     "zero-offset": ["parallel", "--M", "1", "--B", "0"],
     "zero-span": ["noisy-line", "--slope", "1", "--span", "0"],
     "one-rung": ["parallel", "--A", "1", "--n", "1"],
+    "zero-radius": ["circle", "--n", "5", "--radius", "0"],
+    "two-point-circle": ["circle", "--n", "2"],
+    "one-point-line": ["noisy-line", "--slope", "1", "--n", "1"],
+    "negative-noise": ["noisy-line", "--slope", "1", "--noise", "-1"],
 }
+TRANSFORMS = [["--rotate", "0.3"], ["--translate", "1,2"],
+              ["--rotate", "0.3", "--translate", "1,2"], ["--rotate", "0.3", "--center", "1,2"]]
+QUARTER_TURN = ["--rotate", "1.5707963267948966"]  # run on the span-max inputs only
 MAX_PATHS = 8
 FIT_PATH = re.compile(r'class="(fit-\w)" d="M (\S+) (\S+) L (\S+) (\S+)"')
 
@@ -93,13 +105,19 @@ def corpus(work: Path) -> list[tuple[str, str, list[str], Path | None]]:
         inputs[name].write_bytes(b"".join(rows[:odd] + [row] + rows[odd + 1:]))
     inputs["same-point-10001"] = work / "same-point-10001.csv"
     inputs["same-point-10001"].write_bytes(b"2.5,-1.5\n" * 10_001)
+    # x - mean_x overflows: --rotate 0.3 turns the half offsets, a quarter turn overflows
+    span_max = [b"1.7e308,0\n", b"1.7e308,1\n", b"-1.7e308,0\n"]
+    inputs["span-max-10001"] = work / "span-max-10001.csv"
+    inputs["span-max-10001"].write_bytes(b"".join(span_max * 3333 + span_max[:2]))
     for name, data in SMALL.items():
         inputs[name] = work / f"{name}.csv"
         inputs[name].write_bytes(data)
     runs = []
     for name, path in inputs.items():
         runs.append((name, "fit --json --svg", ["fit", "--json", "r.json", "--svg", "r.svg"], path))
-        runs.append((name, "transform --rotate 0.3", ["transform", "--rotate", "0.3"], path))
+        for motion in TRANSFORMS + [QUARTER_TURN] * name.startswith("span-max"):
+            argv = ["transform", *motion]
+            runs.append((name, " ".join(argv), argv, path))
         if name in SMALL:
             for m in "yxd":
                 runs.append((name, f"fit --method {m} --json --svg",
@@ -202,7 +220,7 @@ def main() -> int:
                 for out in sorted(set(want) | set(got)):
                     verdict = describe(out, want.get(out, b""), got.get(out, b""))
                     differ |= verdict != "same"
-                    print(f"{name} vs {base[0]}  {input_name:<18} {command:<28} "
+                    print(f"{name} vs {base[0]}  {input_name:<18} {command:<40} "
                           f"{out:<6} {verdict}")
     return 1 if differ else 0
 
