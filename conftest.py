@@ -1,3 +1,4 @@
+import os
 import sys
 from pathlib import Path
 
@@ -24,3 +25,21 @@ def summarize_calls(monkeypatch):
         if name.startswith("linefit") and vars(module).get("summarize") is original:
             monkeypatch.setattr(module, "summarize", counting)
     return calls
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """The pids that os.fork returned to this process, which may run on two
+    CPUs whatever the machine has."""
+    from linefit import halves
+
+    fork, pids = os.fork, []
+
+    def spy():
+        pid = fork()
+        pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", spy)
+    monkeypatch.setattr(halves, "_cpus", lambda: 2)
+    return pids

@@ -10,12 +10,14 @@ Subcommands:
 * ``transform`` apply a rigid motion to a CSV point set and print the moved
                 CSV, for shell-level invariance experiments.
 
-From ``_FORK_MIN_POINTS`` (10,000) points up, ``parse_csv`` (its bytes split
-at a line feed), ``render_csv`` (for ``transform``, each half moves its own
-points) and ``fit --svg``'s point markers run half of their conversion in a
-forked child (:mod:`linefit.halves`).  The point count decides it, where
-``os.fork`` exists, the process may run on two CPUs and it runs a single
-thread; no option does.  The results and errors are those of one process.
+From ``_FORK_MIN_POINTS`` (10,000) points up, a ``fit`` or ``transform`` run
+forks one child (:mod:`linefit.halves`), and the input's bytes split at a line
+feed past their middle.  Each process parses its half, sends its count, exact
+column sums and box, then, given the centroid, sums the centred moments and
+draws its markers or moves its rows.  The merged variances and covariance
+can differ from ``summarize``'s in the last digits, both within 2e-15 of
+var_x + var_y of the exact moments; the means, points, markers, moved rows
+and errors are those of one process.  No option decides it.
 
 Exit codes: 0 success (at least one requested fit produced a result),
 1 stdout was closed before the output was written, 2 input error or an
@@ -31,7 +33,9 @@ import os
 import re
 import sys
 from collections import namedtuple
+from contextlib import closing, contextmanager
 from itertools import chain, repeat
+from operator import add
 
 from . import diagnostics
 from .errors import (
@@ -43,9 +47,9 @@ from .errors import (
 )
 from .fitters import FitReport, UniqueLine, fit_d_report, fit_x, fit_y
 from .geometry import NormalLine, Point, normal_to_slope
-from .halves import _csv_rows, _halves
-from .stats import PairedSample, SummaryStats
-from .svg import render_svg
+from .halves import _both, _csv_rows, _halves
+from .stats import PairedSample, SummaryStats, _centred_sums, _column, _merged, _summary, mean
+from .svg import _Frame, _markers, _svg
 from .transforms import Rotation, Translation, _moved, _resolve_center, apply_motion_points
 
 __all__ = ["RunConfig", "parse_csv", "report", "run", "main"]
@@ -95,36 +99,70 @@ def parse_csv(data: bytes, *, echo: bool = False):
     no data line holds a space or a tab, ``points_json`` is the JSON array of
     the points in the input's own digits, which read back exactly; else None.
     """
+    with _rows(data, echo) as (rounds, _, points_json, _, _):
+        sample = PairedSample.from_xy(*_columns(rounds))
+    return (sample, points_json) if echo else sample
+
+
+@contextmanager
+def _rows(data: bytes, echo: bool = False, motions=None):
+    """The rounds of the halves of ``data`` (:func:`_half`) after the first, and
+    its merge: ``(rounds, n, points_json, centroid, (x_lo, x_hi, y_lo, y_hi))``,
+    the centroid ``PairedSample.centroid()`` bit for bit."""
     # the halves meet after a line feed: no UTF-8 sequence holds one, and it ends a line
     cut = data.find(b"\n", len(data) // 2) + 1 or len(data)
-    try:
-        (values, header, text), (tail, late_header, tail_text) = _halves(
-            lambda s: _half_values(data[s], echo), _csv_rows(data), cut)
-        if late_header and (values or header):  # `x,y` is the header only as the first line
-            raise ValueError("a second header")
-        values += tail
-        del tail  # the halves' lists go before the sample's columns are built
-        # the PairedSample check is the one finiteness pass, and it counts the points
-        sample = PairedSample.from_xy(values[0::2], values[1::2])
-    except ValueError:
-        _explain(data)
-    if not echo:
-        return sample
-    return sample, None if None in (text, tail_text) else (
-        "[[" + "],[".join(filter(None, (text, tail_text))) + "]]")
+    with closing(_halves(lambda s: _half(data, s, echo, motions), _csv_rows(data), cut)) as rounds:
+        try:
+            (n, header, text, *columns), (tail_n, late_header, tail_text, *tail) = next(rounds)
+            # `x,y` is the header only as the first line, and a sample needs 2 points
+            if late_header and (n or header) or n + tail_n < 2:
+                raise ValueError("a second header or too few points")
+        except ValueError:
+            _explain(data)
+        (mean_x, *box), (mean_y, *box_y) = (_merged(c, n + tail_n) for c in zip(columns, tail))
+        centroid = [mean_x, mean_y] if None not in (mean_x, mean_y) else list(
+            map(mean, _columns(rounds)))  # mean scales values whose sum could overflow
+        echo = None if None in (text, tail_text) else "[[%s]]" % "],[".join(
+            filter(None, (text, tail_text)))
+        yield rounds, n + tail_n, echo, centroid, box + box_y
 
 
-def _half_values(data: bytes, echo: bool) -> tuple[list[float], bool, str | None]:
-    """The fields of the lines in ``data`` as by :func:`_values`, whether the first
-    non-blank line was the header, which it skips, and with ``echo`` the rows for
-    the JSON echo if it may splice them; ValueError on a row without one comma."""
-    rows = list(filter(str.strip, data.decode("utf-8").splitlines()))
+def _columns(rounds) -> tuple[list[float], list[float]]:
+    (xs, ys), (tail_xs, tail_ys) = rounds.send(None)
+    return xs + tail_xs, ys + tail_ys
+
+
+def _half(data: bytes, s: slice, echo: bool, motions):
+    """The rows of ``data[s]``, kept by the process that parses them, as a half
+    of :func:`linefit.halves._halves`.  First: its point count, whether the
+    header led, its echo text (if ``echo`` and it may splice it) and the
+    ``stats._column`` of x and y; ValueError for a row :func:`parse_csv` rejects.
+    To None: its columns.  To a centroid, with ``motions``: its moved rows, None
+    if one is not finite.  To a centroid and an SVG frame or None: its
+    ``stats._centred_sums`` and its markers in the frame."""
+    rows = list(filter(str.strip, data[s].decode("utf-8").splitlines()))
     header = bool(rows) and _is_header(rows[0])
     del rows[:header]
     if set(map(str.count, rows, repeat(","))) - {1}:
         raise ValueError("not one comma per row")
     values, spelled = _values(",".join(rows))
-    return values, header, "],[".join(rows) if echo and spelled else None
+    text = "],[".join(rows) if echo and spelled else None
+    xs, ys = values[0::2], values[1::2]
+    del rows, values  # the half keeps its columns alone across the rounds
+    request = yield len(xs), header, text, _column(xs), _column(ys)
+    del text
+    while True:
+        if request is None:
+            reply = xs, ys
+        elif motions is not None:
+            moved = xs, ys
+            for g in motions:
+                moved = _moved(*moved, _resolve_center(g, Point(*request)))
+            reply = _rows_text(*moved)
+        else:
+            mean_x, mean_y, frame = request
+            reply = _centred_sums(xs, ys, mean_x, mean_y), frame and _markers(xs, ys, *frame)
+        request = yield reply
 
 
 def _is_header(line: str) -> bool:
@@ -176,24 +214,18 @@ def _explain(data: bytes) -> None:
     raise InsufficientDataError(f"need at least 2 data points, got {len(numbered) - header}")
 
 
-def render_csv(p: PairedSample, motions=()) -> str:
-    """CSV of ``p`` moved by ``motions`` (centres set) in turn as by apply_motion_points."""
-    def rows(s: slice) -> str | None:
-        xs, ys = p.xs[s], p.ys[s]
-        for g in motions:
-            xs, ys = _moved(xs, ys, g)
-        # 17 significant digits round-trip any double exactly; one format call
-        # over the interleaved coordinates builds no string per point
-        xy = tuple(chain.from_iterable(zip(xs, ys)))
-        text = ("%.17g,%.17g\n" * (len(xy) // 2)) % xy
-        return None if "n" in text else text  # only inf and nan spell an n
+def render_csv(p: PairedSample) -> str:
+    """CSV of ``p``: the header, then a ``%.17g`` row per point."""
+    return "x,y\n%s%s" % _both(lambda s: _rows_text(p.xs[s], p.ys[s]), p.n)
 
-    head, tail = _halves(rows, p.n)
-    if None in (head, tail):  # a moved point is not finite: the half-offset fallback or the error
-        for g in motions:
-            p = apply_motion_points(p, g)
-        return render_csv(p)
-    return "x,y\n" + head + tail
+
+def _rows_text(xs, ys) -> str | None:
+    """The CSV rows of the points (xs, ys); None if one is not finite."""
+    # 17 significant digits round-trip any double exactly; one format call
+    # over the interleaved coordinates builds no string per point
+    xy = tuple(chain.from_iterable(zip(xs, ys)))
+    text = ("%.17g,%.17g\n" * (len(xy) // 2)) % xy
+    return None if "n" in text else text  # only inf and nan spell an n
 
 
 # ---------------------------------------------------------------------------
@@ -207,10 +239,15 @@ def render_json(report: dict, points_json: str | None = None) -> str:
     ``points``, spelled with the input's own digits; ``report`` then holds
     the other keys.
     """
+    return "".join(_json(report, points_json))
+
+
+def _json(report: dict, points_json: str | None = None) -> list[str]:
+    """:func:`render_json`'s line in pieces, the echo one of them."""
     text = json.dumps(report, allow_nan=False, separators=(",", ":"))
-    if points_json is not None:
-        text = '{"points":' + points_json + ("," if report else "") + text[1:]
-    return text + "\n"
+    if points_json is None:
+        return [text, "\n"]
+    return ['{"points":', points_json, ("," if report else "") + text[1:], "\n"]
 
 
 # ---------------------------------------------------------------------------
@@ -315,9 +352,9 @@ def _read_input(path: str | os.PathLike) -> bytes:
         return f.read()
 
 
-def _write_text(path: str | os.PathLike, text: str) -> None:
+def _write(path: str | os.PathLike, pieces) -> None:
     with open(path, "w", encoding="utf-8") as f:
-        f.write(text)
+        f.writelines(pieces)
 
 
 def run(config: RunConfig, out=None) -> int:
@@ -325,11 +362,14 @@ def run(config: RunConfig, out=None) -> int:
     out = out if out is not None else sys.stdout
     try:
         data = _read_input(config.input)
-        if config.output_json is None:  # the echo is built only for a JSON report
-            points, points_json = parse_csv(data), None
-        else:
-            points, points_json = parse_csv(data, echo=True)
-        s = points.summary
+        with _rows(data, config.output_json is not None) as (rounds, n, echo, centroid, box):
+            frame = config.output_svg and _Frame(*box)
+            (sums, markers), (tail_sums, tail_markers) = rounds.send(
+                (*centroid, frame and tuple(frame)))
+            s = _summary(n, *centroid, *map(add, sums, tail_sums))
+            # without the input's own text, points go out as shortest reprs
+            points = {} if echo or config.output_json is None else {
+                "points": list(zip(*_columns(rounds)))}
     except (LineFitError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
@@ -340,11 +380,9 @@ def run(config: RunConfig, out=None) -> int:
 
     try:
         if config.output_json is not None:
-            # without the input's own text, points go out as shortest reprs
-            points_key = {} if points_json is not None else {"points": points.points()}
-            _write_text(config.output_json, render_json({**points_key, **doc}, points_json))
+            _write(config.output_json, _json({**points, **doc}, echo))
         if config.output_svg is not None:
-            _write_text(config.output_svg, render_svg(points, doc["fits"]))
+            _write(config.output_svg, _svg(frame, doc["fits"], (markers, tail_markers)))
     except BrokenPipeError:
         raise  # the reader left: exit 1 in main, as for stdout
     except OSError as exc:
@@ -531,14 +569,19 @@ def _cmd_transform(args) -> int:
     if args.translate is not None:
         motions.append(Translation(*args.translate))
     try:
-        points = parse_csv(_read_input(args.input))
-        text = render_csv(points, [_resolve_center(g, points) for g in motions])
-    except InvalidSampleError:  # parse_csv raises none: a moved point is not finite
+        with _rows(_read_input(args.input), motions=motions) as (rounds, _, _, centroid, _):
+            rows = rounds.send(centroid)
+            if None in rows:  # a moved point is not finite: the half-offset fallback or the error
+                p = PairedSample.from_xy(*_columns(rounds))
+                for g in motions:
+                    p = apply_motion_points(p, _resolve_center(g, Point(*centroid)))
+                rows = (_rows_text(p.xs, p.ys),)
+    except InvalidSampleError:  # the input raises none: a moved point is not finite
         return _overflowed("transform")
     except (LineFitError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
-    sys.stdout.write(text)
+    sys.stdout.writelines(("x,y\n", *rows))
     return EXIT_OK
 
 

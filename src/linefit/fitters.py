@@ -201,13 +201,14 @@ def fit_d(data: PairedSample | SummaryStats) -> UniqueLine | AllLinesThroughCent
 def _min_objective_d(s: SummaryStats) -> float:
     # (S - sqrt((var_x-var_y)^2 + 4 cov^2)) / 2, rationalized so collinear
     # data lands at exactly the Cauchy-Schwarz gap scale instead of
-    # cancelling two O(S) terms.
+    # cancelling two O(S) terms; halving the divisor, not doubling the gap,
+    # keeps a gap near the largest double finite.
     gap = max(0.0, _cs_gap(s))
     total = s.var_x + s.var_y
     spread = math.hypot(s.var_x - s.var_y, 2.0 * s.cov_xy)
     if total + spread == 0.0:
         return 0.0
-    return 2.0 * gap / (total + spread)
+    return gap / (0.5 * (total + spread))
 
 
 def fit_d_report(data: PairedSample | SummaryStats) -> FitReport:

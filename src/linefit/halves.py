@@ -1,11 +1,15 @@
-"""The two halves of an O(n) conversion, the second in a forked child: the
-CSV parse and render in :mod:`linefit.cli` and the SVG's point markers."""
+"""The two halves of an O(n) job, the second in a forked child, in rounds.
+
+A ``linefit fit`` or ``transform`` run forks once, and each half of the input
+is parsed, summed and drawn or moved by the process that parsed it
+(:mod:`linefit.cli`); ``render_csv`` and ``render_svg`` take one round."""
 
 from __future__ import annotations
 
 import marshal
 import os
 import threading
+from contextlib import closing, suppress
 
 # Below this many points a fork costs more than the half it takes off this
 # process saves (BENCH_two_process_convert.json holds the measurement).
@@ -29,53 +33,94 @@ def _csv_rows(data: bytes) -> int:
     return found - 1
 
 
-def _halves(fn, n: int, cut: int | None = None) -> tuple:
-    """``(fn(slice(0, cut)), fn(slice(cut, None)))``, ``cut`` by default
-    ``n // 2``, the second in a forked child while this process does the first.
+def _send(pipe, value) -> None:
+    blob = marshal.dumps(value)
+    pipe.write(len(blob).to_bytes(8, "little"))
+    pipe.write(blob)
+    pipe.flush()
 
-    It forks only for at least ``_FORK_MIN_POINTS`` points ``n``, where ``os.fork``
-    exists, when this process may run on two CPUs (on one, the child only
-    adds its cost) and when it runs a single thread; else it computes both
-    halves here.  The child returns its result through a pipe as ``marshal``
-    bytes, which keep every double bit for bit, and ends with ``os._exit``, so
-    it flushes no inherited stdio buffer and runs no ``atexit`` handler.  If
-    the child fails in any way, this process computes the second half itself,
-    so every result and every exception is the one the serial code gives.
+
+def _receive(pipe):  # EOFError or ValueError where the sender failed
+    return marshal.loads(pipe.read(int.from_bytes(pipe.read(8), "little")))
+
+
+def _halves(half, n: int, cut: int | None = None):
+    """A generator of the rounds of two halves of ``n`` points: ``next`` gives
+    the pair of their first replies, ``send(request)`` the pair of answers, and
+    closing it ends them.  ``half(s)`` is a generator over slice ``s`` of the
+    points that yields its first reply unasked, then answers each request.
+
+    Below ``_FORK_MIN_POINTS`` points the first half is ``slice(None)``.  From
+    there up they meet at ``cut`` (``n // 2`` by default) whatever the CPU
+    count, and the second runs in a child forked once, where ``os.fork``
+    exists, this process may run on two CPUs and it runs one thread.  The
+    child answers through a pipe in ``marshal`` bytes, which keep every double,
+    and ends with ``os._exit``: no inherited stdio buffer flushed, no
+    ``atexit`` handler run.  If it fails at any round, this process replays
+    its requests itself, so the results and errors are those of one process.
     """
+    split = n >= _FORK_MIN_POINTS
     cut = n // 2 if cut is None else cut
-    first, second = slice(0, cut), slice(cut, None)
-    if (n < _FORK_MIN_POINTS or not hasattr(os, "fork") or _cpus() < 2
-            or threading.active_count() != 1):
-        return fn(first), fn(second)
-    r, w = os.pipe()
-    try:
-        pid = os.fork()
-    except OSError:  # no process to spare: compute both halves here
-        os.close(r)
-        os.close(w)
-        return fn(first), fn(second)
-    if pid == 0:
-        status = 1
+    head = half(slice(0, cut) if split else slice(None))
+    tail = half(slice(cut, None) if split else slice(0, 0))
+    pid = None
+    if split and hasattr(os, "fork") and _cpus() > 1 and threading.active_count() == 1:
+        (ask_r, ask_w), (reply_r, reply_w) = os.pipe(), os.pipe()
         try:
-            os.close(r)
-            with open(w, "wb") as pipe:
-                pipe.write(marshal.dumps(fn(second)))
-            status = 0
+            pid = os.fork()
+        except OSError:  # no process to spare: both halves run here
+            for fd in (ask_r, ask_w, reply_r, reply_w):
+                os.close(fd)
+    if pid == 0:  # the child: answer until the requests end
+        try:
+            os.close(ask_w)
+            os.close(reply_r)
+            with open(ask_r, "rb") as asks, open(reply_w, "wb") as replies:
+                reply = next(tail)
+                while True:
+                    _send(replies, reply)
+                    reply = tail.send(_receive(asks))
         finally:
-            os._exit(status)
-    os.close(w)
+            os._exit(0)
+    if pid is not None:
+        os.close(ask_r)
+        os.close(reply_w)
+        # unbuffered: a request, a few floats, goes out whole in one write
+        asks, replies = open(ask_w, "wb", buffering=0), open(reply_r, "rb")
+    asked = []  # the requests after the first round, for a replay
     try:
-        with open(r, "rb") as pipe:  # closed before the wait: a blocked child sees EPIPE
-            head = fn(first)
-            blob = pipe.read()
+        request = None
+        while True:
+            forked = pid is not None and not replies.closed
+            if forked and asked:
+                with suppress(OSError):  # a child that is gone fails below
+                    _send(asks, request)
+            mine = head.send(request)
+            if not forked:
+                theirs = tail.send(request)
+            else:
+                try:
+                    theirs = _receive(replies)
+                except (EOFError, ValueError, TypeError):  # the child failed
+                    asks.close()  # a child still waiting reads the end
+                    replies.close()
+                    theirs = next(tail)
+                    for old in asked:
+                        theirs = tail.send(old)
+            request = yield mine, theirs
+            asked.append(request)
     finally:
-        try:
-            status = os.waitpid(pid, 0)[1]
-        except ChildProcessError:  # an ignored SIGCHLD reaped it: its status is lost
-            status = -1
-    if status == 0:
-        try:
-            return head, marshal.loads(blob)
-        except (EOFError, ValueError, TypeError):
-            pass
-    return head, fn(second)
+        if pid is not None:
+            asks.close()  # before the wait: a child blocked writing sees EPIPE
+            replies.close()
+            with suppress(ChildProcessError):  # an ignored SIGCHLD reaped it
+                os.waitpid(pid, 0)
+
+
+def _both(fn, n: int) -> tuple:
+    """``(fn(first slice), fn(second slice))``: one round of :func:`_halves`."""
+    def half(s):
+        yield fn(s)
+
+    with closing(_halves(half, n)) as rounds:
+        return next(rounds)

@@ -7,7 +7,9 @@ caches its summary, so it is computed at most once.
 Accumulation is one left-to-right pass over the offsets from the centroid,
 which comes from correctly rounded sums (the "corrected two-pass" algorithm
 of Chan, Golub & LeVeque, 1983): wherever the points sit, the offsets are
-small, so the centered quantities do not cancel away.  The quadratic
+small, so the centered quantities do not cancel away.  Slices of a sample
+summarize apart and merge (:mod:`linefit.halves`): exact column sums give the
+centroid bit for bit, and the slices' centred sums about it add up.  The quadratic
 pairwise-difference forms of the variance and covariance are deliberately
 kept out of the library: they serve as independent oracles in the test
 suite.
@@ -20,7 +22,8 @@ import sys
 from collections import namedtuple
 from collections.abc import Iterable, Sequence
 from functools import cached_property
-from operator import itemgetter
+from itertools import chain
+from operator import itemgetter, neg
 
 from .errors import InvalidSampleError, SampleMismatchError
 
@@ -131,10 +134,15 @@ def summarize(p: PairedSample) -> SummaryStats:
     every call (``p.summary`` keeps one).  Raises :class:`InvalidSampleError`
     when the statistics overflow.
     """
-    n = p.n
     mean_x, mean_y = p.centroid()
+    return _summary(p.n, mean_x, mean_y, *_centred_sums(p.xs, p.ys, mean_x, mean_y))
+
+
+def _centred_sums(xs, ys, mean_x: float, mean_y: float) -> tuple[float, ...]:
+    """The sums of dx, dy, dx*dx, dy*dy and dx*dy, the offsets from (mean_x,
+    mean_y); those of consecutive slices add up to the whole's, but for rounding."""
     sx = sy = sxx = syy = sxy = 0.0
-    for x, y in zip(p.xs, p.ys):
+    for x, y in zip(xs, ys):
         dx = x - mean_x
         dy = y - mean_y
         sx += dx
@@ -142,10 +150,45 @@ def summarize(p: PairedSample) -> SummaryStats:
         sxx += dx * dx
         syy += dy * dy
         sxy += dx * dy
+    return sx, sy, sxx, syy, sxy
+
+
+def _summary(n: int, mean_x: float, mean_y: float,
+             sx: float, sy: float, sxx: float, syy: float, sxy: float) -> SummaryStats:
+    """The statistics of n points from their centroid and :func:`_centred_sums`."""
     mean_dx = sx / n
     mean_dy = sy / n
     return _checked(n, mean_x, mean_y, sxx / n - mean_dx * mean_dx,
                     syy / n - mean_dy * mean_dy, sxy / n - mean_dx * mean_dy)
+
+
+def _column(values: list[float]) -> tuple:
+    """What :func:`mean` needs of a slice of a column: () for no values, else
+    (min, max, floats that add up exactly to the slice's sum: math.fsum
+    residuals until one is 0; None where it overflows).  ValueError for a
+    value that is not finite."""
+    try:
+        terms = [math.fsum(values)]
+    except OverflowError:  # finite values whose partial sums overflow, or an inf after them
+        terms = None if all(map(math.isfinite, values)) else [math.inf]
+    if terms and not math.isfinite(terms[0]):  # an inf or a nan sums to one
+        raise ValueError("a value is not finite")
+    while terms and terms[-1]:
+        terms.append(math.fsum(chain(values, map(neg, terms))))
+    return values and (min(values), max(values), terms)
+
+
+def _merged(columns, n: int) -> tuple:
+    """(:func:`mean` bit for bit, min, max) of the n values whose slices, in
+    order, gave ``columns`` (:func:`_column`); the mean is None where mean
+    would scale the values, as math.fsum might overflow on them."""
+    columns = [c for c in columns if c]
+    lo, hi = min(c[0] for c in columns), max(c[1] for c in columns)
+    # min is the first of equal values; no partial sum in math.fsum exceeds
+    # n*max|v| by more than an ulp
+    if lo == hi or not n * max(-lo, hi) < 2.0 ** 1023:
+        return (lo if lo == hi else None), lo, hi
+    return math.fsum(chain.from_iterable(c[2] for c in columns)) / n, lo, hi
 
 
 def _checked(n: int, mean_x: float, mean_y: float,

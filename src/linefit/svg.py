@@ -11,17 +11,18 @@ perpendicular fit.  A fitted line is drawn longer than the figure's diagonal
 and the viewport clips it (SVG 1.1 section 14.3).  A degenerate perpendicular
 fit is drawn as a marked centroid with a note, not as a line.  From 10,000
 points up a forked child formats the second half of the data-point markers
-(:mod:`linefit.halves`); the bytes are those of one process.
+(:mod:`linefit.halves`), the half of the input that ``linefit fit --svg``
+parsed; the bytes are those of one process.
 """
 
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from itertools import chain, repeat
 from operator import add, mul, sub
 
-from .geometry import NormalLine
-from .halves import _halves
+from .halves import _both
 from .stats import PairedSample
 
 __all__ = ["render_svg"]
@@ -38,13 +39,13 @@ _STYLES = {
 _MARKER = '\n<circle class="data-point" cx="%.2f" cy="%.2f" r="3" fill="#444444"/>'
 
 
-class _Frame:
-    """Data-to-pixel mapping with equal aspect and a margin."""
+class _Frame(namedtuple("_Frame", "cx cy scale")):
+    """Data-to-pixel mapping with equal aspect and a margin, for the points in
+    the box [x_lo, x_hi] x [y_lo, y_hi]."""
 
-    def __init__(self, p: PairedSample):
-        x_lo, x_hi, y_lo, y_hi = min(p.xs), max(p.xs), min(p.ys), max(p.ys)
-        self.cx = 0.5 * (x_hi + x_lo)
-        self.cy = 0.5 * (y_hi + y_lo)
+    __slots__ = ()
+
+    def __new__(cls, x_lo: float, x_hi: float, y_lo: float, y_hi: float):
         span_x = x_hi - x_lo
         span_y = y_hi - y_lo
         usable_w = WIDTH * (1.0 - 2.0 * MARGIN_FRACTION)
@@ -53,7 +54,9 @@ class _Frame:
         floor = 1e-9 * max(span_x, span_y) or 1.0
         span_x = max(span_x, floor)
         span_y = max(span_y, floor)
-        self.scale = min(usable_w / span_x, usable_h / span_y)
+        # the halves before the sum: a centre near the largest double stays finite
+        return super().__new__(cls, 0.5 * x_hi + 0.5 * x_lo, 0.5 * y_hi + 0.5 * y_lo,
+                               min(usable_w / span_x, usable_h / span_y))
 
     def to_pixel(self, x: float, y: float) -> tuple[float, float]:
         return (
@@ -68,7 +71,24 @@ def _fmt(v: float) -> str:
 
 def render_svg(p: PairedSample, fits: dict) -> str:
     """The SVG of the sample and of the fits that succeeded in a report's ``fits``."""
-    frame = _Frame(p)
+    frame = _Frame(min(p.xs), max(p.xs), min(p.ys), max(p.ys))
+    return "".join(_svg(frame, fits, _both(lambda s: _markers(p.xs[s], p.ys[s], *frame), p.n)))
+
+
+def _markers(xs, ys, cx: float, cy: float, scale: float) -> str:
+    """The data-point markers of the points (xs, ys) in the frame (cx, cy, scale)."""
+    # to_pixel's operations in its order, so its bits; one format call
+    # over the interleaved columns builds no string per point
+    scale = repeat(scale)
+    px = map(add, repeat(0.5 * WIDTH), map(mul, map(sub, xs, repeat(cx)), scale))
+    py = map(sub, repeat(0.5 * HEIGHT), map(mul, map(sub, ys, repeat(cy)), scale))
+    xy = tuple(chain.from_iterable(zip(px, py)))
+    return (_MARKER * (len(xy) // 2)) % xy
+
+
+def _svg(frame: _Frame, fits: dict, markers) -> list[str]:
+    """The pieces of the SVG of the fits in a report's ``fits`` and of the
+    points whose :func:`_markers` in ``frame`` are the strings ``markers``."""
     parts = [
         '<?xml version="1.0" encoding="UTF-8"?>',
         f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
@@ -91,31 +111,21 @@ def render_svg(p: PairedSample, fits: dict) -> str:
             )
             label = "perpendicular fit: degenerate (marked centroid)"
         else:
-            # a visible point lies no farther from the foot of the frame centre
-            # than from the centre itself: within half a diagonal, < half below
-            nf = NormalLine(**fit["normal_form"])
-            t = frame.cx * math.cos(nf.theta) + frame.cy * math.sin(nf.theta)
-            half = (WIDTH + HEIGHT) / frame.scale
-            a, b = nf.point_at(t - half), nf.point_at(t + half)
-            px0, py0 = frame.to_pixel(a.x, a.y)
-            px1, py1 = frame.to_pixel(b.x, b.y)
+            # the ends in pixels from the frame centre, where no data coordinate
+            # can overflow: the foot of the centre lies `off` along the normal,
+            # and a visible point within half a diagonal of it, below `reach`
+            nf = fit["normal_form"]
+            si, co = math.sin(nf["theta"]), math.cos(nf["theta"])
+            off = (frame.cx * si - frame.cy * co - nf["c"]) * frame.scale
+            fx, fy, reach = 0.5 * WIDTH - off * si, 0.5 * HEIGHT - off * co, WIDTH + HEIGHT
             parts.append(
                 f'<path class="fit-{method.lower()}" '
-                f'd="M {_fmt(px0)} {_fmt(py0)} L {_fmt(px1)} {_fmt(py1)}" '
+                f'd="M {_fmt(fx - reach * co)} {_fmt(fy + reach * si)} '
+                f'L {_fmt(fx + reach * co)} {_fmt(fy - reach * si)}" '
                 f'fill="none" stroke-width="2" {style}/>'
             )
         parts.append(
             f'<text x="12" y="{20 + 18 * legend_row}" font-size="13">'
             f"{method}: {label}</text>"
         )
-
-    def markers(s: slice) -> str:
-        # to_pixel's operations in its order, so its bits; one format call
-        # over the interleaved columns builds no string per point
-        scale = repeat(frame.scale)
-        px = map(add, repeat(0.5 * WIDTH), map(mul, map(sub, p.xs[s], repeat(frame.cx)), scale))
-        py = map(sub, repeat(0.5 * HEIGHT), map(mul, map(sub, p.ys[s], repeat(frame.cy)), scale))
-        xy = tuple(chain.from_iterable(zip(px, py)))
-        return (_MARKER * (len(xy) // 2)) % xy
-
-    return "%s%s%s\n</svg>" % ("\n".join(parts), *_halves(markers, p.n))
+    return ["\n".join(parts), *markers, "\n</svg>"]

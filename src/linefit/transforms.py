@@ -63,13 +63,13 @@ class Rotation(namedtuple("Rotation", "phi center", defaults=(None,))):
 RigidMotion = (Translation, Rotation)
 
 
-def _resolve_center(g: RigidMotion, data: PairedSample | SummaryStats) -> RigidMotion:
+def _resolve_center(g: RigidMotion, data: PairedSample | SummaryStats | Point) -> RigidMotion:
     """The motion with a missing rotation centre set to the data's centroid:
-    a summary's means, which are ``PairedSample.centroid()``."""
+    a summary's means, which are ``PairedSample.centroid()``, or a ``Point``."""
     if isinstance(g, Rotation) and g.center is None:
         if isinstance(data, SummaryStats):
-            return Rotation(g.phi, Point(data.mean_x, data.mean_y))
-        return Rotation(g.phi, Point(*data.centroid()))
+            data = Point(data.mean_x, data.mean_y)
+        return Rotation(g.phi, data if isinstance(data, Point) else Point(*data.centroid()))
     return g
 
 

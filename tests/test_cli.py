@@ -5,6 +5,7 @@ import marshal
 import math
 import os
 import random
+import re
 import signal
 import subprocess
 import sys
@@ -22,7 +23,7 @@ from test_svg import samples
 
 import linefit
 import linefit.cli as cli
-from linefit import halves
+from linefit import halves, stats
 from linefit.cli import (
     RunConfig,
     main,
@@ -206,22 +207,6 @@ def _big_csv(n: int = halves._FORK_MIN_POINTS + 1, tail: str | None = None) -> b
     return ("x,y\n" + "\n".join(rows) + "\n").encode()
 
 
-@pytest.fixture
-def forks(monkeypatch):
-    """The pids that os.fork returned to this process, which may run on two
-    CPUs whatever the machine has."""
-    fork, pids = os.fork, []
-
-    def spy():
-        pid = fork()
-        pids.append(pid)
-        return pid
-
-    monkeypatch.setattr(os, "fork", spy)
-    monkeypatch.setattr(halves, "_cpus", lambda: 2)
-    return pids
-
-
 def _conversions(data: bytes):
     """Hex points, echo and rendered CSV of ``data``, or parse_csv's error."""
     try:
@@ -258,10 +243,18 @@ def test_the_forked_half_converts_bit_for_bit_as_in_process(monkeypatch, forks, 
 _FAILURES = ["raise", "exit", "kill", "short-blob", "bad-blob"]
 
 
-def _failing_marshal(failure: str):
-    """A ``marshal`` whose ``dumps``, which only the child calls, fails as named."""
+def _failing_marshal(failure: str, at_round: int = 1):
+    """A ``marshal`` whose ``dumps`` fails as named in a forked child, at its
+    reply to round ``at_round``; this process's requests go out unharmed."""
+    parent, replies = os.getpid(), []
+
     def dumps(value):
         blob = marshal.dumps(value)
+        if os.getpid() == parent:
+            return blob
+        replies.append(value)  # the child's own copy of the list
+        if len(replies) < at_round:
+            return blob
         if failure == "raise":
             raise MemoryError
         if failure == "exit":
@@ -298,15 +291,20 @@ def test_a_child_reaped_by_an_ignored_sigchld_leaves_the_result_unchanged(forks)
 
 
 def test_a_raising_first_half_still_reaps_the_child(forks):
-    def fn(s):
-        if s.start == 0:  # the first half, computed in this process
-            raise KeyError("first")
-        return "x" * 10**6  # more than a pipe holds: the child blocks writing
+    for at_round in (1, 2):
+        def half(s):
+            for round_ in range(1, 3):
+                if s.start == 0 and round_ == at_round:  # the first half, in this process
+                    raise KeyError("first")
+                yield "x" * 10**6  # more than a pipe holds: the child blocks writing
 
-    with pytest.raises(KeyError):
-        halves._halves(fn, halves._FORK_MIN_POINTS)
-    assert forks
-    _no_child_left()
+        forks.clear()
+        with pytest.raises(KeyError), contextlib.closing(
+                halves._halves(half, halves._FORK_MIN_POINTS)) as rounds:
+            next(rounds)
+            rounds.send("again")
+        assert forks
+        _no_child_left()
 
 
 def _figure(p: PairedSample) -> str:
@@ -351,7 +349,7 @@ def test_a_failed_child_leaves_the_markers_unchanged(monkeypatch, forks, failure
 
 def _reference_markers(p: PairedSample) -> list[str]:
     """The data-point markers of ``p`` by one ``_Frame.to_pixel`` call per point."""
-    frame = _Frame(p)
+    frame = _Frame(min(p.xs), max(p.xs), min(p.ys), max(p.ys))
     return [f'<circle class="data-point" cx="{px:.2f}" cy="{py:.2f}" r="3" fill="#444444"/>'
             for px, py in (frame.to_pixel(x, y) for x, y in p.points())]
 
@@ -515,7 +513,7 @@ def test_the_forked_halves_move_the_points_as_apply_motion_points_does(monkeypat
     src.write_bytes(_big_csv())
     forks.clear()
     forked = _transform(capsys, src, argv)
-    assert len(forks) == 2 and forks[0] > 0  # parse_csv's and render_csv's
+    assert len(forks) == 1 and forks[0] > 0  # one for the run
     _no_child_left()
     assert forked == (0, _moved_one_by_one(src.read_bytes(), motions), "")
     monkeypatch.delattr(os, "fork")
@@ -537,7 +535,7 @@ def test_a_non_finite_moved_half_takes_the_serial_path(monkeypatch, forks, tmp_p
     src.write_bytes(_span_max_csv())
     forks.clear()
     forked = _transform(capsys, src, ["--rotate", angle])
-    assert len(forks) == 3 - code // 2  # parse, the moved halves and, for exit 0, the render
+    assert len(forks) == 1  # the fallback moves and renders in this process
     _no_child_left()
     if code == 0:
         assert forked == (0, _moved_one_by_one(src.read_bytes(), [Rotation(0.3)]), "")
@@ -558,7 +556,7 @@ def test_a_failed_child_leaves_the_moved_points_unchanged(monkeypatch, forks, tm
     forks.clear()
     monkeypatch.setattr(halves, "marshal", _failing_marshal(failure))
     assert _transform(capsys, src, argv) == expected
-    assert len(forks) == 2
+    assert len(forks) == 1
     _no_child_left()
 
 
@@ -665,22 +663,22 @@ def test_only_a_json_report_builds_the_echo(tmp_path, monkeypatch, capsys):
 
     csv = tmp_path / "pts.csv"
     csv.write_text("x,y\n0.5,1.5\n1.5,2.0\n2.5,4.0\n")
-    original, calls = cli.parse_csv, []
+    original, calls = cli._half, []
 
-    def spy(data, **kwargs):
-        result = original(data, **kwargs)
-        calls.append((kwargs, result))
-        return result
+    def spy(data, s, echo, motions):
+        calls.append(echo)
+        return original(data, s, echo, motions)
 
-    monkeypatch.setattr(cli, "parse_csv", spy)
+    monkeypatch.setattr(cli, "_half", spy)
     assert run(RunConfig(input=csv)) == 0
     assert run(RunConfig(input=csv, output_svg=tmp_path / "f.svg")) == 0
     assert main(["transform", "--input", str(csv), "--rotate", "0.3"]) == 0
-    assert len(calls) == 3
-    assert all(kwargs == {} and isinstance(r, PairedSample) for kwargs, r in calls)
+    assert calls == [False] * 6  # each run's two halves
     assert run(RunConfig(input=csv, output_json=tmp_path / "r.json")) == 0
-    assert calls[-1][0] == {"echo": True}
-    assert calls[-1][1][1] == "[[0.5,1.5],[1.5,2.0],[2.5,4.0]]"
+    assert calls[-2:] == [True, True]
+    assert json.loads((tmp_path / "r.json").read_text())["points"] == [
+        [0.5, 1.5], [1.5, 2.0], [2.5, 4.0]]
+    assert '"points":[[0.5,1.5],[1.5,2.0],[2.5,4.0]]' in (tmp_path / "r.json").read_text()
 
 
 # --- run() ----------------------------------------------------------------------------
@@ -938,12 +936,24 @@ def test_the_table_is_a_function_of_the_json_document(p, methods):
     assert code == (3 if every_fit_failed else 0)
 
 
-def test_run_summarizes_once(tmp_path, summarize_calls):
+def test_run_summarizes_once(tmp_path, monkeypatch, summarize_calls):
+    # one summary per run: the halves' sums merge into one finish, stats._summary,
+    # which summarize calls too
+    original, finished = stats._summary, []
+
+    def counting(n, *moments):
+        finished.append(n)
+        return original(n, *moments)
+
+    for module in (stats, cli):
+        monkeypatch.setattr(module, "_summary", counting)
     csv = tmp_path / "pts.csv"
-    csv.write_text(THREE_CSV)
-    config = RunConfig(input=csv, methods=("Y", "X", "D"), output_json=tmp_path / "r.json")
-    assert run(config) == 0
-    assert len(summarize_calls) == 1
+    for rows, data in ((3, THREE_CSV.encode()), (halves._FORK_MIN_POINTS + 1, _big_csv())):
+        csv.write_bytes(data)
+        finished.clear()
+        config = RunConfig(input=csv, methods=("Y", "X", "D"), output_json=tmp_path / "r.json")
+        assert run(config) == 0
+        assert finished == [rows] and summarize_calls == []
 
 
 @given(st.lists(
@@ -972,6 +982,42 @@ def test_run_identical_points_still_succeeds_via_d(tmp_path, capsys):
     assert d["centroid"] == [2.5, -1.5]
     assert d["objective"] == 0
     ET.fromstring(out_svg.read_text())
+
+
+def _finite_numbers(value) -> bool:
+    if isinstance(value, dict):
+        return all(map(_finite_numbers, value.values()))
+    if isinstance(value, list):
+        return all(map(_finite_numbers, value))
+    return not isinstance(value, float) or math.isfinite(value)
+
+
+def test_a_cauchy_schwarz_gap_near_the_largest_double_keeps_the_d_objective_finite(tmp_path,
+                                                                                 capsys):
+    # cs_gap = 9.5e307: twice it overflowed, and D read inf, above Y's 1.6e37
+    csv = tmp_path / "gap.csv"
+    csv.write_text("7.875601692728439e-152,7.85600827668505e-122\n"
+                   "-5.1902857168042256e+135,4.347086313806617e-230\n"
+                   "8.563940062035353e-210,-9.752259840216033e+18\n")
+    assert run(RunConfig(input=csv, output_json=tmp_path / "r.json")) == 0
+    doc = json.loads((tmp_path / "r.json").read_text())
+    assert _finite_numbers(doc)
+    assert doc["comparison"]["cs_gap"] > 9e307
+    assert 0.0 < doc["fits"]["d"]["objective_min"] <= doc["fits"]["y"]["objective_min"]
+    assert " inf" not in capsys.readouterr().out
+
+
+def test_fit_lines_of_points_near_the_largest_double_draw_finite(tmp_path):
+    # 0.5 * (x_hi + x_lo) overflowed the frame centre, and the D line's ends
+    # in data coordinates were -inf
+    csv, svg = tmp_path / "max.csv", tmp_path / "f.svg"
+    csv.write_text("-1.7976931348623157e+308,2.1514711314582147e+123\n"
+                   "-1.7976931348623157e+308,-8555779385.341511\n")
+    assert run(RunConfig(input=csv, output_svg=svg)) == 0
+    text = svg.read_text()
+    ET.fromstring(text)
+    assert 'class="fit-d"' in text and 'class="fit-x"' in text
+    assert not re.search(r"nan|inf", text, re.IGNORECASE)
 
 
 # --- full process runs ------------------------------------------------------------------

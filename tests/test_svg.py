@@ -101,7 +101,7 @@ def samples(draw):
 @given(samples())
 def test_fit_paths_match_the_slab_clipper_inside_the_viewport(p):
     fits = _fits(p)
-    frame = _Frame(p)
+    frame = _Frame(min(p.xs), max(p.xs), min(p.ys), max(p.ys))
     drawn = {}
     document_fits = cli.report(p.summary, ("Y", "X", "D"))["fits"]
     for m, *coords in _PATH.findall(render_svg(p, document_fits)):

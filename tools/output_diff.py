@@ -12,13 +12,16 @@ two points, a noisy line of one and `--noise -1`).  The corpus is a
 perfbench-style 1e5-point noisy line (seed 11), two copies of it with one odd
 row in the second half of the lines, which a forked child converts
 (`1.5,abc`, an input error, and an integer field, which turns the JSON points
-into reprs), one point repeated 10,001 times, the three points whose offsets
+into reprs), 10,001 of its rows with a space in one row of the second half
+(no echo: the points go out as reprs) and with a constant x column, one
+point repeated 10,001 times, the three points whose offsets
 from the centroid overflow repeated to 10,001 rows (`--rotate 0.3` turns
 their half offsets; a quarter turn, run on these inputs alone, overflows a
 moved point and exits 2), a degenerate figure
 above the fork threshold (Y and X fail, D draws the centroid and every
 marker sits at the centre), and small inputs at the edges of the line forms
-(among them a near-horizontal pair, whose X angle is 1.1e-157) and of the CSV
+(among them a near-horizontal pair, whose X angle is 1.1e-157, three points
+whose Cauchy-Schwarz gap is 9.5e307 and two at x = -1.8e308) and of the CSV
 grammar, valid and not.  Each small input also runs `fit --method y`,
 `--method x` and `--method d`, each with `--json --svg`, and one bare `fit`
 (the table alone, no JSON echo): one-method tables and documents, exit 3
@@ -68,6 +71,11 @@ SMALL = {
     "span-max": b"1.7e308,0\n1.7e308,1\n-1.7e308,0\n",  # x - mean_x overflows
     "y-equals-x": b"0,0\n" * 5 + b"1,1\n" + b"0,0\n" * 7,  # cov = var exactly
     "near-horizontal": b"0,0\n1,1.1471147311908207e-157\n",  # X mu = 8.7e156
+    "cs-gap-max": b"7.875601692728439e-152,7.85600827668505e-122\n"  # cs_gap = 9.5e307
+                  b"-5.1902857168042256e+135,4.347086313806617e-230\n"
+                  b"8.563940062035353e-210,-9.752259840216033e+18\n",
+    "x-at-max": b"-1.7976931348623157e+308,2.1514711314582147e+123\n"  # x_hi + x_lo overflows
+                b"-1.7976931348623157e+308,-8555779385.341511\n",
 }
 GENERATE = {
     "circle": ["circle", "--n", "12"],
@@ -103,6 +111,13 @@ def corpus(work: Path) -> list[tuple[str, str, list[str], Path | None]]:
                       ("noisy-1e5-int-tail", b"7," + rows[odd].split(b",")[1])):
         inputs[name] = work / f"{name}.csv"
         inputs[name].write_bytes(b"".join(rows[:odd] + [row] + rows[odd + 1:]))
+    # 10,001 rows: one with a space past the middle (no echo), and a constant x column
+    spaced = rows[1:10_002]
+    spaced[7_500] = spaced[7_500].replace(b",", b", ")
+    inputs["spaced-10001"] = work / "spaced-10001.csv"
+    inputs["spaced-10001"].write_bytes(b"".join(spaced))
+    inputs["constant-x-10001"] = work / "constant-x-10001.csv"
+    inputs["constant-x-10001"].write_bytes(b"".join(b"2.5," + r.split(b",")[1] for r in spaced))
     inputs["same-point-10001"] = work / "same-point-10001.csv"
     inputs["same-point-10001"].write_bytes(b"2.5,-1.5\n" * 10_001)
     # x - mean_x overflows: --rotate 0.3 turns the half offsets, a quarter turn overflows
@@ -189,6 +204,8 @@ def _label(line: str) -> str:
 def describe(name: str, a: bytes, b: bytes) -> str:
     if a == b:
         return "same"
+    if not (a and b):
+        return f"different: {'absent' if not a else 'written'} on the first side only"
     if name == "json":
         parse = dict(parse_float=str, parse_int=str)
         paths = json_paths(json.loads(a, **parse), json.loads(b, **parse))

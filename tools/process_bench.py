@@ -49,6 +49,10 @@ LAUNCHER = (
 
 def measure(src: Path, csv: Path, args: list[str], work: Path) -> tuple[float, float]:
     """(wall seconds, peak RSS in MB) of one `linefit` process; its output is discarded."""
+    # each run writes new files, as perfbench's do: on ext4, truncating a file
+    # and writing it again starts its writeback at close, ~0.15 s for 7 MB
+    for name in ("r.json", "r.svg"):
+        (work / name).unlink(missing_ok=True)
     env = dict(os.environ, PYTHONPATH=str(src))
     argv = [sys.executable, "-c", LAUNCHER, sys.executable, "-m", "linefit",
             *(a.format(csv=csv, dir=work) for a in args)]
