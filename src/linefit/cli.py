@@ -14,10 +14,12 @@ From ``_FORK_MIN_POINTS`` (10,000) points up, a ``fit`` or ``transform`` run
 forks one child (:mod:`linefit.halves`), and the input's bytes split at a line
 feed past their middle.  Each process parses its half, sends its count, exact
 column sums and box, then, given the centroid, sums the centred moments and
-draws its markers or moves its rows.  The merged variances and covariance
-can differ from ``summarize``'s in the last digits, both within 2e-15 of
-var_x + var_y of the exact moments; the means, points, markers, moved rows
-and errors are those of one process.  No option decides it.
+draws its markers or moves its rows with the library's one motion kernel,
+``transforms._moved``; ``transform`` exits 2 if a moved row is not finite.
+The merged variances and covariance can differ from ``summarize``'s in the
+last digits, both within 2e-15 of var_x + var_y of the exact moments; the
+means, points, markers, moved rows and errors are those of one process.  No
+option decides it.
 
 Exit codes: 0 success (at least one requested fit produced a result),
 1 stdout was closed before the output was written, 2 input error or an
@@ -50,7 +52,7 @@ from .geometry import NormalLine, Point, normal_to_slope
 from .halves import _both, _csv_rows, _halves
 from .stats import PairedSample, SummaryStats, _centred_sums, _column, _merged, _summary, mean
 from .svg import _Frame, _markers, _svg
-from .transforms import Rotation, Translation, _moved, _resolve_center, apply_motion_points
+from .transforms import Rotation, Translation, _moved, _resolve_center
 
 __all__ = ["RunConfig", "parse_csv", "report", "run", "main"]
 
@@ -231,19 +233,16 @@ def _rows_text(xs, ys) -> str | None:
 # ---------------------------------------------------------------------------
 # JSON
 
-def render_json(report: dict, points_json: str | None = None) -> str:
+def render_json(report: dict) -> str:
     """One compact line; every float reads back exactly, non-finite is an error.
 
-    Floats use Python's shortest round-trip repr.  ``points_json``, the echo
-    from ``parse_csv(data, echo=True)``, is spliced in as the first key,
-    ``points``, spelled with the input's own digits; ``report`` then holds
-    the other keys.
-    """
-    return "".join(_json(report, points_json))
+    Floats use Python's shortest round-trip repr."""
+    return "".join(_json(report))
 
 
 def _json(report: dict, points_json: str | None = None) -> list[str]:
-    """:func:`render_json`'s line in pieces, the echo one of them."""
+    """:func:`render_json`'s line in pieces; ``points_json``, an echo of the
+    input's points in its own digits, is spliced in as the first key, ``points``."""
     text = json.dumps(report, allow_nan=False, separators=(",", ":"))
     if points_json is None:
         return [text, "\n"]
@@ -571,16 +570,11 @@ def _cmd_transform(args) -> int:
     try:
         with _rows(_read_input(args.input), motions=motions) as (rounds, _, _, centroid, _):
             rows = rounds.send(centroid)
-            if None in rows:  # a moved point is not finite: the half-offset fallback or the error
-                p = PairedSample.from_xy(*_columns(rounds))
-                for g in motions:
-                    p = apply_motion_points(p, _resolve_center(g, Point(*centroid)))
-                rows = (_rows_text(p.xs, p.ys),)
-    except InvalidSampleError:  # the input raises none: a moved point is not finite
-        return _overflowed("transform")
     except (LineFitError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
+    if None in rows:  # a moved point is not finite
+        return _overflowed("transform")
     sys.stdout.writelines(("x,y\n", *rows))
     return EXIT_OK
 

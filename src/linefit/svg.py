@@ -18,6 +18,7 @@ parsed; the bytes are those of one process.
 from __future__ import annotations
 
 import math
+import sys
 from collections import namedtuple
 from itertools import chain, repeat
 from operator import add, mul, sub
@@ -54,9 +55,10 @@ class _Frame(namedtuple("_Frame", "cx cy scale")):
         floor = 1e-9 * max(span_x, span_y) or 1.0
         span_x = max(span_x, floor)
         span_y = max(span_y, floor)
-        # the halves before the sum: a centre near the largest double stays finite
+        # the halves before the sum: a centre near the largest double stays finite;
+        # a span below 4e-306 draws smaller, at the largest finite scale
         return super().__new__(cls, 0.5 * x_hi + 0.5 * x_lo, 0.5 * y_hi + 0.5 * y_lo,
-                               min(usable_w / span_x, usable_h / span_y))
+                               min(usable_w / span_x, usable_h / span_y, sys.float_info.max))
 
     def to_pixel(self, x: float, y: float) -> tuple[float, float]:
         return (

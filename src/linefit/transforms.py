@@ -16,7 +16,8 @@ var_x = t + d, var_y = t - d.  No moved coordinate is formed, so data far
 from the origin keeps its digits: moving each point would round it to the
 ulp of its new position.  ``apply_motion_points`` moves the points
 themselves, for the generators; ``linefit transform`` moves each half of its
-output with the same column kernel, ``_moved``.
+output, and ``apply_motion_point`` one point, with the same column kernel,
+``_moved``, so a moved point depends only on that point and the motion.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 
-from .errors import InvalidSampleError, LineFitError
+from .errors import LineFitError
 from .fitters import AllLinesThroughCentroid, _stats, fit_d_report, fit_x, fit_y
 from .geometry import NormalLine, Point, normal_to_inverse_slope, normal_to_slope
 from .stats import PairedSample, SummaryStats, _checked
@@ -75,7 +76,12 @@ def _resolve_center(g: RigidMotion, data: PairedSample | SummaryStats | Point) -
 
 def _moved(xs, ys, g: RigidMotion) -> tuple[list[float], list[float]]:
     """Columns ``xs``, ``ys`` moved by ``g``, whose centre is set: the formula of a
-    moved point, in a plain loop, the fastest Python form of it."""
+    moved point, in a plain loop, the fastest Python form of it.
+
+    An offset x - cx can overflow where the moved point is finite (points at
+    +-1.7e308): a point with a non-finite moved coordinate, found by one sum
+    per column, turns its half offsets, exact away from underflow, and adds
+    each turned half twice.  Every other point keeps the formula's bits."""
     if isinstance(g, Translation):
         u, v = g
         return [x + u for x in xs], [y + v for y in ys]
@@ -86,6 +92,12 @@ def _moved(xs, ys, g: RigidMotion) -> tuple[list[float], list[float]]:
         dx, dy = x - cx, y - cy
         mx.append(cx + dx * co - dy * si)
         my.append(cy + dx * si + dy * co)
+    if not math.isfinite(sum(mx) + sum(my)):  # finite sums: every point is finite
+        for i, (x, y) in enumerate(zip(xs, ys)):
+            if not (math.isfinite(mx[i]) and math.isfinite(my[i])):
+                hx, hy = x / 2 - cx / 2, y / 2 - cy / 2
+                u, w = hx * co - hy * si, hx * si + hy * co
+                mx[i], my[i] = cx + u + u, cy + w + w
     return mx, my
 
 
@@ -98,23 +110,7 @@ def apply_motion_point(pt: Point, g: RigidMotion) -> Point:
 
 def apply_motion_points(p: PairedSample, g: RigidMotion) -> PairedSample:
     """Move every point of the sample; rotation defaults to the centroid."""
-    g = _resolve_center(g, p)
-    try:
-        return PairedSample.from_xy(*_moved(p.xs, p.ys, g))
-    except InvalidSampleError:
-        if isinstance(g, Translation):
-            raise
-    # an offset x - cx can overflow where every moved point is finite: turn
-    # the half offsets, and add each turned half twice
-    co, si = math.cos(g.phi), math.sin(g.phi)
-    cx, cy = g.center.x, g.center.y
-    xs, ys = [], []
-    for x, y in zip(p.xs, p.ys):
-        hx, hy = x / 2 - cx / 2, y / 2 - cy / 2
-        u, w = hx * co - hy * si, hx * si + hy * co
-        xs.append(cx + u + u)
-        ys.append(cy + w + w)
-    return PairedSample.from_xy(xs, ys)
+    return PairedSample.from_xy(*_moved(p.xs, p.ys, _resolve_center(g, p)))
 
 
 def _move_summary(s: SummaryStats, g: RigidMotion) -> SummaryStats:

@@ -3,6 +3,7 @@ import io
 import json
 import marshal
 import math
+import operator
 import os
 import random
 import re
@@ -17,7 +18,7 @@ from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import example, given, seed, settings
 from hypothesis import strategies as st
 from test_svg import samples
 
@@ -38,7 +39,7 @@ from linefit.generators import gen_circle
 from linefit.geometry import Point
 from linefit.stats import PairedSample, summarize
 from linefit.svg import _Frame, render_svg
-from linefit.transforms import Rotation, Translation, apply_motion_points
+from linefit.transforms import Rotation, Translation, apply_motion_point, apply_motion_points
 
 REPO = Path(__file__).resolve().parents[1]
 SRC = REPO / "src"
@@ -527,15 +528,15 @@ def _span_max_csv() -> bytes:
 
 @pytest.mark.parametrize("angle, code", [("0.3", 0), ("1.5707963267948966", 2)],
                          ids=["half-offsets", "overflow"])
-def test_a_non_finite_moved_half_takes_the_serial_path(monkeypatch, forks, tmp_path, capsys,
-                                                       angle, code):
-    # x - mean_x overflows: the halves see inf, and apply_motion_points turns the
-    # half offsets (exit 0), or a quarter turn overflows a moved point (exit 2)
+def test_each_half_turns_its_points_whose_offsets_overflow(monkeypatch, forks, tmp_path, capsys,
+                                                           angle, code):
+    # x - mean_x overflows: each half turns those points' half offsets (exit 0),
+    # or a quarter turn overflows a moved point (exit 2)
     src = tmp_path / "in.csv"
     src.write_bytes(_span_max_csv())
     forks.clear()
     forked = _transform(capsys, src, ["--rotate", angle])
-    assert len(forks) == 1  # the fallback moves and renders in this process
+    assert len(forks) == 1
     _no_child_left()
     if code == 0:
         assert forked == (0, _moved_one_by_one(src.read_bytes(), [Rotation(0.3)]), "")
@@ -1020,6 +1021,85 @@ def test_fit_lines_of_points_near_the_largest_double_draw_finite(tmp_path):
     assert not re.search(r"nan|inf", text, re.IGNORECASE)
 
 
+@pytest.mark.parametrize("rows", ["0,0\n0,2.2250738585072014e-308\n",
+                                  "0,0\n1e-310,1e-310\n5e-324,0\n"],
+                         ids=["smallest-normal", "subnormal"])
+def test_points_within_a_subnormal_span_draw_finite(tmp_path, rows):
+    # 720 px over a span below 4e-306 overflowed the scale: markers read nan and inf
+    csv, svg = tmp_path / "tiny.csv", tmp_path / "f.svg"
+    csv.write_text(rows)
+    assert run(RunConfig(input=csv, output_svg=svg)) == 0
+    text = svg.read_text()
+    ET.fromstring(text)
+    assert not re.search(r"nan|inf", text, re.IGNORECASE)
+    assert len(set(re.findall(r'class="data-point" cx="(\S+)" cy="(\S+)"', text))) == 2
+
+
+# coordinates from 5e-324 to +-DBL_MAX: anywhere, at the edges of the range,
+# at any binary exponent, and 1e-300 next to 1e300 in one column
+_EDGES = (0.0, 5e-324, 2.2250738585072014e-308, 1e-300, 1.0, 1e300, 8.98846567431158e307,
+          1.7976931348623157e308)
+_COORDINATES = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.builds(operator.mul, st.sampled_from((1.0, -1.0)), st.sampled_from(_EDGES)),
+    st.builds(math.ldexp, st.floats(-1.0, 1.0, exclude_min=True, exclude_max=True),
+              st.integers(-1074, 1024)),
+    st.builds(operator.mul, st.floats(-1.0, 1.0), st.sampled_from((1e-300, 1e300))),
+)
+
+
+@st.composite
+def _fuzz_points(draw):
+    """2 to 6 points, one of them repeated half the time."""
+    points = draw(st.lists(st.tuples(_COORDINATES, _COORDINATES), min_size=2, max_size=6))
+    if draw(st.booleans()):
+        at = st.integers(0, len(points) - 1)
+        points[draw(at)] = points[draw(at)]
+    return points
+
+
+_FUZZ_COMMANDS = (
+    ["fit", "--json", "r.json", "--svg", "r.svg"],
+    ["transform", "--rotate", "0.3"],
+    ["transform", "--translate", "1e300,-1e300"],
+    ["transform", "--rotate", "1.5707963267948966", "--center=1e308,-1e308"],
+)
+
+
+@seed(16)
+@settings(max_examples=150, deadline=None, database=None)
+@given(_fuzz_points())
+@example([(7.875601692728439e-152, 7.85600827668505e-122),  # cs_gap = 9.5e307
+          (-5.1902857168042256e135, 4.347086313806617e-230),
+          (8.563940062035353e-210, -9.752259840216033e18)])
+@example([(-1.7976931348623157e308, 2.1514711314582147e123),  # x_hi + x_lo overflows
+          (-1.7976931348623157e308, -8555779385.341511)])
+@example([(0.0, 0.0), (0.0, 2.2250738585072014e-308)])  # the pixel scale overflowed
+@example([(1.5e308, 0.0), (1.5e308, 1.0), (1.5e308, 3.0)])  # offsets from -1e308 overflow
+@example([(2.427787762551348e307, 8.845845059190371e305),  # the first row's digits
+          (-3.8206276683268916e307, 2.0784007719238893e306), (1.5e308, 0.0)])  # followed the last
+def test_every_command_keeps_the_exit_code_contract_over_the_double_range(points):
+    # exit 0, 2 with an `error: ` line, or 3; every number written is finite
+    with tempfile.TemporaryDirectory() as tmp:
+        csv = Path(tmp) / "pts.csv"
+        csv.write_text("".join(f"{x!r},{y!r}\n" for x, y in points))
+        for argv in _FUZZ_COMMANDS:
+            argv = [str(Path(tmp) / a) if a.startswith("r.") else a for a in argv]
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main([*argv, "--input", str(csv)])
+            assert code in (0, 2, 3), (argv, err.getvalue())
+            if code == 2:
+                assert any(line.startswith("error: ") for line in err.getvalue().splitlines())
+            elif argv[0] == "fit":
+                assert _finite_numbers(json.loads((Path(tmp) / "r.json").read_text()))
+                svg = (Path(tmp) / "r.svg").read_text()
+                assert not re.search(r"nan|inf", svg, re.IGNORECASE)
+            else:
+                assert not re.search(r"nan|inf", out.getvalue(), re.IGNORECASE)
+                assert parse_csv(out.getvalue().encode()).n == len(points)
+
+
 # --- full process runs ------------------------------------------------------------------
 
 def test_cli_fit_exit_codes(tmp_path):
@@ -1260,6 +1340,28 @@ def test_transform_whose_moved_point_overflows_still_exits_2(tmp_path, capsys):
     assert captured.err == ("error: transform: the options overflow a double "
                             "(a coordinate came out non-finite)\n")
     assert captured.out == ""
+
+
+def test_transform_about_a_far_centre_moves_each_row_as_the_library_moves_a_point(tmp_path,
+                                                                              capsys):
+    # every offset x - (-1e308) overflows a double, and every moved point is finite
+    csv = tmp_path / "pts.csv"
+    csv.write_text("1.5e308,0\n1.5e308,1\n1.5e308,3\n")
+    code = main(["transform", "--rotate", "0.3", "--center=-1e308,0", "--input", str(csv)])
+    moved = apply_motion_point(Point(1.5e308, 0.0), Rotation(0.3, Point(-1e308, 0.0)))
+    assert moved == Point(1.3883412228140148e308, 7.3880051665334888e307)
+    assert (code, capsys.readouterr().out) == (0, "x,y\n" + "%.17g,%.17g\n" % moved * 3)
+
+
+@pytest.mark.parametrize("more", ["", "1.5e+308,0.0\n"], ids=["alone", "with-a-far-row"])
+def test_a_moved_row_does_not_depend_on_the_other_rows(tmp_path, capsys, more):
+    # the far row's offset overflows; it turned every row by half offsets
+    csv = tmp_path / "pts.csv"
+    csv.write_text("2.427787762551348e+307,8.845845059190371e+305\n"
+                   "-3.8206276683268916e+307,2.0784007719238893e+306\n" + more)
+    assert main(["transform", "--rotate", "0.3", "--center=-1e308,0", "--input", str(csv)]) == 0
+    assert capsys.readouterr().out.splitlines()[1] == (
+        "1.8465778690741131e+307,3.7571699935544012e+307")
 
 
 @pytest.mark.parametrize("value", ["-inf", "-nan", "-Infinity"])

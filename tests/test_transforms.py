@@ -5,7 +5,10 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from linefit.errors import LineFitError
 from linefit.fitters import AllLinesThroughCentroid, UniqueLine, fit_d, fit_x, fit_y
 from linefit.generators import gen_circle
 from linefit.geometry import NormalLine, Point
@@ -17,6 +20,7 @@ from linefit.transforms import (
     Translation,
     _move_summary,
     _resolve_center,
+    apply_motion_point,
     apply_motion_points,
     invariance_report,
     line_discrepancy,
@@ -133,6 +137,63 @@ def _assert_transformed_line_contains_transformed_points(offset):
                 PairedSample.from_points([(q.x, q.y), (q.x + 0.0, q.y + 0.0)]), motion
             ).points()[0]
             assert abs(image.residual(Point(*moved_p))) < 1e-12 * (1.0 + abs(offset))
+
+
+# points at 1.5e308 about a centre at -1e308: each offset x - cx overflows a
+# double, and each moved point is finite
+FAR_CENTRE = Rotation(0.3, Point(-1e308, 0.0))
+FAR_POINTS = PairedSample.from_points([(1.5e308, 0.0), (1.5e308, 1.0), (1.5e308, 3.0)])
+
+
+def test_a_point_whose_offset_overflows_turns_alone():
+    moved = apply_motion_point(Point(1.5e308, 0.0), FAR_CENTRE)
+    assert moved == Point(1.3883412228140148e308, 7.3880051665334888e307)
+    assert apply_motion_points(FAR_POINTS, FAR_CENTRE).points()[0] == tuple(moved)
+
+
+@pytest.mark.parametrize("method", ["X", "D"])
+def test_a_far_rotation_centre_leaves_the_fit_invariant(method):
+    report = invariance_report(FAR_POINTS, FAR_CENTRE, method)
+    assert report.status == STATUS_OK
+    assert report.discrepancy <= 4.5e-16
+
+
+def _formula(pt, g: Rotation) -> tuple[float, float]:
+    """The rotation formula of one point, as moved points far from overflow take it."""
+    co, si = math.cos(g.phi), math.sin(g.phi)
+    (cx, cy), dx, dy = g.center, pt[0] - g.center.x, pt[1] - g.center.y
+    return cx + dx * co - dy * si, cy + dx * si + dy * co
+
+
+def _alone(points, g) -> list[tuple[float, float]] | None:
+    try:
+        return [tuple(apply_motion_point(Point(*pt), g)) for pt in points]
+    except LineFitError:  # a moved point is not finite
+        return None
+
+
+_ANY_DOUBLE = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(_ANY_DOUBLE, _ANY_DOUBLE), min_size=2, max_size=8),
+       st.floats(-7.0, 7.0), st.tuples(_ANY_DOUBLE, _ANY_DOUBLE))
+# the moved point is (1.04e308, 1.06e308): each coordinate is finite and the
+# formula's, though their sum overflows and the half offsets round y otherwise
+@example([(1.37e308, 6.13e307), (0.0, 0.0)], 0.3, (-2.6e307, -2.6e307))
+@example([(1.5e308, 0.0), (2.427787762551348e307, 8.845845059190371e305)], 0.3, (-1e308, 0.0))
+def test_a_moved_sample_is_its_points_moved_alone(points, phi, center):
+    g = Rotation(phi, Point(*center))
+    alone = _alone(points, g)
+    try:
+        together = list(apply_motion_points(PairedSample.from_points(points), g).points())
+    except LineFitError:
+        together = None
+    assert together == alone
+    for pt, moved in zip(points, alone or ()):
+        formula = _formula(pt, g)
+        if all(map(math.isfinite, formula)):
+            assert list(map(float.hex, moved)) == list(map(float.hex, formula))
 
 
 def test_transformed_line_contains_transformed_points():

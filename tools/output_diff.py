@@ -16,12 +16,14 @@ into reprs), 10,001 of its rows with a space in one row of the second half
 (no echo: the points go out as reprs) and with a constant x column, one
 point repeated 10,001 times, the three points whose offsets
 from the centroid overflow repeated to 10,001 rows (`--rotate 0.3` turns
-their half offsets; a quarter turn, run on these inputs alone, overflows a
-moved point and exits 2), a degenerate figure
+those points' half offsets; a quarter turn, run on these inputs alone,
+overflows a moved point and exits 2), 10,001 seeded rows with x uniform in
++-1.79e308 and y in +-1e307 (`near-max-10001`), a degenerate figure
 above the fork threshold (Y and X fail, D draws the centroid and every
 marker sits at the centre), and small inputs at the edges of the line forms
 (among them a near-horizontal pair, whose X angle is 1.1e-157, three points
-whose Cauchy-Schwarz gap is 9.5e307 and two at x = -1.8e308) and of the CSV
+whose Cauchy-Schwarz gap is 9.5e307, two at x = -1.8e308 and two whose span
+is the smallest normal double) and of the CSV
 grammar, valid and not.  Each small input also runs `fit --method y`,
 `--method x` and `--method d`, each with `--json --svg`, and one bare `fit`
 (the table alone, no JSON echo): one-method tables and documents, exit 3
@@ -29,10 +31,10 @@ from each precondition, and legends that skip a failed fit.  Every side
 after the first is compared with the first, output by output: the table
 (stdout), stderr, the exit code and the JSON and SVG files.  Each prints
 `same` or `different`; a differing JSON names the key paths whose text
-differs, and a differing stdout or SVG names its differing rows or element
-classes.  For the SVG's fit paths it also gives how far apart the paths'
-ends are once each is clipped to the 800x600 viewport.  The exit status is
-1 when anything differs.
+differs, and a differing stdout or SVG names its differing rows (each by its
+first word) or element classes, the first eight and how many more.  For the
+SVG's fit paths it also gives how far apart the paths' ends are once each is
+clipped to the 800x600 viewport.  The exit status is 1 when anything differs.
 """
 
 from __future__ import annotations
@@ -76,6 +78,7 @@ SMALL = {
                   b"8.563940062035353e-210,-9.752259840216033e+18\n",
     "x-at-max": b"-1.7976931348623157e+308,2.1514711314582147e+123\n"  # x_hi + x_lo overflows
                 b"-1.7976931348623157e+308,-8555779385.341511\n",
+    "subnormal-span": b"0,0\n0,2.2250738585072014e-308\n",  # 720 px / span overflows
 }
 GENERATE = {
     "circle": ["circle", "--n", "12"],
@@ -124,6 +127,12 @@ def corpus(work: Path) -> list[tuple[str, str, list[str], Path | None]]:
     span_max = [b"1.7e308,0\n", b"1.7e308,1\n", b"-1.7e308,0\n"]
     inputs["span-max-10001"] = work / "span-max-10001.csv"
     inputs["span-max-10001"].write_bytes(b"".join(span_max * 3333 + span_max[:2]))
+    # x across the whole double range; seed 13 puts the centroid at x = -1.6e306,
+    # so 19 offsets from it overflow, and those points turn their half offsets
+    near_max = rng_for(13, "near-max")
+    inputs["near-max-10001"] = work / "near-max-10001.csv"
+    write_csv(inputs["near-max-10001"], 1.79e308 * near_max.uniform(-1.0, 1.0, 10_001),
+              1e307 * near_max.uniform(-1.0, 1.0, 10_001))
     for name, data in SMALL.items():
         inputs[name] = work / f"{name}.csv"
         inputs[name].write_bytes(data)
@@ -209,15 +218,20 @@ def describe(name: str, a: bytes, b: bytes) -> str:
     if name == "json":
         parse = dict(parse_float=str, parse_int=str)
         paths = json_paths(json.loads(a, **parse), json.loads(b, **parse))
-        more = f" and {len(paths) - MAX_PATHS} more" if len(paths) > MAX_PATHS else ""
-        return f"different: {', '.join(paths[:MAX_PATHS]) or 'bytes only'}{more}"
+        return f"different: {_some(paths) or 'bytes only'}"
     lines_a, lines_b = a.decode().splitlines(), b.decode().splitlines()
     if len(lines_a) != len(lines_b):
         return f"different: {len(lines_a)} against {len(lines_b)} lines"
-    labels = dict.fromkeys(_label(x) for x, y in zip(lines_a, lines_b) if x != y)
+    labels = list(dict.fromkeys(_label(x) for x, y in zip(lines_a, lines_b) if x != y))
     shifts = fit_path_shifts(a.decode(), b.decode()) if name == "svg" else []
-    return f"different: {', '.join(labels)}" + (
+    return f"different: {_some(labels)}" + (
         f" (clipped ends apart: {', '.join(shifts)})" if shifts else "")
+
+
+def _some(names: list[str]) -> str:
+    """The first ``MAX_PATHS`` names, and how many more there are."""
+    more = f" and {len(names) - MAX_PATHS} more" if len(names) > MAX_PATHS else ""
+    return ", ".join(names[:MAX_PATHS]) + more
 
 
 def main() -> int:
