@@ -13,9 +13,10 @@ Subcommands:
 From ``_FORK_MIN_POINTS`` (10,000) points up, a ``fit`` or ``transform`` run
 forks one child (:mod:`linefit.halves`), and the input's bytes split at a line
 feed past their middle.  Each process parses its half, sends its count, exact
-column sums and box, then, given the centroid, sums the centred moments and
-draws its markers or moves its rows with the library's one motion kernel,
-``transforms._moved``; ``transform`` exits 2 if a moved row is not finite.
+column sums and box, then, given the centroid and box, runs its caller's job
+(:func:`_rows`): ``fit`` sums the centred moments, draws the markers and spells
+the JSON points that the echo cannot; ``transform`` moves the rows with the
+one motion kernel, ``transforms._moved``, and exits 2 if one is not finite.
 The merged variances and covariance can differ from ``summarize``'s in the
 last digits, both within 2e-15 of var_x + var_y of the exact moments; the
 means, points, markers, moved rows and errors are those of one process.  No
@@ -35,7 +36,7 @@ import os
 import re
 import sys
 from collections import namedtuple
-from contextlib import closing, contextmanager
+from contextlib import closing
 from itertools import chain, repeat
 from operator import add
 
@@ -84,7 +85,7 @@ class RunConfig(namedtuple("RunConfig", "input methods output_json output_svg"))
 # ---------------------------------------------------------------------------
 # CSV
 
-def parse_csv(data: bytes, *, echo: bool = False):
+def parse_csv(data: bytes) -> PairedSample:
     """Parse UTF-8 `x,y` lines into a sample.
 
     A line ends at any break ``str.splitlines`` reads: LF, CRLF, CR, VT, FF,
@@ -95,25 +96,22 @@ def parse_csv(data: bytes, *, echo: bool = False):
     whitespace; at least two pairs are needed.  Other input raises
     :class:`CsvParseError`, which names the first bad 1-based line, or
     :class:`InsufficientDataError`.
-
-    With ``echo=True`` the result is ``(sample, points_json)``.  If every field
-    is a JSON float literal (RFC 8259 section 6: a fraction or an exponent) and
-    no data line holds a space or a tab, ``points_json`` is the JSON array of
-    the points in the input's own digits, which read back exactly; else None.
     """
-    with _rows(data, echo) as (rounds, _, points_json, _, _):
-        sample = PairedSample.from_xy(*_columns(rounds))
-    return (sample, points_json) if echo else sample
+    (xs, ys), (tail_xs, tail_ys) = _rows(data, False, lambda xs, ys, *_: (xs, ys))[4]
+    return PairedSample.from_xy(xs + tail_xs, ys + tail_ys)
 
 
-@contextmanager
-def _rows(data: bytes, echo: bool = False, motions=None):
-    """The rounds of the halves of ``data`` (:func:`_half`) after the first, and
-    its merge: ``(rounds, n, points_json, centroid, (x_lo, x_hi, y_lo, y_hi))``,
-    the centroid ``PairedSample.centroid()`` bit for bit."""
+def _rows(data: bytes, echo: bool, job):
+    """The halves of ``data`` (:func:`_half`), merged, and their answers to ``job``:
+    ``(n, echo, centroid, box, (job(head), job(tail)))``, the centroid
+    ``PairedSample.centroid()`` bit for bit, the box ``(x_lo, x_hi, y_lo, y_hi)``.
+    Each half's ``job(xs, ys, centroid, box, echo is None)`` runs in its process.
+    The echo, if ``echo`` and every field is a JSON float literal (RFC 8259
+    section 6: a fraction or an exponent) on a row without a space or a tab, is
+    the halves' rows in the input's own text, as :func:`_json` splices them, else None."""
     # the halves meet after a line feed: no UTF-8 sequence holds one, and it ends a line
     cut = data.find(b"\n", len(data) // 2) + 1 or len(data)
-    with closing(_halves(lambda s: _half(data, s, echo, motions), _csv_rows(data), cut)) as rounds:
+    with closing(_halves(lambda s: _half(data, s, echo, job), _csv_rows(data), cut)) as rounds:
         try:
             (n, header, text, *columns), (tail_n, late_header, tail_text, *tail) = next(rounds)
             # `x,y` is the header only as the first line, and a sample needs 2 points
@@ -121,27 +119,20 @@ def _rows(data: bytes, echo: bool = False, motions=None):
                 raise ValueError("a second header or too few points")
         except ValueError:
             _explain(data)
-        (mean_x, *box), (mean_y, *box_y) = (_merged(c, n + tail_n) for c in zip(columns, tail))
-        centroid = [mean_x, mean_y] if None not in (mean_x, mean_y) else list(
-            map(mean, _columns(rounds)))  # mean scales values whose sum could overflow
-        echo = None if None in (text, tail_text) else "[[%s]]" % "],[".join(
-            filter(None, (text, tail_text)))
-        yield rounds, n + tail_n, echo, centroid, box + box_y
+        n += tail_n
+        (mean_x, *box), (mean_y, *box_y) = (_merged(c, n) for c in zip(columns, tail))
+        centroid = (mean_x, mean_y) if None not in (mean_x, mean_y) else tuple(
+            map(mean, map(add, *rounds.send(None))))  # mean scales values whose sum could overflow
+        echo = None if None in (text, tail_text) else (text, tail_text)
+        return n, echo, centroid, box + box_y, rounds.send((centroid, box + box_y, echo is None))
 
 
-def _columns(rounds) -> tuple[list[float], list[float]]:
-    (xs, ys), (tail_xs, tail_ys) = rounds.send(None)
-    return xs + tail_xs, ys + tail_ys
-
-
-def _half(data: bytes, s: slice, echo: bool, motions):
+def _half(data: bytes, s: slice, echo: bool, job):
     """The rows of ``data[s]``, kept by the process that parses them, as a half
     of :func:`linefit.halves._halves`.  First: its point count, whether the
     header led, its echo text (if ``echo`` and it may splice it) and the
     ``stats._column`` of x and y; ValueError for a row :func:`parse_csv` rejects.
-    To None: its columns.  To a centroid, with ``motions``: its moved rows, None
-    if one is not finite.  To a centroid and an SVG frame or None: its
-    ``stats._centred_sums`` and its markers in the frame."""
+    To None: its columns.  To any other request: ``job(xs, ys, *request)``."""
     rows = list(filter(str.strip, data[s].decode("utf-8").splitlines()))
     header = bool(rows) and _is_header(rows[0])
     del rows[:header]
@@ -154,17 +145,7 @@ def _half(data: bytes, s: slice, echo: bool, motions):
     request = yield len(xs), header, text, _column(xs), _column(ys)
     del text
     while True:
-        if request is None:
-            reply = xs, ys
-        elif motions is not None:
-            moved = xs, ys
-            for g in motions:
-                moved = _moved(*moved, _resolve_center(g, Point(*request)))
-            reply = _rows_text(*moved)
-        else:
-            mean_x, mean_y, frame = request
-            reply = _centred_sums(xs, ys, mean_x, mean_y), frame and _markers(xs, ys, *frame)
-        request = yield reply
+        request = yield (xs, ys) if request is None else job(xs, ys, *request)
 
 
 def _is_header(line: str) -> bool:
@@ -221,12 +202,13 @@ def render_csv(p: PairedSample) -> str:
     return "x,y\n%s%s" % _both(lambda s: _rows_text(p.xs[s], p.ys[s]), p.n)
 
 
-def _rows_text(xs, ys) -> str | None:
-    """The CSV rows of the points (xs, ys); None if one is not finite."""
+def _rows_text(xs, ys, row: str = "%.17g,%.17g\n") -> str | None:
+    """The points (xs, ys) as ``row`` formats each, by default the CSV rows;
+    None if one is not finite."""
     # 17 significant digits round-trip any double exactly; one format call
     # over the interleaved coordinates builds no string per point
     xy = tuple(chain.from_iterable(zip(xs, ys)))
-    text = ("%.17g,%.17g\n" * (len(xy) // 2)) % xy
+    text = (row * (len(xy) // 2)) % xy
     return None if "n" in text else text  # only inf and nan spell an n
 
 
@@ -240,13 +222,14 @@ def render_json(report: dict) -> str:
     return "".join(_json(report))
 
 
-def _json(report: dict, points_json: str | None = None) -> list[str]:
-    """:func:`render_json`'s line in pieces; ``points_json``, an echo of the
-    input's points in its own digits, is spliced in as the first key, ``points``."""
+def _json(report: dict, rows: tuple[str, str] | None = None) -> list[str]:
+    """:func:`render_json`'s line in pieces; ``rows``, the halves' points as
+    ``x,y`` texts joined by ``],[``, are spliced in as the first key, ``points``."""
     text = json.dumps(report, allow_nan=False, separators=(",", ":"))
-    if points_json is None:
+    if rows is None:
         return [text, "\n"]
-    return ['{"points":', points_json, ("," if report else "") + text[1:], "\n"]
+    return ['{"points":[[', "],[".join(filter(None, rows)),
+            "]]" + ("," if report else "") + text[1:], "\n"]
 
 
 # ---------------------------------------------------------------------------
@@ -359,16 +342,18 @@ def _write(path: str | os.PathLike, pieces) -> None:
 def run(config: RunConfig, out=None) -> int:
     """Execute one fitting run; returns the process exit status."""
     out = out if out is not None else sys.stdout
+
+    def job(xs, ys, centroid, box, spell):
+        # without the input's own text, the JSON points go out as shortest reprs
+        return (_centred_sums(xs, ys, *centroid),
+                config.output_svg and _markers(xs, ys, *_Frame(*box)),
+                spell and config.output_json is not None and _rows_text(xs, ys, "],[%r,%r")[3:])
+
     try:
         data = _read_input(config.input)
-        with _rows(data, config.output_json is not None) as (rounds, n, echo, centroid, box):
-            frame = config.output_svg and _Frame(*box)
-            (sums, markers), (tail_sums, tail_markers) = rounds.send(
-                (*centroid, frame and tuple(frame)))
-            s = _summary(n, *centroid, *map(add, sums, tail_sums))
-            # without the input's own text, points go out as shortest reprs
-            points = {} if echo or config.output_json is None else {
-                "points": list(zip(*_columns(rounds)))}
+        n, echo, centroid, box, replies = _rows(data, config.output_json is not None, job)
+        (sums, markers, text), (tail_sums, tail_markers, tail_text) = replies
+        s = _summary(n, *centroid, *map(add, sums, tail_sums))
     except (LineFitError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
@@ -379,9 +364,9 @@ def run(config: RunConfig, out=None) -> int:
 
     try:
         if config.output_json is not None:
-            _write(config.output_json, _json({**points, **doc}, echo))
+            _write(config.output_json, _json(doc, echo or (text, tail_text)))
         if config.output_svg is not None:
-            _write(config.output_svg, _svg(frame, doc["fits"], (markers, tail_markers)))
+            _write(config.output_svg, _svg(_Frame(*box), doc["fits"], (markers, tail_markers)))
     except BrokenPipeError:
         raise  # the reader left: exit 1 in main, as for stdout
     except OSError as exc:
@@ -564,12 +549,17 @@ def _cmd_generate(args) -> int:
 
 def _cmd_transform(args) -> int:
     center = args.center and Point(*args.center)
-    motions = [] if args.rotate is None else [Rotation(args.rotate, center)]
+    moves = [] if args.rotate is None else [Rotation(args.rotate, center)]
     if args.translate is not None:
-        motions.append(Translation(*args.translate))
+        moves.append(Translation(*args.translate))
+
+    def job(xs, ys, centroid, *_):
+        for g in moves:
+            xs, ys = _moved(xs, ys, _resolve_center(g, Point(*centroid)))
+        return _rows_text(xs, ys)
+
     try:
-        with _rows(_read_input(args.input), motions=motions) as (rounds, _, _, centroid, _):
-            rows = rounds.send(centroid)
+        rows = _rows(_read_input(args.input), False, job)[4]
     except (LineFitError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR

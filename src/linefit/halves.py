@@ -65,12 +65,16 @@ def _halves(half, n: int, cut: int | None = None):
     tail = half(slice(cut, None) if split else slice(0, 0))
     pid = None
     if split and hasattr(os, "fork") and _cpus() > 1 and threading.active_count() == 1:
-        (ask_r, ask_w), (reply_r, reply_w) = os.pipe(), os.pipe()
+        fds = []
         try:
+            fds += os.pipe()
+            fds += os.pipe()
             pid = os.fork()
-        except OSError:  # no process to spare: both halves run here
-            for fd in (ask_r, ask_w, reply_r, reply_w):
+        except OSError:  # no descriptor or process to spare: both halves run here
+            for fd in fds:
                 os.close(fd)
+        else:
+            ask_r, ask_w, reply_r, reply_w = fds
     if pid == 0:  # the child: answer until the requests end
         try:
             os.close(ask_w)

@@ -97,9 +97,8 @@ def test_parse_csv_rejects_single_point():
 
 def test_parse_csv_echoes_input_with_blank_lines_and_a_spaced_header():
     data = b"\n x , y \r\n1.5,-2.0\n\n3.0,4e-3\n  \n"
-    sample, points_json = parse_csv(data, echo=True)
-    assert points_json == "[[1.5,-2.0],[3.0,4e-3]]"
-    assert sample.points() == ((1.5, -2.0), (3.0, 4e-3))
+    assert _json_points(data) == "[[1.5,-2.0],[3.0,4e-3]]"
+    assert parse_csv(data).points() == ((1.5, -2.0), (3.0, 4e-3))
 
 
 def _parse_csv_by_line(data: bytes) -> PairedSample:
@@ -185,10 +184,10 @@ def _parse_outcome(parse, data):
 def test_parse_csv_agrees_with_the_line_parser(data):
     assert _parse_outcome(parse_csv, data) == _parse_outcome(_parse_csv_by_line, data)
     with contextlib.suppress(CsvParseError, InsufficientDataError):
-        points_json = parse_csv(data, echo=True)[1]
+        expected = _parse_csv_by_line(data).points()
+        points_json = _json_points(data)
         if points_json is not None:
-            # any echo text reads back to exactly the line parser's doubles
-            expected = _parse_csv_by_line(data).points()
+            # the JSON points, an echo of the input or reprs, read back to the line parser's doubles
             assert _hex_points(json.loads(points_json)) == _hex_points(expected)
 
 
@@ -209,12 +208,23 @@ def _big_csv(n: int = halves._FORK_MIN_POINTS + 1, tail: str | None = None) -> b
 
 
 def _conversions(data: bytes):
-    """Hex points, echo and rendered CSV of ``data``, or parse_csv's error."""
+    """Hex points, JSON points and rendered CSV of ``data``, or parse_csv's error."""
     try:
-        sample, points_json = parse_csv(data, echo=True)
+        sample = parse_csv(data)
     except (CsvParseError, InsufficientDataError) as exc:
         return type(exc), getattr(exc, "line", None), str(exc)
-    return _hex_points(sample.points()), points_json, render_csv(sample)
+    return _hex_points(sample.points()), _json_points(data), render_csv(sample)
+
+
+def _json_points(data: bytes) -> str | None:
+    """The text of the ``points`` array in the report `linefit fit --json` writes,
+    None where the statistics overflow and it writes none."""
+    with tempfile.TemporaryDirectory() as tmp:
+        code, err, text = _written_report(Path(tmp), data)
+    if code == 2:
+        assert text is None and "overflow a double" in err
+        return None
+    return text[len('{"points":'):text.index(',"stats":')]
 
 
 def _no_child_left():
@@ -233,10 +243,11 @@ def test_the_forked_half_converts_bit_for_bit_as_in_process(monkeypatch, forks, 
     _no_child_left()
     monkeypatch.delattr(os, "fork")
     assert forked == _conversions(data)
-    if tail is None:
-        assert forked[1] is not None  # the echo survives the split
-    elif tail in ("3,2.5", " 1.5,2.5"):
-        assert forked[1] is None
+    if tail is None:  # the echo survives the split
+        assert forked[1] == "[[%s]]" % "],[".join(data.decode().splitlines()[1:])
+    elif tail in ("3,2.5", " 1.5,2.5"):  # the points go out as reprs
+        x, y = map(float, tail.split(","))
+        assert f"],[{x!r},{y!r}],[" in forked[1]
     else:
         assert forked[1] == len(data.splitlines()) - 1  # the line of the bad row
 
@@ -274,7 +285,7 @@ def test_a_failed_child_leaves_the_result_unchanged(monkeypatch, forks, failure)
     forks.clear()
     monkeypatch.setattr(halves, "marshal", _failing_marshal(failure))
     assert _conversions(data) == expected
-    assert len(forks) == 2  # parse_csv's and render_csv's
+    assert len(forks) == 3  # parse_csv's, the run's and render_csv's
     _no_child_left()
 
 
@@ -287,7 +298,7 @@ def test_a_child_reaped_by_an_ignored_sigchld_leaves_the_result_unchanged(forks)
         assert _conversions(data) == expected
     finally:
         signal.signal(signal.SIGCHLD, previous)
-    assert len(forks) == 4
+    assert len(forks) == 6
     _no_child_left()
 
 
@@ -421,8 +432,8 @@ def test_a_split_next_to_a_crlf_converts_as_in_process(monkeypatch, shift):
     cr = data.index(b"\r\n", len(data) // 2 + 1)
     padded = _pad_to_middle(data, cr + shift)
     assert padded[len(padded) // 2:].startswith(b"\r\n"[shift:])
-    got = _split_agrees(monkeypatch, padded, 2)
-    assert got[1] is not None and got[2] == _conversions(_big_csv())[2]
+    got = _split_agrees(monkeypatch, padded, 3)
+    assert got == _conversions(_big_csv())
 
 
 def test_a_run_of_blank_lines_across_the_split_converts_as_in_process(monkeypatch):
@@ -432,7 +443,7 @@ def test_a_run_of_blank_lines_across_the_split_converts_as_in_process(monkeypatc
     data = b"".join(rows[:half]) + blank + b"".join(rows[half:])
     middle = len(data) // 2
     assert data.find(blank) < middle < data.find(blank) + len(blank)
-    got = _split_agrees(monkeypatch, data, 2)
+    got = _split_agrees(monkeypatch, data, 3)
     assert got[2] == _conversions(_big_csv())[2]
 
 
@@ -449,7 +460,7 @@ def test_no_line_feed_past_the_middle_leaves_the_child_no_rows(monkeypatch):
     half = len(rows) // 2
     data = ("\n".join(rows[:half]) + "\n" + "\r".join(rows[half:])).encode()
     assert b"\n" not in data[len(data) // 2:]
-    got = _split_agrees(monkeypatch, data, 2)
+    got = _split_agrees(monkeypatch, data, 3)
     assert len(got[0]) == n
 
 
@@ -464,9 +475,9 @@ def test_a_first_half_without_data_rows_leaves_the_header_to_the_child(monkeypat
     body = _big_csv().split(b"\n", 1)[1]
     blank = b"\n" * (len(body) + 64)  # the blank lines reach past the middle
     data = first + blank + (late + b"\n" if late else b"") + body
-    got = _split_agrees(monkeypatch, data, 2 if ok else 1)
+    got = _split_agrees(monkeypatch, data, 3 if ok else 1)
     if ok:
-        assert got[1] is not None and len(got[0]) == halves._FORK_MIN_POINTS + 1
+        assert got == _conversions(_big_csv())
     else:
         assert got[:2] == (CsvParseError, data.count(b"\n", 0, data.index(late + b"\n", 1)) + 1)
 
@@ -652,11 +663,9 @@ def test_json_points_of_other_fields_are_reprs_or_the_line_parsers_error(tmp_pat
 
 def test_parse_csv_echo_keeps_the_input_digits():
     data = b"x,y\n1.50,1e5\n0.10000000000000001,-0.0\n"
-    sample, points_json = parse_csv(data, echo=True)
-    assert points_json == "[[1.50,1e5],[0.10000000000000001,-0.0]]"
-    assert sample.points() == parse_csv(data).points()
-    assert parse_csv(b"1.5,1\n2.5,3.5\n", echo=True)[1] is None  # an integer field
-    assert parse_csv(b"1.5, 2.0\n2.5,3.5\n", echo=True)[1] is None  # padding
+    assert _json_points(data) == "[[1.50,1e5],[0.10000000000000001,-0.0]]"
+    assert _json_points(b"1.5,1\n2.5,3.5\n") == "[[1.5,1.0],[2.5,3.5]]"  # an integer field
+    assert _json_points(b"1.5, 2.0\n2.5,3.5\n") == "[[1.5,2.0],[2.5,3.5]]"  # padding
 
 
 def test_only_a_json_report_builds_the_echo(tmp_path, monkeypatch, capsys):
@@ -666,9 +675,9 @@ def test_only_a_json_report_builds_the_echo(tmp_path, monkeypatch, capsys):
     csv.write_text("x,y\n0.5,1.5\n1.5,2.0\n2.5,4.0\n")
     original, calls = cli._half, []
 
-    def spy(data, s, echo, motions):
+    def spy(data, s, echo, job):
         calls.append(echo)
-        return original(data, s, echo, motions)
+        return original(data, s, echo, job)
 
     monkeypatch.setattr(cli, "_half", spy)
     assert run(RunConfig(input=csv)) == 0
@@ -1283,6 +1292,19 @@ def test_overflowing_options_name_the_command_not_a_sample(tmp_path, capsys, com
         f"error: {name}: the options overflow a double (a coordinate came out non-finite)\n"
     )
     assert captured.out == ""
+
+
+@pytest.mark.parametrize("args, message", [
+    (["generate", "parallel", "--A", "1", "--M", "2"], "error: --A excludes --M/--B"),
+    (["generate", "parallel", "--M", "2"],
+     "error: a ladder needs either --A (vertical) or both --M and --B"),
+    (["transform", "--rotate", "abc"],
+     "linefit transform: error: argument --rotate: invalid float value: 'abc'"),
+], ids=["vertical-and-slanted", "slanted-without-offset", "rotate-not-a-number"])
+def test_conflicting_or_unreadable_options_exit_2_with_their_message(args, message):
+    done = run_cli(args, stdin_text=THREE_CSV)
+    assert (done.returncode, done.stdout) == (2, "")
+    assert done.stderr.splitlines()[-1] == message
 
 
 def test_too_few_rungs_keep_their_own_message(capsys):

@@ -417,6 +417,14 @@ def test_objective_d_flat_on_circle():
         assert abs(objective_d(p, theta, c) - 0.5) < 1e-12
 
 
+@pytest.mark.parametrize("theta, c", [(0.3, 0.7), (-2.0, 5.0), (0.0, 0.0)])
+def test_objective_d_of_one_point_repeated_is_the_squared_miss(theta, c):
+    # no spread: no minimum and no eigen-gap, only the miss at the point
+    p = PairedSample.from_points([(1.5, -2.0)] * 3)
+    miss = 1.5 * math.sin(theta) + 2.0 * math.cos(theta) - c
+    assert objective_d(p, theta, c) == miss * miss
+
+
 def test_degenerate_report_objective_is_mean_variance():
     report = fit_d_report(gen_circle(n=6))
     assert isinstance(report.line, AllLinesThroughCentroid)

@@ -207,6 +207,12 @@ def test_circle_rejects_small_n():
         gen_circle(n=2)
 
 
+@pytest.mark.parametrize("radius", [0.0, -1.0, math.nan])
+def test_circle_rejects_a_radius_that_is_not_positive(radius):
+    with pytest.raises(GenerationError, match=f"^radius must be positive, got {radius!r}$"):
+        gen_circle(5, radius=radius)
+
+
 # --- noisy lines ------------------------------------------------------------------------
 
 def test_noisy_line_is_deterministic_per_seed():

@@ -2,6 +2,7 @@
 run's outputs, errors and child failures above the fork threshold."""
 
 import contextlib
+import errno
 import json
 import math
 import os
@@ -86,14 +87,14 @@ def test_a_run_takes_the_centroid_of_mean(monkeypatch, forks, shape):
     p = _parse_csv_by_line(data)
     want = [mean(p.xs).hex(), mean(p.ys).hex()]
     forks.clear()
-    with cli._rows(data) as (_, n, _, centroid, box):
-        assert [v.hex() for v in centroid] == want and n == p.n
-        assert box == [min(p.xs), max(p.xs), min(p.ys), max(p.ys)]
+    n, _, centroid, box, _ = cli._rows(data, False, lambda *_: None)
+    assert [v.hex() for v in centroid] == want and n == p.n
+    assert box == [min(p.xs), max(p.xs), min(p.ys), max(p.ys)]
     assert len(forks) == 1
     _no_child_left()
     monkeypatch.delattr(os, "fork")
-    with cli._rows(data) as (_, _, _, centroid, _):
-        assert [v.hex() for v in centroid] == want
+    centroid = cli._rows(data, False, lambda *_: None)[2]
+    assert [v.hex() for v in centroid] == want
 
 
 # --- the merged statistics -------------------------------------------------------------
@@ -143,8 +144,45 @@ def _fit(tmp_path, data: bytes, *options):
 
 
 def _spaced() -> bytes:
-    """A big CSV whose rows past the middle hold a spaced one: no echo, three rounds."""
+    """A big CSV whose rows past the middle hold a spaced one: no echo, the halves spell
+    the points."""
     return _big_csv(tail="1.5, 2.5")
+
+
+def _requests(monkeypatch) -> list:
+    """The requests that the halves run in this process take after their first reply."""
+    original, requests = cli._half, []
+
+    def spy(*args):
+        half = original(*args)
+        reply = next(half)
+        while True:
+            request = yield reply
+            requests.append(request)
+            reply = half.send(request)
+
+    monkeypatch.setattr(cli, "_half", spy)
+    return requests
+
+
+@pytest.mark.parametrize("shape", ["spaced", "echo", "overflow-first", "overflow-second"])
+def test_a_run_asks_its_halves_once_after_the_parse(monkeypatch, forks, tmp_path, shape):
+    data = {"spaced": _spaced(), "echo": _big_csv()}.get(shape) or _CENTROIDS[shape]
+    with monkeypatch.context() as m:
+        m.delattr(os, "fork")
+        expected = _fit(tmp_path, data)
+    requests = _requests(monkeypatch)
+    forks.clear()
+    assert _fit(tmp_path, data) == expected
+    assert len(forks) == 1  # the first half runs here and the child takes the same requests
+    _no_child_left()
+    # the job's round alone; a centroid whose sum overflows asks for the columns first
+    overflow = shape.startswith("overflow")
+    assert [r is None for r in requests] == [True] * overflow + [False]
+    p = _parse_csv_by_line(data)
+    box = [min(p.xs), max(p.xs), min(p.ys), max(p.ys)]
+    # the halves spell the JSON points where the echo cannot splice the input's text
+    assert requests[-1] == ((mean(p.xs), mean(p.ys)), box, shape != "echo")
 
 
 def test_the_echo_fallback_writes_the_points_as_reprs(monkeypatch, forks, tmp_path):
@@ -161,11 +199,20 @@ def test_the_echo_fallback_writes_the_points_as_reprs(monkeypatch, forks, tmp_pa
     assert _fit(tmp_path, data) == forked
 
 
-@pytest.mark.parametrize("at_round", [1, 2, 3], ids=["parse", "sums-and-markers", "columns"])
+_ROUNDS = {  # an input, and the round whose reply the child fails
+    "parse": ("spaced", 1),
+    "sums-and-markers": ("spaced", 2),
+    "columns": ("overflow-first", 2),  # its centroid's sum overflows
+    "sums-after-columns": ("overflow-first", 3),
+}
+
+
+@pytest.mark.parametrize("at", list(_ROUNDS))
 @pytest.mark.parametrize("failure", _FAILURES)
 def test_a_child_failed_at_any_round_leaves_the_run_unchanged(monkeypatch, forks, tmp_path,
-                                                             failure, at_round):
-    data = _spaced()
+                                                             failure, at):
+    shape, at_round = _ROUNDS[at]
+    data = _spaced() if shape == "spaced" else _CENTROIDS[shape]
     with monkeypatch.context() as m:
         m.delattr(os, "fork")
         expected = _fit(tmp_path, data)
@@ -203,6 +250,32 @@ def test_a_bad_line_in_either_half_ends_the_run_as_in_one_process(monkeypatch, f
     assert _fit(tmp_path, data) == forked
 
 
+def _transform(tmp_path, data: bytes) -> tuple[int, str, str]:
+    """(exit code, stdout, stderr) of `linefit transform --rotate 0.3`."""
+    src, out, err = tmp_path / "in.csv", tmp_path / "out.txt", tmp_path / "err.txt"
+    src.write_bytes(data)
+    with open(out, "w") as o, open(err, "w") as e, contextlib.redirect_stdout(o), \
+            contextlib.redirect_stderr(e):
+        code = main(["transform", "--input", str(src), "--rotate", "0.3"])
+    return code, out.read_text(), err.read_text()
+
+
+@pytest.mark.parametrize("where", ["first", "second"])
+@pytest.mark.parametrize("kind", ["row", "non-finite", "utf-8", "late-header"])
+def test_a_bad_line_in_either_half_ends_a_transform_as_a_fit(monkeypatch, forks, tmp_path,
+                                                            kind, where):
+    data = _bad(kind, where)
+    with pytest.raises(CsvParseError) as exc:
+        _parse_csv_by_line(data)
+    forks.clear()
+    forked = _transform(tmp_path, data)
+    assert len(forks) == 1
+    _no_child_left()
+    assert forked == (2, "", f"error: {exc.value}\n")  # the message and line of `fit`'s
+    monkeypatch.delattr(os, "fork")
+    assert _transform(tmp_path, data) == forked
+
+
 def test_a_run_over_one_cpu_gives_the_bytes_of_two(monkeypatch, forks, tmp_path):
     # the halves meet at the byte middle whatever the CPU count
     data = _big_csv()
@@ -218,3 +291,32 @@ def test_a_run_over_one_cpu_gives_the_bytes_of_two(monkeypatch, forks, tmp_path)
     whole = summarize(p)
     for key in ("var_x", "var_y", "cov_xy"):
         assert math.isclose(got[key], getattr(whole, key), rel_tol=1e-14)
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="no /proc/self/fd")
+@pytest.mark.parametrize("short", ["first-pipe", "second-pipe", "fork"])
+def test_no_descriptor_or_process_to_spare_runs_both_halves_here(monkeypatch, forks, tmp_path,
+                                                                 short):
+    data = _spaced()
+    with monkeypatch.context() as m:
+        m.delattr(os, "fork")
+        expected = _fit(tmp_path, data)
+    pipe, pipes = os.pipe, []
+
+    def scarce_pipe():
+        pipes.append(short)
+        if short == ("first-pipe", "second-pipe")[len(pipes) - 1]:
+            raise OSError(errno.EMFILE, os.strerror(errno.EMFILE))
+        return pipe()
+
+    def no_fork():
+        raise BlockingIOError(errno.EAGAIN, os.strerror(errno.EAGAIN))
+
+    monkeypatch.setattr(os, "pipe", scarce_pipe)
+    if short == "fork":
+        monkeypatch.setattr(os, "fork", no_fork)
+    forks.clear()
+    open_fds = sorted(os.listdir("/proc/self/fd"))
+    assert _fit(tmp_path, data) == expected
+    assert sorted(os.listdir("/proc/self/fd")) == open_fds
+    assert forks == [] and len(pipes) == {"first-pipe": 1}.get(short, 2)

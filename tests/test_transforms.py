@@ -158,6 +158,11 @@ def test_a_far_rotation_centre_leaves_the_fit_invariant(method):
     assert report.discrepancy <= 4.5e-16
 
 
+def test_invariance_report_rejects_an_unknown_method():
+    with pytest.raises(ValueError, match=r"^unknown method 'Q'; expected one of \('Y', 'X', 'D'\)$"):
+        invariance_report(THREE_POINTS, Rotation(0.3), "Q")
+
+
 def _formula(pt, g: Rotation) -> tuple[float, float]:
     """The rotation formula of one point, as moved points far from overflow take it."""
     co, si = math.cos(g.phi), math.sin(g.phi)
