@@ -34,7 +34,6 @@ from .fitters import (
     fit_d_report,
     fit_x,
     fit_y,
-    iso_tolerance,
     objective_d,
     objective_x,
     objective_y,

@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 
-from .fitters import ISOTROPIC, _cs_gap, _major_axis, _stats, resolve_case
+from .fitters import ISOTROPIC, _cs_gap, _major_axis, _negligible, _stats, resolve_case
 from .stats import PairedSample, SummaryStats
 
 __all__ = [
@@ -28,7 +28,6 @@ __all__ = [
     "TAN_THETA_ALL",
     "ComparisonReport",
     "compare",
-    "collinearity_tolerance",
 ]
 
 ORDERING_HOLDS = "holds"
@@ -37,11 +36,6 @@ ORDERING_NOT_APPLICABLE = "not-applicable"
 
 # every line through the centroid fits equally well
 TAN_THETA_ALL = "all"
-
-
-def collinearity_tolerance(s: SummaryStats) -> float:
-    """Threshold on the gap var_x*var_y - cov^2, relative to var_x*var_y."""
-    return 1e-12 * s.var_x * s.var_y
 
 
 def _finite(v: float) -> float | None:
@@ -65,8 +59,8 @@ class ComparisonReport(namedtuple("ComparisonReport", (
 def compare(data: PairedSample | SummaryStats) -> ComparisonReport:
     s = _stats(data)
     m = _finite(s.cov_xy / s.var_x) if s.var_x > 0.0 else None
-    zero_cov = 1e-12 * math.sqrt(s.var_x) * math.sqrt(s.var_y)
-    m_x = _finite(s.var_y / s.cov_xy) if abs(s.cov_xy) > zero_cov else None
+    m_x = (None if _negligible(abs(s.cov_xy), math.sqrt(s.var_x), math.sqrt(s.var_y))
+           else _finite(s.var_y / s.cov_xy))
     ratio_bound = _finite(math.sqrt(s.var_y / s.var_x)) if s.var_x > 0.0 else None
 
     case = resolve_case(s)
@@ -77,7 +71,7 @@ def compare(data: PairedSample | SummaryStats) -> ComparisonReport:
         tan_theta = _finite(v / u) if u != 0.0 else None
 
     cs_gap = _cs_gap(s)
-    collinear = cs_gap <= collinearity_tolerance(s)
+    collinear = _negligible(cs_gap, s.var_x, s.var_y)
 
     if m is None or m_x is None:
         ordering_e = ORDERING_NOT_APPLICABLE

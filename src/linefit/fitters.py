@@ -39,7 +39,6 @@ __all__ = [
     "UniqueLine",
     "AllLinesThroughCentroid",
     "FitReport",
-    "iso_tolerance",
     "resolve_case",
     "fit_y",
     "fit_x",
@@ -104,14 +103,17 @@ def _stats(data: PairedSample | SummaryStats) -> SummaryStats:
 
 
 def _cs_gap(s: SummaryStats) -> float:
-    """var_x*var_y - cov^2, the Cauchy-Schwarz gap: 0.0 exactly on collinear
-    data, where summarize gives cov^2 = var_x*var_y."""
-    return s.var_x * s.var_y - s.cov_xy * s.cov_xy
+    """var_x*var_y - cov^2, the Cauchy-Schwarz gap, clamped here and only here
+    at 0.0, since rounding on collinear data can leave cov^2 above var_x*var_y.
+    The points are collinear when it is :func:`_negligible` against var_x, var_y."""
+    return max(0.0, s.var_x * s.var_y - s.cov_xy * s.cov_xy)
 
 
-def iso_tolerance(s: SummaryStats) -> float:
-    """Threshold for var_x = var_y and cov = 0, relative to the total variance."""
-    return 1e-12 * (s.var_x + s.var_y)
+def _negligible(value: float, *scale: float) -> bool:
+    """The one zero rule of every verdict: a nonnegative statistic counts as
+    zero when it is within a fixed relative floor of the product of its
+    scale factors, so no verdict depends on where the data sit or their units."""
+    return value <= math.prod((1e-12, *scale))
 
 
 def fit_y(data: PairedSample | SummaryStats) -> FitReport:
@@ -125,7 +127,7 @@ def fit_y(data: PairedSample | SummaryStats) -> FitReport:
         )
     m = s.cov_xy / s.var_x
     b = s.mean_y - m * s.mean_x
-    objective = max(0.0, _cs_gap(s) / s.var_x)
+    objective = _cs_gap(s) / s.var_x
     return FitReport(SlopeInterceptLine(m, b), objective)
 
 
@@ -139,7 +141,7 @@ def fit_x(data: PairedSample | SummaryStats) -> FitReport:
         )
     mu = s.cov_xy / s.var_y
     beta = s.mean_x - mu * s.mean_y
-    objective = max(0.0, _cs_gap(s) / s.var_y)
+    objective = _cs_gap(s) / s.var_y
     return FitReport(InverseSlopeLine(mu, beta), objective)
 
 
@@ -147,14 +149,15 @@ def resolve_case(s: SummaryStats) -> OrthogonalCase:
     """Classify the sign pattern of (var_x - var_y, cov_xy).
 
     Ties at cov = 0 resolve toward cases I and III (the competing case gives
-    the same line there, but dispatch must be deterministic).  Equality of the
-    variances, and a zero covariance, are judged against :func:`iso_tolerance`.
+    the same line there, but dispatch must be deterministic).  Equal variances
+    and a zero covariance are verdicts of :func:`_negligible`: |var_x - var_y|
+    and |cov| each against var_x + var_y.
     """
-    tol = iso_tolerance(s)
+    total = s.var_x + s.var_y
     diff = s.var_x - s.var_y
     cov = s.cov_xy
-    if abs(diff) <= tol:
-        if abs(cov) <= tol:
+    if _negligible(abs(diff), total):
+        if _negligible(abs(cov), total):
             return OrthogonalCase(ISOTROPIC)
         return OrthogonalCase("V" if cov > 0.0 else "VI")
     e_ratio = 2.0 * cov / diff
@@ -203,7 +206,7 @@ def _min_objective_d(s: SummaryStats) -> float:
     # data lands at exactly the Cauchy-Schwarz gap scale instead of
     # cancelling two O(S) terms; halving the divisor, not doubling the gap,
     # keeps a gap near the largest double finite.
-    gap = max(0.0, _cs_gap(s))
+    gap = _cs_gap(s)
     total = s.var_x + s.var_y
     spread = math.hypot(s.var_x - s.var_y, 2.0 * s.cov_xy)
     if total + spread == 0.0:

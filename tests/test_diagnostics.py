@@ -65,7 +65,7 @@ def test_collinear_report_is_all_equalities():
     assert abs(rep.tan_theta - 2.0) < 1e-12
     assert rep.ordering_e == ORDERING_EQUALITY
     assert rep.collinear
-    assert abs(rep.cs_gap) <= 1e-12 * (1.0 + rep.cs_gap)
+    assert 0.0 <= rep.cs_gap <= 1e-12
 
 
 def test_circle_report_has_no_comparable_slopes():
@@ -126,31 +126,56 @@ def test_collinear_points_read_equality_for_both_orderings():
 ULPS_4 = 1.0 + 2.0**-50
 
 
-@settings(max_examples=300, deadline=None)
-@given(
-    st.lists(st.tuples(st.floats(-1.0, 1.0), st.floats(-1.0, 1.0)), min_size=2, max_size=12),
-    st.floats(0.0, 14.0),
-    st.booleans(),
-    st.tuples(st.floats(-1e15, 1e15), st.floats(-1e15, 1e15)),
-    st.tuples(st.integers(-400, 400), st.integers(-400, 400)),
-)
-# var_y = 3.3e-315 is subnormal: cov_xy^2 and var_x*var_y round to subnormals
-@example([(0.0, 0.0), (1.0, 1.1471147311908207e-157)], 0.0, False, (0.0, 0.0), (0, 0))
-def test_slope_ordering_holds_at_adversarial_magnitudes(zs, k, flip, offset, scale):
-    # correlation 1 - 10^-k, up to 1 - 1e-14, on offsets to 1e15 and scales 2^+-400
+@st.composite
+def correlated_samples(draw):
+    """Up to 12 points of correlation 1 - 10^-k, up to 1 - 1e-14, on offsets
+    to 1e15 and scales 2^+-400."""
+    zs = draw(st.lists(st.tuples(st.floats(-1.0, 1.0), st.floats(-1.0, 1.0)),
+                       min_size=2, max_size=12))
+    k, flip = draw(st.floats(0.0, 14.0)), draw(st.booleans())
+    ox, oy = draw(st.tuples(st.floats(-1e15, 1e15), st.floats(-1e15, 1e15)))
+    kx, ky = draw(st.tuples(st.integers(-400, 400), st.integers(-400, 400)))
     rho = math.copysign(1.0 - 10.0**-k, -1.0 if flip else 1.0)
     rest = math.sqrt(1.0 - rho * rho)
-    (ox, oy), (kx, ky) = offset, scale
+    return PairedSample.from_xy(
+        [ox + math.ldexp(x, kx) for x, _ in zs],
+        [oy + math.ldexp(rho * x + rest * e, ky) for x, e in zs],
+    )
+
+
+def _compared(p):
     try:
-        rep = compare(PairedSample.from_xy(
-            [ox + math.ldexp(x, kx) for x, _ in zs],
-            [oy + math.ldexp(rho * x + rest * e, ky) for x, e in zs],
-        ))
+        return compare(p)
     except InvalidSampleError:  # var_x*var_y overflows a double
         assume(False)
+
+
+# summarize's cov_xy^2 rounds 1.4e-17 above var_x*var_y here
+GAP_BELOW_ZERO = PairedSample.from_points([(0.0, 0.1)] * 12 + [(1.0, 3.1)])
+
+
+@settings(max_examples=300, deadline=None)
+@given(correlated_samples())
+# var_y = 3.3e-315 is subnormal: cov_xy^2 and var_x*var_y round to subnormals
+@example(PairedSample.from_points([(0.0, 0.0), (1.0, 1.1471147311908207e-157)]))
+def test_slope_ordering_holds_at_adversarial_magnitudes(p):
+    rep = _compared(p)
     assume(isinstance(rep.tan_theta, float) and None not in (rep.m, rep.m_x))
     assert abs(rep.m) <= abs(rep.tan_theta) * ULPS_4
     assert abs(rep.tan_theta) <= abs(rep.m_x) * ULPS_4
+
+
+@settings(max_examples=300, deadline=None)
+@given(correlated_samples())
+@example(GAP_BELOW_ZERO)
+def test_cs_gap_is_never_negative(p):
+    assert _compared(p).cs_gap >= 0.0
+
+
+def test_a_gap_that_rounds_below_zero_reads_zero_and_collinear():
+    rep = compare(GAP_BELOW_ZERO)
+    assert rep.cs_gap == 0.0
+    assert rep.collinear is True
 
 
 def test_cs_gap_ties_to_the_vertical_fit_objective():

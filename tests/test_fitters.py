@@ -7,7 +7,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from objective_oracle import loop_d, loop_x, loop_y
 
-from linefit.diagnostics import ORDERING_EQUALITY, compare
+from linefit.diagnostics import ORDERING_EQUALITY, TAN_THETA_ALL, compare
 from linefit.errors import HorizontalDataError, InvalidSampleError, VerticalDataError
 from linefit.fitters import (
     ISOTROPIC,
@@ -25,7 +25,7 @@ from linefit.fitters import (
     resolve_case,
 )
 from linefit.generators import gen_circle
-from linefit.geometry import inverse_slope_to_normal, slope_to_normal
+from linefit.geometry import Point, inverse_slope_to_normal, slope_to_normal
 from linefit.stats import PairedSample, SummaryStats, summarize
 from linefit.transforms import Translation, invariance_report, line_discrepancy
 
@@ -742,6 +742,33 @@ def test_one_ulp_of_spread_is_enough_to_fit(a):
         x_fit = fit_x(PairedSample.from_xy(ys, (a, b)))
         assert (x_fit.line.mu > 0.0) == (ys[1] > ys[0])
         assert x_fit.normal_form is not None
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from((8, 32, 128, 512)), st.floats(0.0, 2.0 * math.pi),
+       st.floats(0.5, 3.0), st.floats(-5.0, 5.0), st.floats(-5.0, 5.0))
+def test_circles_off_the_origin_read_isotropic(n, phase, radius, cx, cy):
+    # lib-small's circles: rounding leaves them anisotropic by up to ~1e-15 of
+    # var_x + var_y, which the zero rule has to absorb
+    p = gen_circle(n=n, phase=phase, radius=radius, center=Point(cx, cy))
+    assert isinstance(fit_d(p), AllLinesThroughCentroid)
+    rep = compare(p)
+    assert (rep.case_tag, rep.tan_theta) == (ISOTROPIC, TAN_THETA_ALL)
+
+
+@pytest.mark.parametrize("k", [
+    38,
+    pytest.param(40, marks=pytest.mark.xfail(
+        strict=True,
+        reason="var_x - var_y is an exact 9.1e-13 of var_x + var_y, under the fixed "
+               "1e-12 zero floor, so D returns the isotropic family",
+    )),
+])
+def test_a_rectangle_a_hair_wider_than_tall_has_the_horizontal_d_line(k):
+    s = 1.0 + 2.0**-k
+    fit = fit_d(PairedSample.from_points([(0.0, 0.0), (s, 0.0), (0.0, 1.0), (s, 1.0)]))
+    assert isinstance(fit, UniqueLine)
+    assert (fit.line.theta, fit.case.tag) == (0.0, "I")
 
 
 @pytest.mark.parametrize("a", [1e-300, 1.0, 1e9, 1e150])

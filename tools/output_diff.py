@@ -23,8 +23,11 @@ above the fork threshold (Y and X fail, D draws the centroid and every
 marker sits at the centre), and small inputs at the edges of the line forms
 (among them a near-horizontal pair, whose X angle is 1.1e-157, three points
 whose Cauchy-Schwarz gap is 9.5e307, two at x = -1.8e308 and two whose span
-is the smallest normal double) and of the CSV
-grammar, valid and not.  Each small input also runs `fit --method y`,
+is the smallest normal double), at the edges of the verdicts (13 collinear
+points whose Cauchy-Schwarz gap rounds below zero, two rectangles just
+wider than tall, one each side of the zero floor, and the 50 rows of
+`generate parallel --A 1`, whose covariance is rounding residue) and of the
+CSV grammar, valid and not.  Each small input also runs `fit --method y`,
 `--method x` and `--method d`, each with `--json --svg`, and one bare `fit`
 (the table alone, no JSON echo): one-method tables and documents, exit 3
 from each precondition, and legends that skip a failed fit.  Every side
@@ -54,6 +57,18 @@ sys.path.insert(0, str(ROOT / "perfbench"))
 
 from inputs import noisy_line, rng_for, write_csv  # noqa: E402
 
+# the y column of `generate parallel --A 1`, whose rungs sit at x = 1, then x = -1
+LADDER_YS = (
+    b"20.665311091502886", b"15.477264176418146", b"-4.7657051501493015",
+    b"-14.464994982422199", b"0.67648328211651076", b"-5.7039517529751436",
+    b"17.027915342086359", b"-11.801236435264354", b"-1.4041827508586522",
+    b"5.0029223673018706", b"24.486773111720112", b"0.28121134904341716",
+    b"-13.089729336017768", b"15.348252249433436", b"7.1021398005199003",
+    b"-14.969619518253568", b"24.584775358094404", b"28.967128562259184",
+    b"18.613034159795376", b"24.12995702637496", b"-11.391145840840043",
+    b"13.789904895607719", b"23.930297278079607", b"11.039035914926473",
+    b"-1.6714370728372003",
+)
 SMALL = {
     "three": b"0,0\n1,0\n2,1\n",
     "vertical": b"2,0\n2,1\n2,5\n",
@@ -79,6 +94,11 @@ SMALL = {
     "x-at-max": b"-1.7976931348623157e+308,2.1514711314582147e+123\n"  # x_hi + x_lo overflows
                 b"-1.7976931348623157e+308,-8555779385.341511\n",
     "subnormal-span": b"0,0\n0,2.2250738585072014e-308\n",  # 720 px / span overflows
+    "gap-below-zero": b"0,0.1\n" * 12 + b"1,3.1\n",  # cov^2 rounds above var_x*var_y
+    # var_x - var_y is 9.1e-13 and 3.6e-12 of var_x + var_y: around the zero floor
+    "rectangle-2^-40": b"0,0\n1.0000000000009095,0\n0,1\n1.0000000000009095,1\n",
+    "rectangle-2^-38": b"0,0\n1.000000000003638,0\n0,1\n1.000000000003638,1\n",
+    "ladder-a1": b"".join(b"%s,%s\n" % (x, y) for x in (b"1", b"-1") for y in LADDER_YS),
 }
 GENERATE = {
     "circle": ["circle", "--n", "12"],
