@@ -18,9 +18,9 @@ column sums and box, then, given the centroid and box, runs its caller's job
 the JSON points that the echo cannot; ``transform`` moves the rows with the
 one motion kernel, ``transforms._moved``, and exits 2 if one is not finite.
 The merged variances and covariance can differ from ``summarize``'s in the
-last digits, both within 2e-15 of var_x + var_y of the exact moments; the
-means, points, markers, moved rows and errors are those of one process.  No
-option decides it.
+last digits, both within (n + 4)*2**-53 of var_x + var_y of the exact moments
+to first order; the means, points, markers, moved rows and errors are those of
+one process.  No option decides it.
 
 Exit codes: 0 success (at least one requested fit produced a result),
 1 stdout was closed before the output was written, 2 input error or an

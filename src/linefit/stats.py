@@ -90,6 +90,8 @@ class PairedSample(namedtuple("PairedSample", "xs ys")):
 class SummaryStats(namedtuple("SummaryStats", "n mean_x mean_y var_x var_y cov_xy")):
     """Sufficient statistics of a paired sample, all central moments.
 
+    Construction raises :class:`InvalidSampleError` unless the means and the
+    products the fits form, var_x*var_y and cov_xy*cov_xy, are finite.
     ``cov_xy**2 <= var_x * var_y`` holds for any genuine sample (equality
     exactly when the points are collinear), so construction rejects field
     combinations that violate it beyond a relative rounding allowance.
@@ -99,6 +101,11 @@ class SummaryStats(namedtuple("SummaryStats", "n mean_x mean_y var_x var_y cov_x
 
     def __new__(cls, n: int, mean_x: float, mean_y: float,
                 var_x: float, var_y: float, cov_xy: float):
+        if not all(map(math.isfinite, (mean_x, mean_y, var_x * var_y, cov_xy * cov_xy))):
+            raise InvalidSampleError(
+                "coordinates too large in magnitude: their sums of squares and "
+                "products overflow a double"
+            )
         if var_x < 0.0 or var_y < 0.0:
             raise ValueError(
                 f"variances must be nonnegative: var_x={var_x}, var_y={var_y}"
@@ -194,23 +201,16 @@ def _merged(columns, n: int) -> tuple:
 def _checked(n: int, mean_x: float, mean_y: float,
              var_x: float, var_y: float, cov_xy: float) -> SummaryStats:
     """``SummaryStats`` of moments that carry rounding error, kept to what a
-    genuine sample satisfies: a variance that rounded below 0.0 is 0.0, and
-    cov_xy*cov_xy is at most var_x*var_y, which rounding on collinear data can
-    exceed; |cov_xy| is then cut to sqrt(var_x)*sqrt(var_y).  That bound can
-    round an ulp below an exact cov_xy = var_x = var_y, so a cov_xy whose
-    square is within var_x*var_y stays, unless that square is subnormal or
-    zero: subnormal products keep too few bits to tell.  Raises
-    :class:`InvalidSampleError` when the statistics overflow."""
-    finite = all(map(math.isfinite, (mean_x, mean_y, var_x, var_y, cov_xy)))
-    var_x, var_y = max(0.0, var_x), max(0.0, var_y)
+    genuine sample satisfies: a finite variance that rounded to 0.0 or below is
+    0.0, and a finite |cov_xy| whose square exceeds var_x*var_y, as rounding on
+    collinear data can, is cut to sqrt(var_x)*sqrt(var_y).  That bound can round
+    an ulp below an exact cov_xy = var_x = var_y, so a square within var_x*var_y
+    stays, unless it is subnormal or zero: subnormal products keep too few bits
+    to tell.  Moments that are not finite reach the constructor as they are."""
+    var_x = 0.0 if -math.inf < var_x <= 0.0 else var_x
+    var_y = 0.0 if -math.inf < var_y <= 0.0 else var_y
     bound = math.sqrt(var_x) * math.sqrt(var_y)
-    if abs(cov_xy) > bound and not sys.float_info.min <= cov_xy * cov_xy <= var_x * var_y:
+    if bound < abs(cov_xy) < math.inf and not (
+            sys.float_info.min <= cov_xy * cov_xy <= var_x * var_y):
         cov_xy = math.copysign(bound, cov_xy)
-    # the fit objectives and diagnostics square cov_xy and multiply var_x by
-    # var_y, so those have to stay finite too
-    if not (finite and math.isfinite(cov_xy * cov_xy) and math.isfinite(var_x * var_y)):
-        raise InvalidSampleError(
-            "coordinates too large in magnitude: their sums of squares and "
-            "products overflow a double"
-        )
     return SummaryStats(n, mean_x, mean_y, var_x, var_y, cov_xy)

@@ -100,16 +100,17 @@ def test_a_run_takes_the_centroid_of_mean(monkeypatch, forks, shape):
 # --- the merged statistics -------------------------------------------------------------
 
 def _exact(p):
-    """(var_x, var_y, cov_xy) of ``p`` in Fractions."""
+    """(var_x, var_y, cov_xy, mean_x, mean_y) of ``p`` in Fractions."""
     xs, ys = list(map(Fraction, p.xs)), list(map(Fraction, p.ys))
     mx, my = sum(xs) / p.n, sum(ys) / p.n
     return (sum((x - mx) ** 2 for x in xs) / p.n, sum((y - my) ** 2 for y in ys) / p.n,
-            sum((x - mx) * (y - my) for x, y in zip(xs, ys)) / p.n)
+            sum((x - mx) * (y - my) for x, y in zip(xs, ys)) / p.n, mx, my)
 
 
 @settings(max_examples=300, deadline=None)
 @given(far_paired_samples(), st.integers(0, 30))
 @example(PairedSample.from_xy([0.0, 0.0], [0.0, 1.353468893579037e-228]), 0)
+@example(PairedSample.from_xy([0.0] * 29, [0.0, 0.5625] + [0.0] * 27), 0)  # 19.8 u of var_y
 def test_the_merged_statistics_match_an_exact_oracle_as_summarize_does(p, cut):
     cut = min(cut, p.n)  # the halves meet anywhere
     mean_x, mean_y = p.centroid()
@@ -119,9 +120,18 @@ def test_the_merged_statistics_match_an_exact_oracle_as_summarize_does(p, cut):
     whole = summarize(p)
     assert merged[:3] == whole[:3]
     exact = _exact(p)
-    # the bound summarize meets (its worst is ~6.5e-16 on such samples), offsets to
-    # 1e12, plus a few subnormal ulps: squares of offsets below 1e-162 underflow
-    tol = 2e-15 * (exact[0] + exact[1]) + 2.0 ** -1070
+    # A variance is sum(dx*dx)/n - mean(dx)**2, dx the offset from the centroid
+    # (mean_x, mean_y), which is off the exact mean by d = mean(dx).  To first
+    # order in u = 2**-53: dx and its square take 3 roundings, a recursive sum of
+    # n terms adds n - 1 (Higham, Accuracy and Stability of Numerical Algorithms,
+    # ch. 4; the halves' two shorter sums and their one addition add no more),
+    # the division and the subtraction one each, and the rounding of mean(dx)**2
+    # = d*d is second order: (n + 4)*u of the exact sum(dx*dx)/n = var + d*d.
+    # A covariance's terms are at most (dx*dx + dy*dy)/2.  Offsets below 1e-162
+    # square to subnormals, each an absolute 2**-1075 off: at most 30 of them.
+    d_x, d_y = (Fraction(c) - m for c, m in zip((mean_x, mean_y), exact[3:]))
+    tol = (p.n + 4) * Fraction(2.0 ** -53) * (exact[0] + exact[1] + d_x * d_x + d_y * d_y)
+    tol += Fraction(2.0 ** -1070)
     for s in (merged, whole):
         assert all(abs(Fraction(got) - want) <= tol for got, want in zip(s[3:], exact))
 

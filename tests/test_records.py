@@ -22,6 +22,7 @@ from linefit import (
     compare,
 )
 from linefit.cli import RunConfig
+from linefit.errors import InvalidSampleError
 from linefit.fitters import OrthogonalCase
 
 P = PairedSample.from_xy((0, 1, 2), (0, 1, 3))
@@ -80,3 +81,19 @@ def test_records_are_frozen_tuples_with_checked_pickles(record, text, rejected):
     # equality is a tuple's: the type is not compared
     assert record == tuple(record)
     assert Point(1, 2) == Translation(1, 2) == (1.0, 2.0)
+
+
+# statistics that summarize never gives: a field, var_x*var_y or cov_xy**2 is not finite
+@pytest.mark.parametrize("fields", [
+    (4, 0, 0, 1e200, 1e200, 1e199),  # read as collinear with cs_gap 0.0 when accepted
+    (4, 0, 0, 1e200, 1e200, 1e100),  # read with cs_gap inf when accepted
+    (4, math.nan, 0.0, 1.0, 1.0, 0.0),
+    (4, 0.0, 0.0, math.inf, 1.0, 0.0),
+    (4, 0.0, 0.0, 1.0, 1.0, math.nan),
+])
+def test_summary_stats_rejects_what_summarize_rejects(fields):
+    with pytest.raises(InvalidSampleError, match="^coordinates too large in magnitude"):
+        SummaryStats(*fields)
+    unchecked = pickle.dumps(SummaryStats._make(fields))
+    with pytest.raises(InvalidSampleError):
+        pickle.loads(unchecked)

@@ -15,6 +15,7 @@ from linefit.geometry import inverse_slope_to_normal, slope_to_normal
 from linefit.stats import (
     PairedSample,
     SummaryStats,
+    _summary,
     mean,
     summarize,
 )
@@ -254,6 +255,15 @@ def test_summarize_of_repeated_point_is_all_zero():
 def test_summarize_rejects_overflowing_magnitudes(points):
     with pytest.raises(InvalidSampleError, match="magnitude"):
         summarize(PairedSample.from_points(points))
+
+
+@pytest.mark.parametrize("sums", [
+    (1e200, 0.0, math.inf, 1.0, 0.0),  # var_x = inf - inf = nan, not a variance of 0.0
+    (0.0, 0.0, 2.0, 2.0, math.inf),  # cov_xy = inf, not cut to sqrt(var_x)*sqrt(var_y)
+])
+def test_sums_that_overflow_are_rejected_not_clamped(sums):
+    with pytest.raises(InvalidSampleError, match="magnitude"):
+        _summary(2, 0.0, 0.0, *sums)
 
 
 @pytest.mark.parametrize("points", [

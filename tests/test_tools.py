@@ -1,12 +1,16 @@
-"""The comparisons that tools/output_diff.py reports, and a process_bench.py smoke run."""
+"""The comparisons that tools/output_diff.py reports, and process_bench.py: a smoke run
+of two sides and its rule for claiming a gain."""
 
 import json
 import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tools"))
 
+import process_bench  # noqa: E402
 from output_diff import describe  # noqa: E402
 
 
@@ -33,9 +37,29 @@ def test_process_bench_times_every_command_on_a_small_input():
     root = Path(__file__).resolve().parents[1]
     commands = ["fit --json --svg", "fit --json", "fit", "transform --rotate 0.3"]
     r = subprocess.run([sys.executable, str(root / "tools" / "process_bench.py"),
-                        "--src", f"src={root / 'src'}", "--n", "50", "--reps", "1",
-                        "--command", *commands], capture_output=True, text=True)
+                        "--src", f"parent={root / 'src'}", "--src", f"change={root / 'src'}",
+                        "--n", "50", "--reps", "2", "--command", *commands],
+                       capture_output=True, text=True)
     assert r.returncode == 0, r.stderr
     rows = json.loads(r.stdout)["rows"]
     assert [(row["n"], row["command"]) for row in rows] == [(50, c) for c in commands]
-    assert all(row["src"]["runs"] == 1 and row["src"]["peak_rss_mb"] > 0 for row in rows)
+    for row in rows:
+        for side in ("parent", "change"):
+            assert row[side]["runs"] == 2 and row[side]["peak_rss_mb"] > 0
+            q1, median, q3 = row[side]["wall_s_quartiles"]
+            assert q1 <= median == row[side]["wall_s"] <= q3
+        assert len(row["pairs"]["wall_ratios"]) == 2 and 0 <= row["pairs"]["wins"] <= 2
+        assert row["pairs"]["gain_holds"] is False  # two pairs are too few to claim
+
+
+@pytest.mark.parametrize("change, holds", [
+    ([0.90] * 9 + [1.20], True),  # 9 of 10 won, the medians 0.10 apart, the base's IQR 0.02
+    ([0.90] * 8 + [1.20] * 2, False),  # 8 of 10 won
+    ([0.985] * 10, False),  # every pair won, but the medians 0.015 apart
+    ([0.90] * 9, False),  # 9 of 9 won: fewer than ten pairs
+])
+def test_process_bench_claims_a_gain_by_wins_and_the_base_spread(change, holds):
+    base = [0.99, 1.01] * 5
+    got = process_bench.pairs(base[:len(change)], change)
+    assert got["wins"] == sum(c < b for b, c in zip(base, change))
+    assert got["gain_holds"] is holds

@@ -12,7 +12,7 @@ from linefit.errors import LineFitError
 from linefit.fitters import AllLinesThroughCentroid, UniqueLine, fit_d, fit_x, fit_y
 from linefit.generators import gen_circle
 from linefit.geometry import NormalLine, Point
-from linefit.stats import PairedSample, summarize
+from linefit.stats import PairedSample, SummaryStats, summarize
 from linefit.transforms import (
     STATUS_OK,
     STATUS_TRANSFORMED_FIT_NONEXISTENT,
@@ -455,6 +455,15 @@ def test_moved_statistics_that_overflow_leave_no_fit():
         report = invariance_report(p, Rotation(math.pi / 4), method)
         assert report.status == STATUS_TRANSFORMED_FIT_NONEXISTENT
         assert report.line_from_transformed_data is None
+
+
+def test_a_summary_whose_moved_statistics_overflow_leaves_no_fit():
+    # var_x*var_y = 1; turned by pi/4, var_x and var_y are ~5e299 and their
+    # product overflows; moved by 1e308, the mean does
+    s = SummaryStats(3, 1e308, 0.0, 1e300, 1e-300, 0.0)
+    for g in (Rotation(math.pi / 4), Translation(1e308, 0.0)):
+        for method in "YXD":
+            assert invariance_report(s, g, method).status == STATUS_TRANSFORMED_FIT_NONEXISTENT
 
 
 @pytest.mark.parametrize("method", ["Y", "X", "D"])

@@ -8,7 +8,13 @@ Each run is spawned from a small launcher process, so the peak RSS read by
 ``ru_maxrss`` starts from the image of the process it was forked from).  The
 inputs are perfbench's noisy lines written with repr floats.  The sides are
 run alternately, in an order that flips with every repetition.  The result
-holds each side's median wall time and peak RSS per size and command.
+holds each side's median wall time, its quartiles and the median peak RSS per
+size and command.  With exactly two sides, the first is the base and the
+second the change, and each row also holds every repetition's pair ratio
+(change wall time over the base's, from the same repetition), the number of
+pairs the change won (ties count for neither) and whether a gain in wall time
+may be claimed: at least ten pairs, at least nine tenths of them won, and the
+medians apart by more than the distance between the base's quartiles.
 """
 
 from __future__ import annotations
@@ -63,6 +69,24 @@ def measure(src: Path, csv: Path, args: list[str], work: Path) -> tuple[float, f
     return float(wall), int(maxrss_kb) / 1024.0
 
 
+def quartiles(values: list[float]) -> list[float]:
+    """[first quartile, median, third quartile]; a single value is all three."""
+    if len(values) < 2:
+        return values * 3
+    return statistics.quantiles(values, n=4, method="inclusive")
+
+
+def pairs(base: list[float], change: list[float]) -> dict:
+    """Each repetition's change/base wall-time ratio, the change's wins (ties
+    count for neither), and whether they and the medians let it claim a gain."""
+    ratios = [c / b for b, c in zip(base, change)]
+    wins = sum(r < 1.0 for r in ratios)
+    q1, median, q3 = quartiles(base)
+    gap = median - statistics.median(change)
+    return {"wall_ratios": ratios, "wins": wins,
+            "gain_holds": len(ratios) >= 10 and wins >= 0.9 * len(ratios) and gap > q3 - q1}
+
+
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--src", action="append", required=True, metavar="NAME=DIR",
@@ -89,11 +113,16 @@ def main() -> int:
                         runs[name].append(measure(src, csv, COMMANDS[command], work))
                 row = {"n": n, "command": command, "input_bytes": csv.stat().st_size}
                 for name, got in runs.items():
+                    walls = [w for w, _ in got]
                     row[name] = {
-                        "wall_s": statistics.median(w for w, _ in got),
+                        "wall_s": statistics.median(walls),
+                        "wall_s_quartiles": quartiles(walls),
                         "peak_rss_mb": statistics.median(r for _, r in got),
                         "runs": len(got),
                     }
+                if len(sides) == 2:
+                    base, change = ([w for w, _ in runs[name]] for name, _ in sides)
+                    row["pairs"] = pairs(base, change)
                 rows.append(row)
                 print(json.dumps(row), file=sys.stderr)
     result = {
