@@ -4,7 +4,9 @@
 Fits the points (0,0), (1,0), (2,1), rotates them 90 degrees about the
 origin, refits, and compares each refitted line against the rotated original
 line.  Only the perpendicular-distance fit lands where rotation says it
-should.
+should.  It lands there at any angle: the script then turns the points by
+pi/2, 1e6, 1e15 and 1e300 radians and exits 1 if the perpendicular fit's
+discrepancy exceeds 1e-12 at any of them.
 """
 
 import math
@@ -45,3 +47,12 @@ for method in ("Y", "X", "D"):
     print(f"  rotated original line: {report.expected_if_invariant}")
 print()
 print("rotation is only a relabeling of the plane, yet the Y and X lines moved.")
+print()
+missed = []
+for phi in (math.pi / 2, 1e6, 1e15, 1e300):
+    discrepancy = invariance_report(points, Rotation(phi, Point(0.0, 0.0)), "D").discrepancy
+    print(f"method D: discrepancy after a turn by {phi:.6g} rad = {discrepancy:.3e}")
+    if not discrepancy <= 1e-12:  # a nan misses too
+        missed.append(f"{discrepancy:.3e} at {phi:.6g} rad")
+if missed:
+    sys.exit(f"the D line missed the turned data by more than 1e-12: {', '.join(missed)}")

@@ -78,7 +78,7 @@ class NormalLine(namedtuple("NormalLine", "theta c")):
     """x*sin(theta) - y*cos(theta) = c, with theta in (-pi/2, pi/2].
 
     Use :meth:`canonical` when the angle may fall outside that range; a shift
-    by pi describes the same point set with the sign of c flipped.
+    by k*pi describes the same point set with c times (-1)**k.
     """
 
     __slots__ = ()
@@ -95,19 +95,13 @@ class NormalLine(namedtuple("NormalLine", "theta c")):
 
     @classmethod
     def canonical(cls, theta: float, c: float) -> "NormalLine":
-        theta = float(theta)
-        c = float(c)
+        """theta folded into (-pi/2, pi/2] by two exact steps: the IEEE remainder by 2*pi
+        (IEEE 754-2008, 5.3.1), then pi taken off |theta| in [pi/2, pi] (Sterbenz, 1974)."""
+        theta, c = float(theta), float(c)
         _require_finite("NormalLine", theta, c)
-        k = math.ceil((theta - _HALF_PI) / math.pi)
-        theta -= k * math.pi
-        if k % 2:
-            c = -c
-        # rounding in the subtraction can land exactly on the open boundary
-        if theta <= -_HALF_PI:
-            theta += math.pi
-            c = -c
-        elif theta > _HALF_PI:
-            theta -= math.pi
+        theta = math.remainder(theta, 2.0 * math.pi)
+        if not -_HALF_PI < theta <= _HALF_PI:
+            theta -= math.copysign(math.pi, theta)
             c = -c
         return cls(theta, c)
 

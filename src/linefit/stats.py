@@ -23,7 +23,7 @@ from collections import namedtuple
 from collections.abc import Iterable, Sequence
 from functools import cached_property
 from itertools import chain
-from operator import itemgetter, neg
+from operator import index, itemgetter, neg
 
 from .errors import InvalidSampleError, SampleMismatchError
 
@@ -90,8 +90,9 @@ class PairedSample(namedtuple("PairedSample", "xs ys")):
 class SummaryStats(namedtuple("SummaryStats", "n mean_x mean_y var_x var_y cov_xy")):
     """Sufficient statistics of a paired sample, all central moments.
 
-    Construction raises :class:`InvalidSampleError` unless the means and the
-    products the fits form, var_x*var_y and cov_xy*cov_xy, are finite.
+    Construction raises :class:`InvalidSampleError` unless n is an integer of
+    at least 2 and the means and the products the fits form, var_x*var_y and
+    cov_xy*cov_xy, are finite.
     ``cov_xy**2 <= var_x * var_y`` holds for any genuine sample (equality
     exactly when the points are collinear), so construction rejects field
     combinations that violate it beyond a relative rounding allowance.
@@ -101,21 +102,27 @@ class SummaryStats(namedtuple("SummaryStats", "n mean_x mean_y var_x var_y cov_x
 
     def __new__(cls, n: int, mean_x: float, mean_y: float,
                 var_x: float, var_y: float, cov_xy: float):
+        try:
+            count = index(n)  # any integral type, stored as a Python int
+        except TypeError:
+            count = 0
+        if count < 2:
+            raise InvalidSampleError(f"a sample needs at least 2 values, got n={n!r}")
+        if var_x < 0.0 or var_y < 0.0:  # a nan passes on to the finiteness check
+            raise ValueError(
+                f"variances must be nonnegative: var_x={var_x}, var_y={var_y}"
+            )
         if not all(map(math.isfinite, (mean_x, mean_y, var_x * var_y, cov_xy * cov_xy))):
             raise InvalidSampleError(
                 "coordinates too large in magnitude: their sums of squares and "
                 "products overflow a double"
-            )
-        if var_x < 0.0 or var_y < 0.0:
-            raise ValueError(
-                f"variances must be nonnegative: var_x={var_x}, var_y={var_y}"
             )
         # square roots first, so tiny variances cannot underflow the bound
         if abs(cov_xy) > (1.0 + 1e-12) * math.sqrt(var_x) * math.sqrt(var_y):
             raise ValueError(
                 "inconsistent statistics: cov_xy^2 > var_x*var_y beyond tolerance"
             )
-        return super().__new__(cls, n, mean_x, mean_y, var_x, var_y, cov_xy)
+        return super().__new__(cls, count, mean_x, mean_y, var_x, var_y, cov_xy)
 
 
 def mean(values: Sequence[float]) -> float:

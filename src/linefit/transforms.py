@@ -131,10 +131,13 @@ def transform_line(line: NormalLine, g: RigidMotion) -> NormalLine:
 
     The foot ``line.point_at(0.0)`` moves as any point does, and a rotation
     by phi adds phi to theta; the image is the line through the moved foot at
-    the new angle.
+    the new angle.  phi is added as atan2(sin(phi), cos(phi)): the turn the
+    points take, whose sine and cosine reduce phi exactly.
     """
     foot = apply_motion_point(line.point_at(0.0), g)
-    theta = line.theta + g.phi if isinstance(g, Rotation) else line.theta
+    theta = line.theta
+    if isinstance(g, Rotation):
+        theta += math.atan2(math.sin(g.phi), math.cos(g.phi))
     return NormalLine.canonical(theta, foot.x * math.sin(theta) - foot.y * math.cos(theta))
 
 

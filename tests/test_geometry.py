@@ -2,9 +2,10 @@ import math
 import random
 import sys
 from dataclasses import dataclass
+from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given
+from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
 from linefit.errors import InvalidLineError, NotRepresentableError
@@ -213,6 +214,51 @@ def test_canonical_maps_negative_half_pi_boundary():
     line = NormalLine.canonical(-math.pi / 2, 3.0)
     assert line.theta == pytest.approx(math.pi / 2, rel=1e-15)
     assert line.c == -3.0
+
+
+def _quotient_fold(theta, c):
+    """The rounded-quotient reduction, kept as an oracle: k = ceil((theta - pi/2)/pi),
+    c flipped on k's parity, then the open boundary patched.  Its rounding grows
+    with |theta|; up to |theta| = 2*pi every step is exact."""
+    k = math.ceil((theta - math.pi / 2) / math.pi)
+    theta -= k * math.pi
+    if k % 2:
+        c = -c
+    if theta <= -math.pi / 2:
+        theta += math.pi
+        c = -c
+    elif theta > math.pi / 2:
+        theta -= math.pi
+        c = -c
+    return theta, c
+
+
+_FINITE = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@given(_FINITE, _FINITE)
+# the rounded quotient left these outside the range, and canonical raised
+@example(-5.7775003264880344e16, 1.0)
+@example(7.198930575905798e16, -2.5)
+@example(-math.pi / 2, 3.0)
+@example(3 * math.pi / 2, -0.0)
+@example(-2 * math.pi, 0.0)
+@example(sys.float_info.max, 1.0)
+def test_canonical_folds_every_finite_angle_by_an_exact_multiple_of_pi(theta, c):
+    line = NormalLine.canonical(theta, c)
+    assert -math.pi / 2 < line.theta <= math.pi / 2
+    k = (Fraction(theta) - Fraction(line.theta)) / Fraction(math.pi)
+    assert k.denominator == 1
+    assert line.c.hex() == (-c if k.numerator % 2 else c).hex()
+    if abs(theta) <= 2 * math.pi:
+        # equal as numbers: at -2*pi the remainder keeps theta's sign, a -0.0
+        assert line == _quotient_fold(theta, c)
+
+
+@pytest.mark.parametrize("theta", [math.inf, -math.inf, math.nan])
+def test_canonical_rejects_an_angle_that_is_not_finite(theta):
+    with pytest.raises(InvalidLineError):
+        NormalLine.canonical(theta, 1.0)
 
 
 @given(

@@ -97,3 +97,30 @@ def test_summary_stats_rejects_what_summarize_rejects(fields):
     unchecked = pickle.dumps(SummaryStats._make(fields))
     with pytest.raises(InvalidSampleError):
         pickle.loads(unchecked)
+
+
+# records that no sample has: n is not a count of at least 2 points, or a
+# variance is negative, however large the other fields' products
+@pytest.mark.parametrize("fields, error, message", [
+    ((-3.5, 0.0, 0.0, 1.0, 1.0, 0.5), InvalidSampleError, "a sample needs at least 2 values"),
+    ((0, 0.0, 0.0, 1.0, 1.0, 0.5), InvalidSampleError, "a sample needs at least 2 values"),
+    ((1, 0.0, 0.0, 1.0, 1.0, 0.5), InvalidSampleError, "a sample needs at least 2 values"),
+    ((3.0, 0.0, 0.0, 1.0, 1.0, 0.5), InvalidSampleError, "a sample needs at least 2 values"),
+    ((4, 0, 0, -1e200, 1e200, 0), ValueError, "variances must be nonnegative"),
+    ((4, 0, 0, 1.0, -math.inf, 0), ValueError, "variances must be nonnegative"),
+])
+def test_summary_stats_counts_points_and_checks_the_variances_sign_first(fields, error, message):
+    with pytest.raises(error, match="^" + message):
+        SummaryStats(*fields)
+    unchecked = pickle.dumps(SummaryStats._make(fields))
+    with pytest.raises(error, match="^" + message):
+        pickle.loads(unchecked)
+
+
+def test_summary_stats_takes_any_integral_count_and_stores_an_int():
+    np = pytest.importorskip("numpy")
+    s = SummaryStats(np.int64(4), 0.0, 0.0, 1.0, 1.0, 0.5)
+    assert s == (4, 0.0, 0.0, 1.0, 1.0, 0.5) and type(s.n) is int
+    assert pickle.loads(pickle.dumps(s)) == s
+    with pytest.raises(InvalidSampleError, match="^a sample needs at least 2 values"):
+        SummaryStats(np.float64(4.0), 0.0, 0.0, 1.0, 1.0, 0.5)

@@ -266,6 +266,48 @@ def test_perpendicular_fit_is_rotation_invariant_generally():
         assert report.discrepancy < 1e-9
 
 
+_KINDS = ("vertical", "horizontal", "circle", "line", "far")
+
+
+def _lib_sample(kind, seed):
+    """12 points of one of the benchmark's library shapes: vertical or horizontal
+    rungs, a circle, or a noisy line at x = 0..11, or at x near 1.6e9 ("far")."""
+    rng = random.Random(seed)
+    if kind == "circle":
+        return gen_circle(12, rng.uniform(0.0, 2.0 * math.pi), rng.uniform(0.5, 3.0),
+                          Point(rng.uniform(-5.0, 5.0), rng.uniform(-5.0, 5.0)))
+    rungs = [rng.uniform(-10.0, 10.0) for _ in range(12)]
+    fixed = [rng.uniform(-5.0, 5.0)] * 12
+    if kind == "vertical":
+        return PairedSample.from_xy(fixed, rungs)
+    if kind == "horizontal":
+        return PairedSample.from_xy(rungs, fixed)
+    slope = rng.choice((-1.0, 1.0)) * rng.uniform(0.2, 3.0)
+    x0 = 1.6e9 if kind == "far" else 0.0
+    return PairedSample.from_xy([x0 + x for x in range(12)],
+                                [slope * x + fixed[0] + rng.uniform(-1.0, 1.0) for x in range(12)])
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(_KINDS), st.integers(0, 2**32), st.floats(-1e300, 1e300), st.booleans())
+# theta + phi kept none of theta's digits, and the turned D line missed by 6.9
+@example("line", 0, 1e300, True)
+def test_invariance_report_answers_every_finite_rotation(kind, seed, phi, centred):
+    g = Rotation(phi, Point(-1.0, 2.0) if centred else None)
+    reports = [invariance_report(_lib_sample(kind, seed), g, method) for method in "YXD"]
+    if kind == "line":  # D turns with the data, to its rounding, at any angle
+        assert reports[2].status == STATUS_OK
+        assert reports[2].discrepancy < 1e-13
+
+
+def test_the_reference_points_refit_under_a_turn_past_the_quotient_fold():
+    # every method's moved line fell outside (-pi/2, pi/2] and raised
+    p = PairedSample.from_points([(0, 0), (1, 0), (2, 1), (3, 1)])
+    reports = [invariance_report(p, Rotation(-5.7775003264880344e16), m) for m in "YXD"]
+    assert [r.status for r in reports] == [STATUS_OK] * 3
+    assert reports[2].discrepancy < 1e-15
+
+
 def test_rotating_a_degenerate_sample_keeps_the_family():
     p = gen_circle(n=5, phase=0.3)
     report = invariance_report(p, Rotation(0.8, Point(2.0, 1.0)), "D")
