@@ -24,7 +24,8 @@ one process.  No option decides it.
 
 Exit codes: 0 success (at least one requested fit produced a result),
 1 stdout was closed before the output was written, 2 input error or an
-unwritable output path, 3 every requested fit failed its precondition.
+output that fails otherwise (an unwritable path, a full disk), 3 every
+requested fit failed its precondition; :func:`main` alone maps errors to them.
 """
 
 from __future__ import annotations
@@ -340,39 +341,33 @@ def _write(path: str | os.PathLike, pieces) -> None:
 
 
 def run(config: RunConfig, out=None) -> int:
-    """Execute one fitting run; returns the process exit status."""
-    out = out if out is not None else sys.stdout
+    """Execute one fitting run, its table on ``out`` (default stdout); returns the
+    exit status, 2 with an ``error:`` line on stderr for an input or output error."""
+    try:
+        return _fit(config, out if out is not None else sys.stdout)
+    except (LineFitError, OSError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_INPUT_ERROR
 
+
+def _fit(config: RunConfig, out) -> int:
+    """:func:`run`, raising its input and output errors."""
     def job(xs, ys, centroid, box, spell):
         # without the input's own text, the JSON points go out as shortest reprs
         return (_centred_sums(xs, ys, *centroid),
                 config.output_svg and _markers(xs, ys, *_Frame(*box)),
                 spell and config.output_json is not None and _rows_text(xs, ys, "],[%r,%r")[3:])
 
-    try:
-        data = _read_input(config.input)
-        n, echo, centroid, box, replies = _rows(data, config.output_json is not None, job)
-        (sums, markers, text), (tail_sums, tail_markers, tail_text) = replies
-        s = _summary(n, *centroid, *map(add, sums, tail_sums))
-    except (LineFitError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT_ERROR
-
-    doc = report(s, config.methods)
+    data = _read_input(config.input)
+    n, echo, centroid, box, replies = _rows(data, config.output_json is not None, job)
+    (sums, markers, text), (tail_sums, tail_markers, tail_text) = replies
+    doc = report(_summary(n, *centroid, *map(add, sums, tail_sums)), config.methods)
     for line in _table_lines(doc):
         print(line, file=out)
-
-    try:
-        if config.output_json is not None:
-            _write(config.output_json, _json(doc, echo or (text, tail_text)))
-        if config.output_svg is not None:
-            _write(config.output_svg, _svg(_Frame(*box), doc["fits"], (markers, tail_markers)))
-    except BrokenPipeError:
-        raise  # the reader left: exit 1 in main, as for stdout
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT_ERROR
-
+    if config.output_json is not None:
+        _write(config.output_json, _json(doc, echo or (text, tail_text)))
+    if config.output_svg is not None:
+        _write(config.output_svg, _svg(_Frame(*box), doc["fits"], (markers, tail_markers)))
     return EXIT_OK if _any_fitted(doc["fits"]) else EXIT_NO_METHOD_SUCCEEDED
 
 
@@ -505,13 +500,12 @@ def _cmd_fit(args) -> int:
         output_json=args.json or None,
         output_svg=args.svg or None,
     )
-    return run(config)
+    return _fit(config, sys.stdout)
 
 
-def _overflowed(command: str) -> int:
-    print(f"error: {command}: the options overflow a double "
-          "(a coordinate came out non-finite)", file=sys.stderr)
-    return EXIT_INPUT_ERROR
+def _overflowed(command: str) -> LineFitError:
+    return LineFitError(f"{command}: the options overflow a double "
+                        "(a coordinate came out non-finite)")
 
 
 def _cmd_generate(args) -> int:
@@ -519,30 +513,26 @@ def _cmd_generate(args) -> int:
 
     from .generators import gen_circle, gen_noisy_line, gen_slanted_ladder, gen_vertical_ladder
 
-    try:
-        if args.shape == "circle":
-            generate, params = gen_circle, (args.n, args.alpha, args.radius, Point(*args.center))
-        elif args.shape == "noisy-line":
-            generate, params = gen_noisy_line, (args.slope, args.intercept, args.n, args.seed,
-                                                (-args.span, args.span), args.noise)
+    if args.shape == "circle":
+        generate, params = gen_circle, (args.n, args.alpha, args.radius, Point(*args.center))
+    elif args.shape == "noisy-line":
+        generate, params = gen_noisy_line, (args.slope, args.intercept, args.n, args.seed,
+                                            (-args.span, args.span), args.noise)
+    else:
+        rng = random.Random(args.seed)
+        rungs = [rng.uniform(-args.spread, args.spread) for _ in range(args.n)]
+        if args.A is not None:
+            if args.M is not None or args.B is not None:
+                raise GenerationError("--A excludes --M/--B")
+            generate, params = gen_vertical_ladder, (args.A, rungs)
+        elif args.M is None or args.B is None:
+            raise GenerationError("a ladder needs either --A (vertical) or both --M and --B")
         else:
-            rng = random.Random(args.seed)
-            rungs = [rng.uniform(-args.spread, args.spread) for _ in range(args.n)]
-            if args.A is not None:
-                if args.M is not None or args.B is not None:
-                    raise GenerationError("--A excludes --M/--B")
-                generate, params = gen_vertical_ladder, (args.A, rungs)
-            elif args.M is None or args.B is None:
-                raise GenerationError("a ladder needs either --A (vertical) or both --M and --B")
-            else:
-                generate, params = gen_slanted_ladder, (args.M, args.B, rungs)
-        try:
-            points = generate(*params)
-        except InvalidSampleError:  # its arguments passed their checks: a point is not finite
-            return _overflowed(f"generate {args.shape}")
-    except LineFitError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT_ERROR
+            generate, params = gen_slanted_ladder, (args.M, args.B, rungs)
+    try:
+        points = generate(*params)
+    except InvalidSampleError:  # its arguments passed their checks: a point is not finite
+        raise _overflowed(f"generate {args.shape}") from None
     sys.stdout.write(render_csv(points))
     return EXIT_OK
 
@@ -558,13 +548,9 @@ def _cmd_transform(args) -> int:
             xs, ys = _moved(xs, ys, _resolve_center(g, Point(*centroid)))
         return _rows_text(xs, ys)
 
-    try:
-        rows = _rows(_read_input(args.input), False, job)[4]
-    except (LineFitError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT_ERROR
+    rows = _rows(_read_input(args.input), False, job)[4]
     if None in rows:  # a moved point is not finite
-        return _overflowed("transform")
+        raise _overflowed("transform")
     sys.stdout.writelines(("x,y\n", *rows))
     return EXIT_OK
 
@@ -576,9 +562,19 @@ def main(argv=None) -> int:
         code = command(args)
         sys.stdout.flush()
         return code
-    except BrokenPipeError:  # the reader left; devnull takes the flush at exit
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        return EXIT_BROKEN_PIPE
+    except BrokenPipeError:  # the reader left
+        code = EXIT_BROKEN_PIPE
+    except (LineFitError, OSError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        code = EXIT_INPUT_ERROR
+        try:
+            sys.stdout.flush()
+            return code
+        except OSError:  # stdout itself fails, a full disk say
+            pass
+    # devnull takes the flush at exit, which would print "Exception ignored" and exit 120
+    os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    return code
 
 
 if __name__ == "__main__":

@@ -28,6 +28,7 @@ from .geometry import (
     NormalLine,
     Point,
     SlopeInterceptLine,
+    _require_finite,
     inverse_slope_to_normal,
     slope_to_normal,
 )
@@ -102,11 +103,12 @@ def _stats(data: PairedSample | SummaryStats) -> SummaryStats:
     return data if isinstance(data, SummaryStats) else data.summary
 
 
-def _cs_gap(s: SummaryStats) -> float:
-    """var_x*var_y - cov^2, the Cauchy-Schwarz gap, clamped here and only here
-    at 0.0, since rounding on collinear data can leave cov^2 above var_x*var_y.
-    The points are collinear when it is :func:`_negligible` against var_x, var_y."""
-    return max(0.0, s.var_x * s.var_y - s.cov_xy * s.cov_xy)
+def _cs_gap(s: SummaryStats, per: float = 1.0) -> float:
+    """(var_x*var_y - cov^2)/per, the Cauchy-Schwarz gap, clamped here and only
+    here at 0.0, since rounding on collinear data can leave cov^2 above var_x*var_y.
+    Each product is divided by ``per`` before it is formed, so tiny variances keep
+    it.  The points are collinear when it is :func:`_negligible` against var_x, var_y."""
+    return max(0.0, s.var_x * (s.var_y / per) - s.cov_xy * (s.cov_xy / per))
 
 
 def _negligible(value: float, *scale: float) -> bool:
@@ -226,6 +228,7 @@ def fit_d_report(data: PairedSample | SummaryStats) -> FitReport:
 def objective_y(data: PairedSample | SummaryStats, m: float, b: float) -> float:
     """Mean squared vertical offset from y = m*x + b: the minimum, plus
     var_x*(m - m_fit)^2, plus the squared miss at the centroid (0.0 at the fit)."""
+    _require_finite("objective_y", m, b)
     s = _stats(data)
     miss = (s.mean_y - m * s.mean_x) - b  # as fit_y forms b
     if s.var_x == 0.0:
@@ -237,6 +240,7 @@ def objective_y(data: PairedSample | SummaryStats, m: float, b: float) -> float:
 
 def objective_x(data: PairedSample | SummaryStats, mu: float, beta: float) -> float:
     """Mean squared horizontal offset from x = mu*y + beta: Y, axes swapped."""
+    _require_finite("objective_x", mu, beta)
     s = _stats(data)
     return objective_y(s._replace(mean_x=s.mean_y, mean_y=s.mean_x,
                                   var_x=s.var_y, var_y=s.var_x), mu, beta)
@@ -246,6 +250,7 @@ def objective_d(data: PairedSample | SummaryStats, theta: float, c: float) -> fl
     """Mean squared distance from x*sin(theta) - y*cos(theta) = c: the minimum,
     plus the eigen-gap h times sin^2 of the turn from the major axis (h = 0 on
     isotropic data), plus the squared miss at the centroid."""
+    _require_finite("objective_d", theta, c)
     s = _stats(data)
     u, v = _major_axis(s)
     h = math.hypot(s.var_x - s.var_y, 2.0 * s.cov_xy)

@@ -22,7 +22,6 @@ from collections.abc import Sequence
 from .errors import GenerationError
 from .geometry import Point
 from .stats import PairedSample
-from .transforms import Translation, apply_motion_points
 
 __all__ = ["gen_vertical_ladder", "gen_slanted_ladder", "gen_circle", "gen_noisy_line"]
 
@@ -83,8 +82,8 @@ def gen_slanted_ladder(slope: float, offset: float, rungs: Sequence[float]) -> P
 
 def gen_circle(n: int, phase: float = 0.0, radius: float = 1.0,
                center: Point = Point(0, 0)) -> PairedSample:
-    """n points at angles phase + 2*pi*i/n, i = 1..n, on the given circle;
-    centering is done via the translation motion.
+    """n points at angles phase + 2*pi*i/n, i = 1..n, on the given circle:
+    (radius*cos(a) + center.x, radius*sin(a) + center.y).
 
     For the unit circle at the origin the summary statistics are exact up to
     rounding: both means 0, both variances 1/2, covariance 0, for every n >= 3
@@ -95,11 +94,8 @@ def gen_circle(n: int, phase: float = 0.0, radius: float = 1.0,
     if not (radius > 0.0):
         raise GenerationError(f"radius must be positive, got {radius!r}")
     angles = [phase + 2.0 * math.pi / n * i for i in range(1, n + 1)]
-    raw = PairedSample.from_xy([radius * math.cos(a) for a in angles],
-                               [radius * math.sin(a) for a in angles])
-    if center.x == 0.0 and center.y == 0.0:
-        return raw
-    return apply_motion_points(raw, Translation(center.x, center.y))
+    return PairedSample.from_xy([radius * math.cos(a) + center.x for a in angles],
+                                [radius * math.sin(a) + center.y for a in angles])
 
 
 def gen_noisy_line(slope: float, intercept: float, n: int, seed: int,

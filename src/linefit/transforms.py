@@ -11,13 +11,14 @@ so ``invariance_report`` moves the summary, never the points.  A translation
 by (u, v) adds (u, v) to the means and keeps the central moments.  A rotation
 by phi moves the mean as a point and turns the covariance matrix S to
 R S R^T: in half-angle form t = (var_x + var_y)/2 stays fixed, the pair
-(d, cov_xy) with d = (var_x - var_y)/2 turns by 2*phi, and then
-var_x = t + d, var_y = t - d.  No moved coordinate is formed, so data far
-from the origin keeps its digits: moving each point would round it to the
-ulp of its new position.  ``apply_motion_points`` moves the points
-themselves, for the generators; ``linefit transform`` moves each half of its
-output, and ``apply_motion_point`` one point, with the same column kernel,
-``_moved``, so a moved point depends only on that point and the motion.
+(d, cov_xy) with d = (var_x - var_y)/2 turns by 2*phi.  The larger moved
+variance is t + |d|, the smaller (gap + cov_xy^2) over it, as the gap
+var_x*var_y - cov_xy^2 = det S does not turn; t - |d| would cancel.  No
+moved coordinate is formed, so data far from the origin keeps its digits:
+moving each point would round it to the ulp of its new position.  Points
+move by one column kernel, ``_moved``, in ``apply_motion_points``,
+``apply_motion_point`` and each half of ``linefit transform``'s output, so a
+moved point depends only on that point and the motion.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ import math
 from collections import namedtuple
 
 from .errors import LineFitError
-from .fitters import AllLinesThroughCentroid, _stats, fit_d_report, fit_x, fit_y
+from .fitters import AllLinesThroughCentroid, _cs_gap, _stats, fit_d_report, fit_x, fit_y
 from .geometry import NormalLine, Point, normal_to_inverse_slope, normal_to_slope
 from .stats import PairedSample, SummaryStats, _checked
 
@@ -123,7 +124,9 @@ def _move_summary(s: SummaryStats, g: RigidMotion) -> SummaryStats:
     co2, si2 = (co - si) * (co + si), 2.0 * co * si
     t, d = (s.var_x + s.var_y) / 2.0, (s.var_x - s.var_y) / 2.0
     d, cov = co2 * d - si2 * s.cov_xy, si2 * d + co2 * s.cov_xy
-    return _checked(s.n, mean.x, mean.y, t + d, t - d, cov)
+    big = t + abs(d)  # the smaller variance from the gap, which no turn changes
+    small = _cs_gap(s, big) + cov * (cov / big) if big else 0.0
+    return _checked(s.n, mean.x, mean.y, *((big, small) if d >= 0.0 else (small, big)), cov)
 
 
 def transform_line(line: NormalLine, g: RigidMotion) -> NormalLine:

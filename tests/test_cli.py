@@ -1,4 +1,5 @@
 import contextlib
+import errno
 import io
 import json
 import marshal
@@ -1150,6 +1151,35 @@ def test_closed_stdout_exits_1_without_a_traceback(args):
         os.close(write_end)
     assert r.returncode == 1
     assert r.stderr == b""
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize("args", [
+    ["fit"],
+    ["transform", "--rotate", "0.3"],
+    ["generate", "circle", "--n", "3"],
+    ["generate", "noisy-line", "--slope", "1", "--n", "100000"],  # fails inside the command
+])
+def test_a_full_stdout_exits_2_with_one_line(args):
+    # the write or the flush fails with ENOSPC, which was a traceback and exit 1
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(SRC) + os.pathsep + env.get("PYTHONPATH", "")
+    with open("/dev/full", "wb") as full:
+        r = subprocess.run([sys.executable, "-m", "linefit", *args], input=THREE_CSV.encode(),
+                           stdout=full, stderr=subprocess.PIPE, env=env, cwd=REPO)
+    assert (r.returncode, r.stderr) == (2, b"error: [Errno 28] No space left on device\n")
+
+
+class _FullOut(io.StringIO):
+    def write(self, text):
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+
+def test_run_into_a_full_out_returns_2_with_a_message(tmp_path, capsys):
+    csv = tmp_path / "pts.csv"
+    csv.write_text(THREE_CSV)
+    assert run(RunConfig(input=csv), out=_FullOut()) == 2
+    assert capsys.readouterr().err == f"error: [Errno 28] {os.strerror(errno.ENOSPC)}\n"
 
 
 @pytest.mark.parametrize("flag", ["--json", "--svg"])

@@ -8,7 +8,12 @@ from hypothesis import strategies as st
 from objective_oracle import loop_d, loop_x, loop_y
 
 from linefit.diagnostics import ORDERING_EQUALITY, TAN_THETA_ALL, compare
-from linefit.errors import HorizontalDataError, InvalidSampleError, VerticalDataError
+from linefit.errors import (
+    HorizontalDataError,
+    InvalidLineError,
+    InvalidSampleError,
+    VerticalDataError,
+)
 from linefit.fitters import (
     ISOTROPIC,
     AllLinesThroughCentroid,
@@ -471,6 +476,19 @@ def test_objectives_of_overflowing_statistics_raise_as_the_fits_do():
     for objective in (objective_y, objective_x, objective_d):
         with pytest.raises(InvalidSampleError, match="magnitude"):
             objective(p, 1.0, 0.0)
+
+
+@pytest.mark.parametrize("objective", [objective_y, objective_x, objective_d])
+@pytest.mark.parametrize("a, c", [(math.inf, 0.0), (0.0, -math.inf), (math.nan, 0.0),
+                                  (0.0, math.nan)])
+def test_objectives_of_a_non_finite_line_raise_as_the_line_records_do(objective, a, c):
+    # objective_d raised math's domain error, objective_y read inf, objective_x nan
+    with pytest.raises(InvalidLineError, match=f"^{objective.__name__} requires finite"):
+        objective(THREE_POINTS, a, c)
+
+
+def test_the_objective_of_a_finite_line_may_overflow():
+    assert objective_y(THREE_POINTS, 1e300, 0.0) == math.inf
 
 
 @st.composite

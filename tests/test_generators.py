@@ -2,8 +2,10 @@ import math
 import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from linefit.errors import GenerationError
+from linefit.errors import GenerationError, LineFitError
 from linefit.fitters import AllLinesThroughCentroid, UniqueLine, fit_d, fit_x, fit_y
 from linefit.generators import (
     gen_circle,
@@ -13,6 +15,7 @@ from linefit.generators import (
 )
 from linefit.geometry import Point
 from linefit.stats import summarize
+from linefit.transforms import Translation, apply_motion_points
 
 
 def rung_variance(ts):
@@ -200,6 +203,32 @@ def test_scaled_and_shifted_circle():
     assert abs(s.mean_y - (-2.0)) < 1e-12
     assert abs(s.var_x - 4.5) < 1e-11  # radius^2 / 2
     assert abs(s.var_y - 4.5) < 1e-11
+
+
+def _bits(make):
+    """The sample's coordinates as float.hex, which tells -0.0 from 0.0, or its error."""
+    try:
+        p = make()
+    except LineFitError as exc:  # a point is not finite
+        return type(exc), str(exc)
+    return [x.hex() for x in p.xs], [y.hex() for y in p.ys]
+
+
+_COORDINATES = st.one_of(st.sampled_from([0.0, -0.0, 1.6e9, -1.6e9, 1e308, -1e308]),
+                         st.floats(allow_nan=False, allow_infinity=False))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(3, 40), st.floats(allow_nan=False, allow_infinity=False),
+       st.floats(1e-280, 1e308), _COORDINATES, _COORDINATES)
+@example(4, 0.0, 1.0, -0.0, 0.0)
+@example(5, 0.3, 1e308, 1e308, -0.0)
+def test_a_circle_is_the_origin_circle_translated_bit_for_bit(n, phase, radius, cx, cy):
+    # above 1e-280 no radius*cos or radius*sin term underflows to -0.0, and
+    # adding the centre first or after an origin circle gives the same bits
+    placed = _bits(lambda: gen_circle(n, phase, radius, Point(cx, cy)))
+    origin = gen_circle(n, phase, radius)
+    assert placed == _bits(lambda: apply_motion_points(origin, Translation(cx, cy)))
 
 
 def test_circle_rejects_small_n():

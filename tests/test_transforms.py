@@ -2,6 +2,7 @@ import functools
 import math
 import operator
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -470,6 +471,59 @@ def test_moved_summary_matches_the_exact_moments_of_the_moved_points(offset):
         assert abs(Fraction(got.mean_y) - my) <= Fraction(1e-15) * scale
         for value, exact in ((got.var_x, vx), (got.var_y, vy), (got.cov_xy, cxy)):
             assert abs(Fraction(value) - exact) <= Fraction(1e-14) * (vx + vy)
+
+
+def test_a_sample_turned_nearly_flat_keeps_its_moved_variances():
+    # var_y as t - d cancelled here: a relative error of 2.2e-6 and a D
+    # discrepancy of 2.4e-11; the gap, which no turn changes, keeps it
+    p = PairedSample.from_xy([2.0] * 5, [0.0, 1.0, 2.0, 3.0, 4.0])
+    g = Rotation(1.5708018185612886, Point(-1.7050834658329581, 0.7333251339281501))
+    assert invariance_report(p, g, "D").discrepancy < 1e-15
+
+
+@pytest.mark.parametrize("scale", [1e-100, 1e-150])
+def test_a_tiny_sample_keeps_its_moved_variances(scale):
+    # var_x*var_y and cov**2 underflow below 1e-154: the gap is formed over
+    # the larger moved variance, or the smaller would read 0.0 and D would
+    # miss the turned line by 0.7 (a segment) or infinitely (a circle)
+    segment = PairedSample.from_xy([2.0 * scale] * 5, [k * scale for k in range(5)])
+    circle = gen_circle(7, radius=scale)
+    for p in (segment, circle):
+        assert invariance_report(p, Rotation(math.pi / 4), "D").discrepancy < 1e-15
+
+
+def _exactly_turned(s, phi):
+    """(var_x, var_y) of the summary turned by phi in rational arithmetic,
+    with the double cos(phi) and sin(phi)."""
+    co, si = Fraction(math.cos(phi)), Fraction(math.sin(phi))
+    vx, vy, cxy = map(Fraction, (s.var_x, s.var_y, s.cov_xy))
+    return (co * co * vx - 2 * co * si * cxy + si * si * vy,
+            si * si * vx + 2 * co * si * cxy + co * co * vy)
+
+
+_QUARTERS = st.sampled_from([0.0, math.pi / 2, -math.pi / 2, math.pi, -math.pi])
+_TURNS = st.one_of(
+    _ANY_DOUBLE,
+    st.builds(operator.add, _QUARTERS, st.floats(-1e-6, 1e-6)),
+    st.builds(math.nextafter, _QUARTERS, st.sampled_from([-4.0, 4.0])),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.floats(-10.0, 10.0), min_size=2, max_size=30),
+       st.sampled_from([0.0, 2.0, -3e3, 1.6e9]), st.sampled_from([1.0, 1e-100]),
+       st.booleans(), _TURNS)
+@example([0.0, 1.0, 2.0, 3.0, 4.0], 2.0, 1.0, True, 1.5708018185612886)
+def test_an_axis_parallel_sample_turned_keeps_its_moved_variances(along, offset, scale,
+                                                                  vertical, phi):
+    ys = [offset + scale * u for u in along]
+    xs = [offset] * len(ys)
+    s = PairedSample.from_xy(*((xs, ys) if vertical else (ys, xs))).summary
+    got = _move_summary(s, _resolve_center(Rotation(phi), s))
+    # below the smallest normal double a variance has fewer digits to keep
+    for value, exact in zip((got.var_x, got.var_y), _exactly_turned(s, phi)):
+        bound = Fraction(1e-14) * exact + Fraction(sys.float_info.min)
+        assert abs(Fraction(value) - exact) <= bound
 
 
 def test_far_d_refit_turns_with_the_data():
